@@ -18,6 +18,7 @@ from streamrate import (
     verify_single_burst_worst_case,
     worst_multi_burst,
 )
+from streamrate.oracle import _Filter, _received, _walk_multi_burst
 
 
 class TestErasurePattern:
@@ -191,3 +192,171 @@ class TestWorstCaseVerification:
         a = conditional_variance(sys, ("s", 10), given)
         b = conditional_variance(sys, ("s", 10), list(given))
         assert abs(a - b) <= 1e-12
+
+
+def _dense_values(sys, received):
+    """Var(u_t | .), Var(s_t | .) and Var(s_t | ., u_t) by the dense Schur path."""
+    given = [("u", i) for i in received] + [("s", -1)]
+    return (
+        conditional_variance(sys, ("u", sys.t), given),
+        conditional_variance(sys, ("s", sys.t), given),
+        conditional_variance(sys, ("s", sys.t), given + [("u", sys.t)]),
+    )
+
+
+def _filter_values(filt, pred):
+    return pred + filt.s2, pred, filt.mmse(pred)
+
+
+class TestFilterAgainstDense:
+    """The scalar filter behind the checks against the dense Schur complement."""
+
+    @pytest.mark.parametrize("rho", [0.5, 0.9])
+    @pytest.mark.parametrize("s2", [1e-6, 0.1, 1.0])
+    @pytest.mark.parametrize("B,L", [(1, 2), (2, 3), (3, 2)])
+    def test_every_multi_burst_pattern(self, rho, s2, B, L):
+        t_max = 12
+        filt = _Filter(rho, s2)
+        walked = {t: [] for t in range(1, t_max + 1)}
+        for t, runs, pred in _walk_multi_burst(filt, B, L, t_max):
+            walked[t].append((runs, pred))
+        for t, layouts in walked.items():
+            sys = GaussianSystem(rho, s2, t)
+            pats = enumerate_multi_burst(t, B, L)
+            assert [p.received for p in pats] == [tuple(_received(t, runs)) for runs, _ in layouts]
+            for pat, (_, pred) in zip(pats, layouts):
+                want = _dense_values(sys, pat.received)
+                got = _filter_values(filt, pred)
+                assert np.allclose(got, want, rtol=0, atol=1e-12)
+                assert filt.rate(pred) == pytest.approx(decode_rate(sys, pat), abs=1e-12)
+
+    @pytest.mark.parametrize("rho,s2", [(0.5, 1.0), (0.9, 0.1), (0.9, 1e-6), (0.99, 0.05)])
+    def test_every_single_burst(self, rho, s2):
+        filt = _Filter(rho, s2)
+        for t in range(13):
+            sys = GaussianSystem(rho, s2, t)
+            for length in range(t + 1):
+                for offset in range(t - length + 1):
+                    pat = ErasurePattern.single_burst(t, length, offset)
+                    pred = filt.predicted(t, pat.received)
+                    assert np.allclose(_filter_values(filt, pred), _dense_values(sys, pat.received), rtol=0, atol=1e-12)
+
+    def test_seeded_exchange_sets(self):
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            rho, s2 = float(rng.uniform(0.3, 0.99)), float(rng.choice([0.0, 1e-4, 0.1, 2.0]))
+            t = int(rng.integers(1, 25))
+            received = sorted(rng.choice(t, size=int(rng.integers(0, t + 1)), replace=False).tolist())
+            filt = _Filter(rho, s2)
+            sys = GaussianSystem(rho, s2, t)
+            got = _filter_values(filt, filt.predicted(t, received))
+            assert np.allclose(got, _dense_values(sys, received), rtol=0, atol=1e-12)
+
+
+def _dense_multi_report(rho, s2, B, L, t_max):
+    """The multi-burst check written directly on the dense decode quantities."""
+    checks = violations = 0
+    min_slack = np.inf
+    details = {"rho": rho, "sigma_z2": s2, "B": B, "L": L, "t_max": t_max}
+    prev = None
+    for t in range(1, t_max + 1):
+        sys = GaussianSystem(rho, s2, t)
+        star = worst_multi_burst(t, B, L)
+        star_vals = (decode_rate(sys, star), decode_mmse(sys, star))
+        best = [(-np.inf, None), (-np.inf, None)]
+        slacks = []
+        pats = enumerate_multi_burst(t, B, L)
+        for pat in pats:
+            vals = (decode_rate(sys, pat), decode_mmse(sys, pat))
+            for side in (0, 1):
+                if vals[side] > best[side][0]:
+                    best[side] = (vals[side], pat)
+            if pat.received != star.received:
+                slacks += [star_vals[0] - vals[0], star_vals[1] - vals[1]]
+        if prev is not None:
+            slacks += [star_vals[0] - prev[0], star_vals[1] - prev[1]]
+        prev = star_vals
+        for slack in slacks:
+            checks += 1
+            violations += slack < -1e-12
+            min_slack = min(min_slack, slack)
+        details[f"t{t}"] = {
+            "patterns": len(pats),
+            "star_received": list(star.received),
+            "argmax_rate_received": list(best[0][1].received),
+            "argmax_mmse_received": list(best[1][1].received),
+        }
+    return violations == 0, checks, violations, min_slack, details
+
+
+@pytest.mark.parametrize(
+    "rho,s2,B,L,t_max",
+    [(0.9, 0.1, 2, 3, 14), (0.7, 0.3, 1, 2, 12), (0.8, 0.5, 3, 2, 10), (0.9, 0.1, 0, 2, 6)],
+)
+def test_multi_burst_report_matches_dense_reference(rho, s2, B, L, t_max):
+    """Same report as the dense loop.  The configurations keep distinct
+    patterns apart by more than rounding: where two patterns' values agree
+    to double precision (low rho, or sigma_z2 near 0), the first-max argmax
+    follows rounding noise and may pick a different tied pattern."""
+    passed, checks, violations, min_slack, details = _dense_multi_report(rho, s2, B, L, t_max)
+    rep = verify_multi_burst_worst_case(rho, s2, B, L, t_max)
+    assert (rep.passed, rep.checks, rep.violations) == (passed, checks, violations)
+    assert rep.details == details
+    assert rep.min_slack == pytest.approx(min_slack, abs=1e-12)
+
+
+def test_multi_burst_long_horizon():
+    """t_max = 24 passes.  From t = 21 on the argmax can differ from
+    star_received: the argmax then differs only by erasures of the oldest
+    slots, whose effect is below double precision, so its values equal the
+    star's exactly (slack 0.0, not a violation).  By then the star's own
+    requirement has converged, and the monotone check sees differences of
+    rounding size, well inside the tolerance."""
+    rep = verify_multi_burst_worst_case(0.9, 0.1, B=2, L=3, t_max=24)
+    assert rep.passed and rep.violations == 0
+    assert rep.min_slack > -1e-15
+    filt = _Filter(0.9, 0.1)
+    for t in range(1, 25):
+        info = rep.details[f"t{t}"]
+        if t <= 20:
+            assert info["argmax_rate_received"] == info["star_received"]
+            assert info["argmax_mmse_received"] == info["star_received"]
+        star = filt.predicted(t, info["star_received"])
+        assert filt.predicted(t, info["argmax_rate_received"]) == star
+        assert filt.predicted(t, info["argmax_mmse_received"]) == star
+
+
+class TestCheckValidation:
+    @pytest.mark.parametrize("rho", [0.0, 1.0, -0.5, 1.5])
+    def test_rho_outside_unit_interval(self, rho):
+        with pytest.raises(ValidationError):
+            verify_single_burst_worst_case(rho, 0.1, B=1, t_max=4)
+        with pytest.raises(ValidationError):
+            verify_multi_burst_worst_case(rho, 0.1, B=1, L=2, t_max=4)
+        with pytest.raises(ValidationError):
+            verify_exchange_inequalities(rho, 0.1, t=10, samples=5)
+
+    def test_noise(self):
+        with pytest.raises(ValidationError):
+            verify_exchange_inequalities(0.9, -0.1, t=10, samples=5)
+        assert verify_exchange_inequalities(0.9, 0.0, t=10, samples=5).passed
+        for s2 in (0.0, -0.1):
+            with pytest.raises(ValidationError):
+                verify_single_burst_worst_case(0.9, s2, B=1, t_max=4)
+            with pytest.raises(ValidationError):
+                verify_multi_burst_worst_case(0.9, s2, B=1, L=2, t_max=4)
+
+    def test_horizons_and_sizes(self):
+        with pytest.raises(ValidationError):
+            verify_multi_burst_worst_case(0.9, 0.1, B=1, L=2, t_max=27)
+        with pytest.raises(ValidationError):
+            enumerate_multi_burst(23, 1, 2)
+        with pytest.raises(ValidationError):
+            verify_single_burst_worst_case(0.9, 0.1, B=3, t_max=3)
+        with pytest.raises(ValidationError):
+            verify_exchange_inequalities(0.9, 0.1, t=31)
+        with pytest.raises(ValidationError):
+            verify_exchange_inequalities(0.9, 0.1, t=7, max_set_size=6)
+        for B, L in ((-1, 2), (2, 0)):
+            with pytest.raises(ValidationError):
+                verify_multi_burst_worst_case(0.9, 0.1, B=B, L=L, t_max=6)
