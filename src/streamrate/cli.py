@@ -3,19 +3,17 @@
 Thin adapters only: every subcommand parses flags, calls the library, and
 writes CSV/JSON ('.' decimal, header row, no locale formatting).  Exit codes:
 0 success, 1 validation/usage error, 2 numerical error, 3 a verification
-report found violations.  The environment variable STREAMRATE_THREADS caps
-the worker pool used for figure sweeps (default 1, sequential).
+report found violations.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -40,14 +38,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise _UsageError(message)
-
-
-def _max_workers() -> int:
-    raw = os.environ.get("STREAMRATE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ValidationError(f"STREAMRATE_THREADS must be an integer, got {raw!r}")
 
 
 def _unit_scale(nats: bool) -> float:
@@ -244,16 +234,6 @@ def _cmd_simulate(args) -> int:
 
 
 def _figure_rows(fig: str):
-    workers = _max_workers()
-
-    def table(header, cells, fn):
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(fn, cells))
-        else:
-            rows = [fn(c) for c in cells]
-        return header, rows
-
     if fig in ("fig2", "fig3"):
         if fig == "fig2":
             cells = [
@@ -275,7 +255,7 @@ def _figure_rows(fig: str):
             cfg = gm.GmConfig(rho=float(rho), B=B, D=float(D))
             return [rho, B, D, gm.lower_bound_single(cfg), gm.rate_upper_single(cfg)]
 
-        return table(["rho", "B", "D", "lower", "upper"], cells, row)
+        return ["rho", "B", "D", "lower", "upper"], [row(c) for c in cells]
 
     if fig == "fig4":
         cells = [
@@ -299,7 +279,7 @@ def _figure_rows(fig: str):
                 multi,
             ]
 
-        return table(["rho", "B", "L", "D", "lower", "upper_single", "upper_multi"], cells, row)
+        return ["rho", "B", "L", "D", "lower", "upper_single", "upper_multi"], [row(c) for c in cells]
 
     if fig == "fig5":
         cells = [
@@ -323,9 +303,7 @@ def _figure_rows(fig: str):
                 gm.high_res_rate(cfg),
             ]
 
-        return table(
-            ["rho", "B", "L", "D", "lower", "upper_multi", "nwz", "high_res"], cells, row
-        )
+        return ["rho", "B", "L", "D", "lower", "upper_multi", "nwz", "high_res"], [row(c) for c in cells]
 
     if fig == "fig9":
         d = sliding.DistortionVector((0.1, 0.25, 0.4, 0.55, 0.7, 0.85))
@@ -431,10 +409,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built on first use and shared by later calls;
+    parsing leaves no state on it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except _UsageError:
         return EXIT_VALIDATION
     try:

@@ -19,8 +19,6 @@ from .errors import ConvergenceError, NumericalError, ValidationError
 
 ROW_SUM_TOL = 1e-12
 STATIONARY_TOL = 1e-10
-POWER_ITER_TOL = 1e-12
-POWER_ITER_CAP = 10**6
 
 
 def _entropy_bits(p: np.ndarray) -> float:
@@ -43,7 +41,8 @@ def _validate_transition(transition: np.ndarray) -> np.ndarray:
 
 
 def _stationary_null_space(P: np.ndarray) -> np.ndarray | None:
-    """Unique probability vector in the null space of (P^T - I), or None."""
+    """Unique probability vector in the null space of (P^T - I), or None when
+    the chain has no unique stationary law (more than one closed class)."""
     n = P.shape[0]
     _, s, vt = np.linalg.svd(P.T - np.eye(n))
     null_dim = int(np.sum(s < 1e-10 * max(1.0, s[0])))
@@ -53,33 +52,23 @@ def _stationary_null_space(P: np.ndarray) -> np.ndarray | None:
     v = v / v.sum()
     if np.any(v < -1e-9):
         return None
-    return np.clip(v, 0.0, None) / np.clip(v, 0.0, None).sum()
+    v = np.clip(v, 0.0, None)
+    return v / v.sum()
 
 
 def stationary_distribution(transition: np.ndarray) -> np.ndarray:
-    """Stationary law of a row-stochastic matrix, by power iteration.
+    """Stationary law of a row-stochastic matrix, by one null-space solve of
+    (P^T - I).
 
-    Falls back to a null-space solve of (P^T - I) when the iteration does not
-    converge within the budget.  Chains without a unique stationary law
-    (reducible chains) raise ConvergenceError.
+    Periodic chains and reducible chains with a single closed class have a
+    unique law and are solved like any other.  Chains with no unique
+    stationary law (more than one closed class) raise ConvergenceError.
     """
     P = _validate_transition(transition)
-    n = P.shape[0]
-    pi = np.full(n, 1.0 / n)
-    converged = False
-    for _ in range(POWER_ITER_CAP):
-        nxt = pi @ P
-        if np.max(np.abs(nxt - pi)) < POWER_ITER_TOL:
-            pi = nxt
-            converged = True
-            break
-        pi = nxt
-    unique = _stationary_null_space(P)
-    if unique is None:
-        raise ConvergenceError("chain has no unique stationary distribution (reducible)")
-    if not converged:
-        pi = unique
-    return pi / pi.sum()
+    pi = _stationary_null_space(P)
+    if pi is None:
+        raise ConvergenceError("chain has no unique stationary law (more than one closed class)")
+    return pi
 
 
 @dataclass(frozen=True)

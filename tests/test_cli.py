@@ -44,6 +44,16 @@ class TestLosslessCommand:
         expected = sr.lossless_bounds(sr.binary_symmetric_chain(0.1), 2, 1)
         assert float(row["upper"]) == pytest.approx(expected.upper * math.log(2), abs=1e-12)
 
+    def test_periodic_chain_ordered_bounds(self, tmp_path):
+        # period 2 with unequal parts, so its uniform start is not stationary
+        path = tmp_path / "periodic.json"
+        path.write_text(json.dumps({"transition": [[0, 0.5, 0.5], [1, 0, 0], [1, 0, 0]]}))
+        out = tmp_path / "bounds.csv"
+        assert run(["lossless", "--chain", str(path), "--B", "2", "--W", "1", "--out", str(out)]) == 0
+        header, rows = read_csv(out)
+        row = dict(zip(header, rows[0]))
+        assert float(row["predictive_rate"]) <= float(row["lower"]) <= float(row["upper"])
+
 
 class TestGmCommands:
     def test_single_row_matches_library(self, tmp_path):
@@ -221,14 +231,6 @@ class TestFigureCommand:
         assert float(sample[3]) == pytest.approx(sr.lower_bound_single(cfg), abs=1e-12)
         assert float(sample[4]) == pytest.approx(sr.rate_upper_single(cfg), abs=1e-12)
 
-    def test_threaded_sweep_matches_sequential(self, tmp_path, monkeypatch):
-        seq = tmp_path / "seq.csv"
-        par = tmp_path / "par.csv"
-        run(["figure", "--id", "fig2", "--out", str(seq)])
-        monkeypatch.setenv("STREAMRATE_THREADS", "4")
-        run(["figure", "--id", "fig2", "--out", str(par)])
-        assert seq.read_text() == par.read_text()
-
     def test_unknown_figure(self):
         assert run(["figure", "--id", "fig7"]) == 1
 
@@ -239,3 +241,13 @@ class TestUsage:
 
     def test_unknown_command(self):
         assert run(["frobnicate"]) == 1
+
+    def test_parser_reuse_carries_no_state(self, chain_file, capsys):
+        argv = ["lossless", "--chain", chain_file, "--B", "2", "--W", "1"]
+        assert run(["gm", "--bogus", "1"]) == 1
+        capsys.readouterr()
+        assert run(argv) == 0
+        first = capsys.readouterr().out
+        assert run(argv) == 0
+        assert capsys.readouterr().out == first
+        assert first.startswith("B,W,predictive_rate,lower,upper\n2,1,")

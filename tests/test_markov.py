@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import oracle_conditional_entropy, random_chain
 from streamrate import (
@@ -45,9 +48,22 @@ class TestStationaryDistribution:
         with pytest.raises(ValidationError):
             stationary_distribution(np.array([[0.5, 0.4], [0.5, 0.5]]))
 
-    def test_periodic_deterministic_swap(self):
-        pi = stationary_distribution(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert np.allclose(pi, [0.5, 0.5], atol=1e-12)
+    @pytest.mark.parametrize(
+        "P, expected",
+        [
+            ([[0.0, 1.0], [1.0, 0.0]], [0.5, 0.5]),
+            # period 2 with unequal parts: the uniform start is not stationary
+            ([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [0.5, 0.25, 0.25]),
+        ],
+        ids=["swap", "unequal-parts"],
+    )
+    def test_periodic_deterministic_swap(self, P, expected):
+        pi = stationary_distribution(np.array(P))
+        assert np.allclose(pi, expected, rtol=0, atol=1e-12)
+
+    def test_single_closed_class_with_transient_state(self):
+        pi = stationary_distribution(np.array([[1.0, 0.0], [0.5, 0.5]]))
+        assert np.allclose(pi, [1.0, 0.0], rtol=0, atol=1e-12)
 
 
 class TestMarkovChainType:
@@ -251,3 +267,105 @@ class TestOracleAgreement:
             assert b.upper * (W + 1) == pytest.approx(
                 window_conditional_entropy(chain, B, W), abs=1e-10
             )
+
+
+def _stochastic(raw: np.ndarray) -> np.ndarray:
+    raw = np.asarray(raw, dtype=float)
+    return raw / raw.sum(axis=1, keepdims=True)
+
+
+_positive = st.floats(0.01, 1.0)
+
+
+@st.composite
+def _positive_block(draw, rows: int, cols: int) -> np.ndarray:
+    return _stochastic(draw(hnp.arrays(float, (rows, cols), elements=_positive)))
+
+
+@st.composite
+def random_stochastic(draw) -> np.ndarray:
+    """Any n x n stochastic matrix, n = 1..8; zeros allowed, so some are reducible."""
+    n = draw(st.integers(1, 8))
+    raw = draw(hnp.arrays(float, (n, n), elements=st.one_of(st.just(0.0), st.floats(0.0, 1.0))))
+    empty = raw.sum(axis=1) == 0.0
+    raw[empty] = np.eye(n)[empty]  # an all-zero row becomes an absorbing state
+    return _stochastic(raw)
+
+
+@st.composite
+def bipartite_periodic(draw) -> np.ndarray:
+    """Period-2 chain that alternates between parts of unequal sizes."""
+    a, b = draw(st.tuples(st.integers(1, 4), st.integers(1, 4)).filter(lambda ab: ab[0] != ab[1]))
+    P = np.zeros((a + b, a + b))
+    P[:a, a:] = draw(_positive_block(a, b))
+    P[a:, :a] = draw(_positive_block(b, a))
+    return P
+
+
+@st.composite
+def nearly_reducible(draw) -> np.ndarray:
+    """Two positive blocks joined by cross mass eps in [1e-6, 0.1]."""
+    a, b = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    eps = 10.0 ** draw(st.floats(-6.0, -1.0))
+    P = np.zeros((a + b, a + b))
+    P[:a, :a] = (1.0 - eps) * draw(_positive_block(a, a))
+    P[a:, a:] = (1.0 - eps) * draw(_positive_block(b, b))
+    P[:a, a:] = eps * draw(_positive_block(a, b))
+    P[a:, :a] = eps * draw(_positive_block(b, a))
+    return P
+
+
+@st.composite
+def block_diagonal(draw) -> np.ndarray:
+    """Two closed classes: no unique stationary law."""
+    a, b = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    P = np.zeros((a + b, a + b))
+    P[:a, :a] = draw(_positive_block(a, a))
+    P[a:, a:] = draw(_positive_block(b, b))
+    return P
+
+
+def _assert_law_and_ordered_bounds(P: np.ndarray) -> None:
+    """A chain either raises a typed error or has a valid law and ordered bounds."""
+    try:
+        chain = MarkovChain.from_transition(P)
+    except (ValidationError, ConvergenceError):
+        return
+    pi = chain.stationary
+    assert np.all(pi >= 0.0)
+    assert abs(pi.sum() - 1.0) <= 1e-12
+    assert np.max(np.abs(pi @ chain.transition - pi)) <= 1e-12
+    for B in range(4):
+        for W in range(4):
+            b = lossless_bounds(chain, B, W)
+            assert np.isfinite([b.predictive_rate, b.lower, b.upper]).all()
+            assert b.predictive_rate <= b.lower <= b.upper + 1e-12
+
+
+_chain_settings = settings(max_examples=40, deadline=None)
+
+
+class TestStationaryProperties:
+    @_chain_settings
+    @given(random_stochastic())
+    def test_random_stochastic(self, P):
+        _assert_law_and_ordered_bounds(P)
+
+    @_chain_settings
+    @given(bipartite_periodic())
+    def test_bipartite_periodic(self, P):
+        pi = stationary_distribution(P)
+        a = int(np.count_nonzero(P[0] == 0.0))  # the first part is where row 0 puts no mass
+        assert pi[:a].sum() == pytest.approx(0.5, abs=1e-12)
+        _assert_law_and_ordered_bounds(P)
+
+    @_chain_settings
+    @given(nearly_reducible())
+    def test_nearly_reducible(self, P):
+        _assert_law_and_ordered_bounds(P)
+
+    @_chain_settings
+    @given(block_diagonal())
+    def test_block_diagonal_has_no_unique_law(self, P):
+        with pytest.raises(ConvergenceError):
+            stationary_distribution(P)
