@@ -87,7 +87,7 @@ def _cmd_lossless(args) -> int:
 
 def _gm_row(rho: float, B: int, L: int, D: float) -> list[float]:
     cfg = gm.GmConfig(rho=rho, B=B, D=D, L=L)
-    bounds = gm.compute_bounds(cfg, include_multi=True)
+    bounds = gm.compute_bounds(cfg)
     return [
         rho,
         B,
@@ -117,20 +117,8 @@ def _cmd_gm(args) -> int:
             raise ValidationError("gm needs --rho and --D (or --sweep file.json)")
         rows = [_gm_row(args.rho, args.B, args.L, args.D)]
     k = _unit_scale(args.nats)
-    rows = [r[:4] + [(v * k) if v is not None else "" for v in r[4:]] for r in rows]
+    rows = [r[:4] + [v * k for v in r[4:]] for r in rows]
     _write_csv(args.out, _GM_HEADER, rows)
-    return EXIT_OK
-
-
-def _cmd_gm_multi(args) -> int:
-    cfg = gm.GmConfig(rho=args.rho, B=args.B, D=args.D, L=args.L)
-    rate, tc = gm.rate_upper_multi(cfg)
-    k = _unit_scale(args.nats)
-    _write_csv(
-        args.out,
-        ["rho", "B", "L", "D", "upper_multi", "sigma_z2"],
-        [[args.rho, args.B, args.L, args.D, rate * k, tc.sigma_z2 if tc else ""]],
-    )
     return EXIT_OK
 
 
@@ -267,17 +255,8 @@ def _figure_rows(fig: str):
 
         def row(cell):
             rho, B, L, D = cell
-            cfg = gm.GmConfig(rho=float(rho), B=B, D=float(D), L=L)
-            multi, _ = gm.rate_upper_multi(cfg)
-            return [
-                rho,
-                B,
-                L,
-                D,
-                gm.lower_bound_single(cfg),
-                gm.rate_upper_single(cfg),
-                multi,
-            ]
+            b = gm.compute_bounds(gm.GmConfig(rho=float(rho), B=B, D=float(D), L=L))
+            return [rho, B, L, D, b.lower, b.upper_single, b.upper_multi]
 
         return ["rho", "B", "L", "D", "lower", "upper_single", "upper_multi"], [row(c) for c in cells]
 
@@ -353,15 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nats", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_gm)
-
-    p = sub.add_parser("gm-multi", help="multi-burst achievable rate only")
-    p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--B", type=int, required=True)
-    p.add_argument("--L", type=int, required=True)
-    p.add_argument("--D", type=float, required=True)
-    p.add_argument("--nats", action="store_true")
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=_cmd_gm_multi)
 
     p = sub.add_parser("sliding", help="sliding-window rate, layer plan, and baselines")
     p.add_argument("--d", required=True, help="comma-separated distortion vector")

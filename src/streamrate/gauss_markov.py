@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.optimize import brentq
 
 from .errors import (
     ConvergenceError,
@@ -29,7 +27,6 @@ from .errors import (
 )
 
 SIGMA_BRACKET = (1e-12, 1e12)
-RESIDUAL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -41,7 +38,6 @@ class GmConfig:
     B: int
     D: float
     L: int = 1
-    W: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.rho < 1.0:
@@ -52,8 +48,6 @@ class GmConfig:
             raise ValidationError("B must be an integer >= 1")
         if not (isinstance(self.L, (int, np.integer)) and self.L >= 1):
             raise ValidationError("L must be an integer >= 1")
-        if self.W != 0:
-            raise ValidationError("only immediate recovery (W = 0) is supported")
 
 
 @dataclass(frozen=True)
@@ -172,14 +166,69 @@ def gamma_single(cfg: GmConfig, tc: TestChannel) -> float:
     """Steady-state decoder MMSE for the single-burst worst case: harmonic sum
     of the fresh observation and the aged pre-burst estimate.  Strictly
     increasing in the test-channel noise."""
-    sig = kalman_steady_sigma(cfg.rho, tc.sigma_z2)
-    aged = 1.0 - cfg.rho ** (2 * cfg.B) * (1.0 - sig)
-    return 1.0 / (1.0 / tc.sigma_z2 + 1.0 / aged)
+    return 1.0 / (1.0 / tc.sigma_z2 + 1.0 / _single_aged(cfg, tc.sigma_z2))
+
+
+def _single_aged(cfg: GmConfig, sigma_z2: float) -> float:
+    """1 - rho^(2B) (1 - Sigma): the steady-state error aged across the burst."""
+    return 1.0 - cfg.rho ** (2 * cfg.B) * (1.0 - kalman_steady_sigma(cfg.rho, sigma_z2))
+
+
+def _brentq(f, xpre: float, xcur: float) -> float:
+    """Root of f between xpre and xcur, where f changes sign, by Brent's method.
+
+    A step-for-step port of SciPy's brentq.c (Brent 1973, ch. 4) with xtol =
+    1e-14, rtol = 4 eps and 100 steps, so it returns the same float after the
+    same evaluations.  Raises NumericalError on a NaN value or no sign change,
+    ConvergenceError when the steps run out.
+    """
+    xtol, rtol = 1e-14, 4 * np.finfo(float).eps
+
+    def call(x: float) -> float:
+        fx = f(x)
+        if math.isnan(fx):
+            raise NumericalError(f"objective is NaN at {x!r}")
+        return fx
+
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0.0 or fcur == 0.0:
+        return xpre if fpre == 0.0 else xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise NumericalError("objective has the same sign at both ends of the bracket")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # bisect unless interpolation gives a short step
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = call(xcur)
+    raise ConvergenceError(f"Brent's method did not converge in 100 steps (at {xcur!r})")
 
 
 def _solve_increasing(fn, target: float, what: str) -> float:
     """Root of fn(sigma_z2) = target for fn increasing in sigma_z2, solved by
-    bracketed bisection in log space down to RESIDUAL_TOL on the residual."""
+    Brent's method in log space over SIGMA_BRACKET; the residual at the root
+    must be at most 1e-10."""
     lo, hi = SIGMA_BRACKET
     f_lo, f_hi = fn(lo) - target, fn(hi) - target
     if f_lo > 0.0:
@@ -191,10 +240,10 @@ def _solve_increasing(fn, target: float, what: str) -> float:
         raise InfeasibleDistortionError(
             f"{what}: no root in bracket [{lo:.0e}, {hi:.0e}] (residual at top {f_hi:.3e})"
         )
-    root = brentq(lambda y: fn(math.exp(y)) - target, math.log(lo), math.log(hi), xtol=1e-14)
+    root = _brentq(lambda y: fn(math.exp(y)) - target, math.log(lo), math.log(hi))
     sigma = math.exp(root)
     residual = abs(fn(sigma) - target)
-    if residual > 1e-10:
+    if not residual <= 1e-10:
         raise NumericalError(f"{what}: solver residual {residual:.3e} exceeds 1e-10")
     return sigma
 
@@ -203,12 +252,13 @@ def solve_test_channel_single(cfg: GmConfig) -> TestChannel:
     """Noise variance whose steady-state single-burst MMSE equals D."""
     if cfg.D >= 1.0:
         raise ValidationError("D >= 1 needs no test channel (rate is zero)")
-    sigma = _solve_increasing(
+    return TestChannel(_solve_increasing(
         lambda s: gamma_single(cfg, TestChannel(s)), cfg.D, "single-burst test channel"
-    )
-    if sigma < 1e-15:
-        raise PrecisionError(f"solved sigma_z2 = {sigma:.3e} underflows below 1e-15")
-    return TestChannel(sigma)
+    ))
+
+
+def _single_rate(cfg: GmConfig, tc: TestChannel) -> float:
+    return 0.5 * math.log2(_single_aged(cfg, tc.sigma_z2) / cfg.D)
 
 
 def rate_upper_single(cfg: GmConfig) -> float:
@@ -216,41 +266,36 @@ def rate_upper_single(cfg: GmConfig) -> float:
     (1/2) log2((1 - rho^(2B) (1 - Sigma)) / D) at the solved test channel."""
     if cfg.D >= 1.0:
         return 0.0
-    tc = solve_test_channel_single(cfg)
-    sig = kalman_steady_sigma(cfg.rho, tc.sigma_z2)
-    aged = 1.0 - cfg.rho ** (2 * cfg.B) * (1.0 - sig)
-    return 0.5 * math.log2(aged / cfg.D)
+    return _single_rate(cfg, solve_test_channel_single(cfg))
 
 
 def eta_multi(cfg: GmConfig, tc: TestChannel) -> float:
     """MMSE of the pre-burst state from the D-noisy older state plus the L-1
-    most recent intact observations, via a symmetric positive-definite solve.
+    most recent intact observations.
 
-    The observation vector pairs correlation rho^|i-j| off the diagonal with
-    1 + sigma_z2 on the first L-1 diagonal entries and 1 + D/(1-D) on the
-    last.
+    A scalar Kalman recursion: the older state has error variance D, and each
+    of the L-1 steps predicts, p <- rho^2 p + 1 - rho^2, then updates with a
+    test-channel observation, p <- p sigma_z2 / (p + sigma_z2).
     """
     if cfg.D >= 1.0:
         raise ValidationError("eta is defined for D < 1")
-    L = cfg.L
-    lags = np.arange(L)
-    a1 = cfg.rho**lags
-    a2 = cfg.rho ** np.abs(lags[:, None] - lags[None, :])
-    diag = np.full(L, 1.0 + tc.sigma_z2)
-    diag[-1] = 1.0 + cfg.D / (1.0 - cfg.D)
-    np.fill_diagonal(a2, diag)
-    try:
-        factor = cho_factor(a2, lower=True)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - SPD for valid inputs
-        raise NumericalError(f"observation Gram matrix not positive definite: {exc}") from exc
-    eta = 1.0 - float(a1 @ cho_solve(factor, a1))
-    return eta
+    a = cfg.rho * cfg.rho
+    q = 1.0 - a
+    s2 = tc.sigma_z2
+    p = cfg.D
+    for _ in range(cfg.L - 1):
+        p = a * p + q
+        p = p * s2 / (p + s2)
+    return p
+
+
+def _multi_aged(cfg: GmConfig, sigma_z2: float) -> float:
+    """1 - rho^(2(B+1)) (1 - eta): the pre-burst error aged across the burst."""
+    return 1.0 - cfg.rho ** (2 * (cfg.B + 1)) * (1.0 - eta_multi(cfg, TestChannel(sigma_z2)))
 
 
 def _multi_distortion(cfg: GmConfig, sigma_z2: float) -> float:
-    eta = eta_multi(cfg, TestChannel(sigma_z2))
-    aged = 1.0 - cfg.rho ** (2 * (cfg.B + 1)) * (1.0 - eta)
-    return 1.0 / (1.0 / sigma_z2 + 1.0 / aged)
+    return 1.0 / (1.0 / sigma_z2 + 1.0 / _multi_aged(cfg, sigma_z2))
 
 
 def rate_upper_multi(cfg: GmConfig) -> tuple[float, TestChannel | None]:
@@ -258,22 +303,20 @@ def rate_upper_multi(cfg: GmConfig) -> tuple[float, TestChannel | None]:
     intervals of at least L intact packets.
 
     Solves D = [1/sigma_z2 + 1/(1 - rho^(2(B+1)) (1 - eta))]^{-1} for the test
-    channel (the map is increasing in sigma_z2; spot-checked on each call) and
-    returns (1/2) log2((1 - rho^(2(B+1)) (1 - eta)) / D).
+    channel and returns (1/2) log2((1 - rho^(2(B+1)) (1 - eta)) / D).
+
+    The map is increasing in sigma_z2, so the bracketed solve has one root:
+    the predict step is increasing in p, the update p sigma_z2 / (p + sigma_z2)
+    is increasing in p and in sigma_z2, so eta is increasing in sigma_z2; the
+    aged term is increasing in eta, and the harmonic combination
+    1 / (1/a + 1/b) is increasing in both a and b.
     """
     if cfg.D >= 1.0:
         return 0.0, None
-    probe = np.exp(np.linspace(math.log(SIGMA_BRACKET[0]), math.log(SIGMA_BRACKET[1]), 9))
-    vals = [_multi_distortion(cfg, s) for s in probe]
-    if any(b - a < -1e-12 for a, b in zip(vals, vals[1:])):
-        raise NumericalError("multi-burst distortion map is not monotone on the bracket")
     sigma = _solve_increasing(
         lambda s: _multi_distortion(cfg, s), cfg.D, "multi-burst test channel"
     )
-    tc = TestChannel(sigma)
-    eta = eta_multi(cfg, tc)
-    aged = 1.0 - cfg.rho ** (2 * (cfg.B + 1)) * (1.0 - eta)
-    return 0.5 * math.log2(aged / cfg.D), tc
+    return 0.5 * math.log2(_multi_aged(cfg, sigma) / cfg.D), TestChannel(sigma)
 
 
 def high_res_rate(cfg: GmConfig) -> float:
@@ -334,26 +377,21 @@ def finite_t_lower(cfg: GmConfig, t: int) -> float:
     raise ConvergenceError("fixed-point iteration for the finite-horizon bound stalled")
 
 
-def compute_bounds(cfg: GmConfig, include_multi: bool = True) -> GmBounds:
+def compute_bounds(cfg: GmConfig) -> GmBounds:
     """Assemble the full bound chain for one configuration."""
     lower = lower_bound_single(cfg)
     if cfg.D >= 1.0:
         return GmBounds(
             lower=0.0, upper_single=0.0, high_res=high_res_rate(cfg), sigma_z2_single=None,
-            upper_multi=0.0 if include_multi else None, sigma_z2_multi=None,
+            upper_multi=0.0, sigma_z2_multi=None,
         )
     tc = solve_test_channel_single(cfg)
-    upper = rate_upper_single(cfg)
-    multi = None
-    sigma_multi = None
-    if include_multi:
-        multi, tc_multi = rate_upper_multi(cfg)
-        sigma_multi = tc_multi.sigma_z2 if tc_multi is not None else None
+    multi, tc_multi = rate_upper_multi(cfg)
     return GmBounds(
         lower=lower,
-        upper_single=upper,
+        upper_single=_single_rate(cfg, tc),
         high_res=high_res_rate(cfg),
         sigma_z2_single=tc.sigma_z2,
         upper_multi=multi,
-        sigma_z2_multi=sigma_multi,
+        sigma_z2_multi=tc_multi.sigma_z2,
     )

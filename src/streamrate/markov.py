@@ -32,6 +32,8 @@ def _validate_transition(transition: np.ndarray) -> np.ndarray:
     P = np.asarray(transition, dtype=float)
     if P.ndim != 2 or P.shape[0] != P.shape[1] or P.shape[0] < 1:
         raise ValidationError(f"transition matrix must be square, got shape {P.shape}")
+    if not np.all(np.isfinite(P)):
+        raise ValidationError("transition probabilities must be finite")
     if np.any(P < -ROW_SUM_TOL) or np.any(P > 1.0 + ROW_SUM_TOL):
         raise ValidationError("transition probabilities must lie in [0, 1]")
     row_err = np.max(np.abs(P.sum(axis=1) - 1.0))

@@ -30,12 +30,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import NumericalError, ValidationError
 
 RIDGE = 1e-12
-PSD_TOL = 1e-10
 SLACK_TOL = 1e-12
 DENSE_T_CAP = 30  # single-burst and exchange horizons
 ENUM_T_CAP = 26  # multi-burst check horizon; the check streams its patterns
@@ -221,9 +219,9 @@ def conditional_variance(sys: GaussianSystem, target: VarId, given) -> float:
     block = cov[np.ix_(gi, gi)]
     for ridge in (0.0, RIDGE):
         try:
-            factor = cho_factor(block + ridge * np.eye(len(gi)), lower=True)
-            value = prior - float(cross @ cho_solve(factor, cross))
-            return max(value, 0.0)
+            factor = np.linalg.cholesky(block + ridge * np.eye(len(gi)))
+            y = np.linalg.solve(factor, cross)
+            return max(prior - float(y @ y), 0.0)
         except np.linalg.LinAlgError:
             continue
     raise NumericalError(

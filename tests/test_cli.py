@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -54,6 +57,14 @@ class TestLosslessCommand:
         row = dict(zip(header, rows[0]))
         assert float(row["predictive_rate"]) <= float(row["lower"]) <= float(row["upper"])
 
+    def test_nan_transition_is_validation_error(self, tmp_path, capsys):
+        # json.load accepts the NaN literal
+        path = tmp_path / "nan.json"
+        path.write_text('{"transition": [[NaN, 1], [0, 1]]}')
+        assert run(["lossless", "--chain", str(path), "--B", "1", "--W", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("validation error:") and "Traceback" not in err
+
 
 class TestGmCommands:
     def test_single_row_matches_library(self, tmp_path):
@@ -77,17 +88,6 @@ class TestGmCommands:
         header, rows = read_csv(out)
         assert len(rows) == 4
         assert header[0] == "rho"
-
-    def test_multi_command(self, tmp_path):
-        out = tmp_path / "multi.csv"
-        assert run(
-            ["gm-multi", "--rho", "0.9", "--B", "1", "--L", "3", "--D", "0.2", "--out", str(out)]
-        ) == 0
-        header, rows = read_csv(out)
-        row = dict(zip(header, rows[0]))
-        rate, tc = sr.rate_upper_multi(sr.GmConfig(rho=0.9, B=1, D=0.2, L=3))
-        assert float(row["upper_multi"]) == pytest.approx(rate, abs=1e-12)
-        assert float(row["sigma_z2"]) == pytest.approx(tc.sigma_z2, abs=1e-12)
 
     def test_missing_flags_usage_error(self):
         assert run(["gm"]) == 1
@@ -236,6 +236,22 @@ class TestFigureCommand:
 
 
 class TestUsage:
+    def test_cli_imports_only_numpy_beyond_stdlib(self):
+        # a fresh interpreter, so modules loaded by the test run do not count
+        code = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import streamrate.cli\n"
+            "new = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+            "print(' '.join(sorted(new - set(sys.stdlib_module_names))))\n"
+        )
+        src = os.path.dirname(os.path.dirname(sr.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert set(done.stdout.split()) == {"numpy", "streamrate"}
+
     def test_unknown_flag(self):
         assert run(["gm", "--bogus", "1"]) == 1
 

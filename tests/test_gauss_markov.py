@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamrate import (
+    ConvergenceError,
     GmBounds,
     GmConfig,
+    NumericalError,
     PrecisionError,
     TestChannel,
     ValidationError,
@@ -22,7 +26,13 @@ from streamrate import (
     riccati_prediction_error,
     solve_test_channel_single,
 )
-from streamrate.gauss_markov import lower_bound_closed_form
+from streamrate.gauss_markov import (
+    SIGMA_BRACKET,
+    _brentq,
+    _multi_distortion,
+    _solve_increasing,
+    lower_bound_closed_form,
+)
 
 
 def quadratic_root_rate(rho: float, B: int, D: float) -> float:
@@ -48,10 +58,6 @@ class TestConfigValidation:
             GmConfig(rho=0.5, B=1, D=0.0)
         with pytest.raises(ValidationError):
             GmConfig(rho=0.5, B=1, D=1.5)
-
-    def test_grace_window_unsupported(self):
-        with pytest.raises(ValidationError):
-            GmConfig(rho=0.5, B=1, D=0.2, W=1)
 
     def test_channel_positive(self):
         with pytest.raises(ValidationError):
@@ -175,10 +181,77 @@ class TestSingleBurstChannel:
         assert 0 <= lo < 1e-4
         assert math.isfinite(up) and up >= lo
 
+    # (rho, B, D, sigma_z2, naive_wz_rate) as produced by the reference
+    # root finder the solver replaces; every float must match to the last bit
+    FROZEN = [
+        (0.9, 1, 0.2, 0.3562408963956724, 0.6707475220758582),
+        (0.9, 2, 0.2, 0.3134962823805917, 0.7826183022253371),
+        (0.9, 3, 0.05, 0.05464279416603563, 1.782585175201758),
+        (0.5, 1, 0.2, 0.2533675178932573, 1.1240644373617035),
+        (0.5, 4, 0.6, 1.5009709827442304, 0.3682010647869399),
+        (0.7, 2, 0.1, 0.11260450307687409, 1.5803444960728752),
+        (0.99, 1, 0.01, 0.012644394282968355, 1.1780046792567487),
+        (0.99, 3, 0.3, 4.951618744893738, 0.34523292285905577),
+        (0.999, 1, 1e-06, 1.0002503755786189e-06, 5.981989940632894),
+        (0.05, 1, 0.9999, 9999.062644103484, 7.213790818302331e-05),
+        (1e-06, 1, 0.25, 0.3333333333333333, 1.0),
+        (0.3, 2, 0.5, 1.0003733045543297, 0.49973706885209623),
+        (0.8, 2, 0.3, 0.4788643718261222, 0.7270568006008222),
+        (0.95, 1, 0.001, 0.0010053965268309911, 3.7707877324012977),
+        (0.6, 3, 0.75, 3.0482778561673505, 0.20451208041802257),
+        (0.9, 1, 1e-08, 1.0000000290782212e-08, 12.517742857082535),
+        (0.999999, 1, 0.2, 24999.76250711077, 0.36848568248039837),
+        (0.2, 4, 0.05, 0.052631579216870096, 2.1609639772709914),
+        (0.85, 2, 0.37, 0.7455112469930412, 0.536849325424835),
+        (0.9, 1, 0.9999, 44522.41692045149, 4.355867611275188e-05),
+    ]
+
+    @pytest.mark.parametrize("rho, B, D, sigma_z2, nwz", FROZEN)
+    def test_frozen_solver_values(self, rho, B, D, sigma_z2, nwz):
+        cfg = GmConfig(rho=rho, B=B, D=D)
+        assert repr(solve_test_channel_single(cfg).sigma_z2) == repr(sigma_z2)
+        assert repr(naive_wz_rate(cfg)) == repr(nwz)
+
     def test_bracket_covers_extreme_targets(self):
         for rho, D in ((0.999, 1e-6), (0.05, 1 - 1e-6), (0.9, 1e-8)):
             tc = solve_test_channel_single(GmConfig(rho=rho, B=1, D=D))
             assert gamma_single(GmConfig(rho=rho, B=1, D=D), tc) == pytest.approx(D, abs=1e-10)
+
+
+class TestRootFinder:
+    LOG_BRACKET = (math.log(SIGMA_BRACKET[0]), math.log(SIGMA_BRACKET[1]))
+
+    def test_nan_objective(self):
+        with pytest.raises(NumericalError):
+            _brentq(lambda x: math.nan, *self.LOG_BRACKET)
+        # NaN inside the bracket only, where the solve first lands
+        with pytest.raises(NumericalError):
+            _brentq(lambda x: -1.0 if x < -20 else (1.0 if x > 20 else math.nan), *self.LOG_BRACKET)
+
+    def test_nan_inside_bracket_through_solver(self):
+        def fn(s):
+            return s if s in SIGMA_BRACKET or s < 1e-9 or s > 1e9 else math.nan
+
+        with pytest.raises(NumericalError, match="NaN"):
+            _solve_increasing(fn, 1.0, "nan objective")
+
+    def test_no_sign_change(self):
+        with pytest.raises(NumericalError):
+            _brentq(lambda x: x * x + 1.0, -1.0, 2.0)
+
+    def test_iterations_exhausted(self):
+        # atan is flat far from its root, so interpolation does no better than
+        # bisection, which needs about 1000 halvings to get from 1e300 to 1e-14
+        with pytest.raises(ConvergenceError):
+            _brentq(lambda x: math.atan(x - 1.0), -1e300, 1e300)
+
+    def test_endpoint_root(self):
+        assert _brentq(lambda x: x, 0.0, 1.0) == 0.0
+        assert _brentq(lambda x: x - 1.0, 0.0, 1.0) == 1.0
+
+    def test_root_to_tolerance(self):
+        root = _brentq(lambda x: x * x - 2.0, 0.0, 2.0)
+        assert abs(root - math.sqrt(2.0)) <= 1e-14
 
 
 def direct_pre_burst_mmse(rho: float, L: int, D: float, sigma_z2: float) -> float:
@@ -203,9 +276,13 @@ class TestMultiBurstChannel:
         assert got == pytest.approx(1 - 0.81 * 0.8, abs=1e-10)
 
     def test_eta_matches_direct_schur(self):
-        cfg = GmConfig(rho=0.9, B=1, D=0.2, L=3)
-        got = eta_multi(cfg, TestChannel(0.2))
-        assert got == pytest.approx(direct_pre_burst_mmse(0.9, 3, 0.2, 0.2), abs=1e-8)
+        for rho in (0.05, 0.3, 0.6, 0.9, 0.99):
+            for L in range(1, 13):
+                for sigma_z2 in (1e-6, 1e-3, 0.1, 0.2, 1.0, 10.0, 1e4):
+                    for D in (0.01, 0.2, 0.5, 0.9, 0.999):
+                        got = eta_multi(GmConfig(rho=rho, B=1, D=D, L=L), TestChannel(sigma_z2))
+                        want = direct_pre_burst_mmse(rho, L, D, sigma_z2)
+                        assert got == pytest.approx(want, rel=0, abs=1e-12), (rho, L, sigma_z2, D)
 
     def test_rate_closed_form_at_l1(self):
         rate, tc = rate_upper_multi(GmConfig(rho=0.9, B=1, D=0.2, L=1))
@@ -243,9 +320,7 @@ class TestMultiBurstChannel:
             assert longer <= shorter + 1e-9
 
     def test_distortion_map_increasing_in_noise(self):
-        # bisection correctness rests on this map being increasing
-        from streamrate.gauss_markov import _multi_distortion
-
+        # the bracketed root solve rests on this map being increasing
         rng = np.random.default_rng(33)
         for _ in range(10):
             cfg = GmConfig(
@@ -257,6 +332,21 @@ class TestMultiBurstChannel:
             grid = np.exp(np.linspace(math.log(1e-8), math.log(1e8), 40))
             vals = [_multi_distortion(cfg, s) for s in grid]
             assert all(b > a for a, b in zip(vals, vals[1:]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rho=st.floats(1e-6, 1 - 1e-6),
+        B=st.integers(1, 6),
+        L=st.integers(1, 16),
+        D=st.floats(1e-8, 1.0, exclude_max=True),
+    )
+    def test_distortion_map_monotone_on_bracket(self, rho, B, L, D):
+        # nine log-spaced points across the whole solver bracket; the argument
+        # is in rate_upper_multi's docstring
+        cfg = GmConfig(rho=rho, B=B, D=D, L=L)
+        probe = np.exp(np.linspace(math.log(SIGMA_BRACKET[0]), math.log(SIGMA_BRACKET[1]), 9))
+        vals = [_multi_distortion(cfg, float(s)) for s in probe]
+        assert all(b - a >= -1e-12 for a, b in zip(vals, vals[1:]))
 
 
 class TestHighResolution:

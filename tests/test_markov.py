@@ -48,6 +48,14 @@ class TestStationaryDistribution:
         with pytest.raises(ValidationError):
             stationary_distribution(np.array([[0.5, 0.4], [0.5, 0.5]]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        # NaN passes every range comparison, so it must be rejected by name
+        with pytest.raises(ValidationError):
+            stationary_distribution(np.array([[bad, 1.0], [0.0, 1.0]]))
+        with pytest.raises(ValidationError):
+            MarkovChain.from_transition([[bad, 1.0], [0.0, 1.0]])
+
     @pytest.mark.parametrize(
         "P, expected",
         [
