@@ -21,6 +21,13 @@ reads lane k of each draw.  For the binning experiment the order is: the bin
 permutation of all 2^n blocks, the side-information blocks, then the
 per-trial flip bits.  Same seed and config give bit-identical results; ties
 in the bin decoder break toward the earliest member in permutation order.
+
+The draw order does not depend on the erasure schedule, so the burst-position
+sweep shares one Philox stream among its offsets: it runs the stream without
+erasures, saves ``bit_generator.state`` and the filter state at each burst
+start, runs that burst to the decode time, and restores the saved state.  Its
+output equals per-offset ``simulate_gm_stream`` runs bit for bit.  The sweep
+places its own burst and ignores ``cfg.bursts``.
 """
 
 from __future__ import annotations
@@ -55,8 +62,8 @@ class SimConfig:
     def __post_init__(self):
         if not 0.0 < self.rho < 1.0:
             raise ValidationError("rho must lie strictly inside (0, 1)")
-        if self.sigma_z2 <= 0.0:
-            raise ValidationError("sigma_z2 must be positive")
+        if not 0.0 < self.sigma_z2 < math.inf:
+            raise ValidationError("sigma_z2 must be positive and finite")
         if not 1 <= self.horizon <= HORIZON_CAP:
             raise ValidationError(f"horizon must lie in [1, {HORIZON_CAP}]")
         if self.trials < 1:
@@ -99,36 +106,72 @@ class StreamResult:
             )
 
 
+class _Stream:
+    """One seeded stream and its conditional-mean filter, advanced in place
+    one slot at a time.  ``w`` and ``u`` are scratch lanes; ``var`` is the
+    exact filter MMSE shared by every trial."""
+
+    def __init__(self, cfg: SimConfig):
+        self.rho = cfg.rho
+        self.sigma_z2 = cfg.sigma_z2
+        self.innov_std = math.sqrt(1.0 - cfg.rho**2)
+        self.z_std = math.sqrt(cfg.sigma_z2)
+        self.rng = _philox(cfg.seed)
+        # the pre-stream state is known to the decoder: zero error variance,
+        # so the first predict step gives mean rho*s and var 1 - rho^2
+        self.s = self.rng.standard_normal(cfg.trials)
+        self.mean = self.s.copy()
+        self.var = 0.0
+        self.w = np.empty(cfg.trials)
+        self.u = np.empty(cfg.trials)
+
+    def step(self, erased: bool) -> None:
+        rho, w, u = self.rho, self.w, self.u
+        self.mean *= rho
+        self.var = rho**2 * self.var + (1.0 - rho**2)
+        self.rng.standard_normal(out=w)
+        w *= self.innov_std
+        self.s *= rho
+        self.s += w
+        self.rng.standard_normal(out=u)
+        u *= self.z_std
+        u += self.s
+        if not erased:
+            gain = self.var / (self.var + self.sigma_z2)
+            np.subtract(u, self.mean, out=w)
+            w *= gain
+            self.mean += w
+            self.var = (1.0 - gain) * self.var
+
+    def stats(self) -> tuple[float, float]:
+        """Empirical mean-square error across trials and its standard error."""
+        sq = np.subtract(self.s, self.mean, out=self.w)
+        sq *= sq
+        n = sq.size
+        return float(sq.mean()), float(sq.std(ddof=1)) / math.sqrt(n) if n > 1 else 0.0
+
+    def save(self):
+        return self.rng.bit_generator.state, self.s.copy(), self.mean.copy(), self.var
+
+    def restore(self, saved) -> None:
+        self.rng.bit_generator.state, s, mean, self.var = saved
+        self.s[...] = s
+        self.mean[...] = mean
+
+
 def simulate_gm_stream(cfg: SimConfig) -> StreamResult:
     """Stream the source through the test channel and decode with the exact
     conditional-mean filter, skipping erased measurements."""
-    rng = _philox(cfg.seed)
-    n, T = cfg.trials, cfg.horizon
+    stream = _Stream(cfg)
+    T = cfg.horizon
     erased = cfg.erased_mask()
-    innov_std = math.sqrt(1.0 - cfg.rho**2)
-    z_std = math.sqrt(cfg.sigma_z2)
-
-    s = rng.standard_normal(n)  # pre-stream state, known to the decoder
-    mean = cfg.rho * s
-    var = 1.0 - cfg.rho**2
-
     mse = np.empty(T)
     stderr = np.empty(T)
     exact = np.empty(T)
     for t in range(T):
-        if t > 0:
-            mean = cfg.rho * mean
-            var = cfg.rho**2 * var + (1.0 - cfg.rho**2)
-        s = cfg.rho * s + innov_std * rng.standard_normal(n)
-        u = s + z_std * rng.standard_normal(n)
-        if not erased[t]:
-            gain = var / (var + cfg.sigma_z2)
-            mean = mean + gain * (u - mean)
-            var = (1.0 - gain) * var
-        sq = (s - mean) ** 2
-        mse[t] = sq.mean()
-        stderr[t] = sq.std(ddof=1) / math.sqrt(n) if n > 1 else 0.0
-        exact[t] = var
+        stream.step(erased[t])
+        mse[t], stderr[t] = stream.stats()
+        exact[t] = stream.var
     return StreamResult(
         times=np.arange(T), mse=mse, stderr=stderr, exact_mmse=exact, erased=erased
     )
@@ -155,8 +198,11 @@ class BurstSweepReport:
 def sweep_burst_position(
     cfg: SimConfig, B: int, decode_time: int | None = None, offsets=None
 ) -> BurstSweepReport:
-    """Re-run the stream with a length-B burst ending offset slots before the
-    decode time, for each offset."""
+    """MMSE at the decode time with a length-B burst ending offset slots
+    before it, for each offset.  Replays one shared stream from each burst
+    start (see the module docstring), so every result equals a
+    ``simulate_gm_stream`` run with that burst bit for bit; ``cfg.bursts``
+    is ignored."""
     t = cfg.horizon - 1 if decode_time is None else decode_time
     if not B >= 1:
         raise ValidationError("burst length must be at least 1")
@@ -165,30 +211,31 @@ def sweep_burst_position(
     if offsets is None:
         offsets = tuple(range(0, min(10, t - B) + 1))
     offsets = tuple(int(k) for k in offsets)
+    if not offsets:
+        raise ValidationError("no burst offset to sweep: need 0 <= k <= decode_time - B")
     if any(k < 0 or k > t - B for k in offsets):
         raise ValidationError("offsets must satisfy 0 <= k <= decode_time - B")
 
-    emp, err, exact = [], [], []
-    for k in offsets:
-        run = SimConfig(
-            rho=cfg.rho,
-            sigma_z2=cfg.sigma_z2,
-            horizon=cfg.horizon,
-            trials=cfg.trials,
-            seed=cfg.seed,
-            bursts=((t - B - k, B),),
-        )
-        res = simulate_gm_stream(run)
-        emp.append(float(res.mse[t]))
-        err.append(float(res.stderr[t]))
-        exact.append(float(res.exact_mmse[t]))
+    stream = _Stream(cfg)
+    at_start = {}
+    slot = 0
+    for start in sorted({t - B - k for k in offsets}):
+        for _ in range(slot, start):
+            stream.step(False)
+        slot = start
+        saved = stream.save()
+        for j in range(start, t + 1):
+            stream.step(j < start + B)
+        at_start[start] = (*stream.stats(), stream.var)
+        stream.restore(saved)
+    emp, err, exact = zip(*(at_start[t - B - k] for k in offsets))
     noninc = all(b <= a + 1e-12 for a, b in zip(exact, exact[1:]))
     tracks = all(abs(e - x) <= 3.0 * s for e, s, x in zip(emp, err, exact))
     return BurstSweepReport(
         offsets=offsets,
-        empirical=tuple(emp),
-        stderr=tuple(err),
-        exact=tuple(exact),
+        empirical=emp,
+        stderr=err,
+        exact=exact,
         decode_time=t,
         exact_nonincreasing=noninc,
         empirical_tracks_exact=tracks,
@@ -198,7 +245,7 @@ def sweep_burst_position(
 @dataclass(frozen=True)
 class BinningConfig:
     """Toy binning experiment: block length n <= 16, flip probability q,
-    rate in bits per symbol (bin count round(2^(n*rate)))."""
+    rate in bits per symbol, at most 1 (bin count round(2^(n*rate)))."""
 
     n: int
     q: float
@@ -213,6 +260,8 @@ class BinningConfig:
             raise ValidationError("flip probability must lie in (0, 1)")
         if self.trials < 1:
             raise ValidationError("need at least one trial")
+        if not -math.inf < self.rate <= 1.0:
+            raise ValidationError("rate must be finite and at most 1 bit per symbol")
         if self.bin_count < 1:
             raise ValidationError("rate yields fewer than one bin")
 

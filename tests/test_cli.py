@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 import os
@@ -15,10 +16,21 @@ def run(argv):
     return cli.main(argv)
 
 
+GOLDEN = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "golden")
+GOLDEN_SIMULATE_ARGV = [
+    "simulate", "--kind", "gm", "--rho", "0.9", "--D", "0.2", "--B", "1",
+    "--T", "50", "--trials", "100000", "--burst", "48:1",
+]
+
+
+def read_csv_text(text):
+    rows = list(csv.reader(io.StringIO(text)))
+    return rows[0], rows[1:]
+
+
 def read_csv(path):
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    return rows[0], rows[1:]
+        return read_csv_text(fh.read())
 
 
 @pytest.fixture()
@@ -204,8 +216,41 @@ class TestSimulateCommand:
         cfg_path.write_text(json.dumps({"bogus": 1}))
         assert run(["simulate", "--kind", "gm", "--config", str(cfg_path)]) == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--kind", "gm", "--rho", "0.9", "--sigma-z2", "nan"],
+            ["--kind", "gm", "--rho", "0.9", "--sigma-z2", "inf"],
+            ["--kind", "binning", "--n", "16", "--rate", "5"],
+            ["--kind", "binning", "--n", "16", "--rate", "nan"],
+        ],
+    )
+    def test_non_finite_or_oversized_input_is_validation_error(self, argv, capsys):
+        assert run(["simulate", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("validation error:") and "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_golden_stream_is_byte_identical(self, capsys):
+        # the Philox seed contract: frozen output of the default seed
+        assert run(GOLDEN_SIMULATE_ARGV) == 0
+        with open(os.path.join(GOLDEN, "simulate_gm_seed0.csv"), encoding="utf-8") as fh:
+            assert capsys.readouterr().out == fh.read()
+
 
 class TestFigureCommand:
+    @pytest.mark.parametrize("fig", ["fig2", "fig3", "fig4", "fig5", "fig9"])
+    def test_matches_golden(self, fig, capsys):
+        assert run(["figure", "--id", fig]) == 0
+        header, rows = read_csv_text(capsys.readouterr().out)
+        with open(os.path.join(GOLDEN, f"{fig}.csv"), encoding="utf-8") as fh:
+            g_header, g_rows = read_csv_text(fh.read())
+        assert header == g_header and len(rows) == len(g_rows)
+        for got, want in zip(rows, g_rows):
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert abs(float(a) - float(b)) <= 1e-10, (fig, got, want)
+
     def test_fig9_matches_library(self, tmp_path):
         out = tmp_path / "fig9.csv"
         assert run(["figure", "--id", "fig9", "--out", str(out)]) == 0

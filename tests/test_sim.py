@@ -35,6 +35,11 @@ class TestSimConfig:
         with pytest.raises(ValidationError):
             SimConfig(rho=0.9, sigma_z2=0.1, horizon=10**4 + 1, trials=1, seed=0)
 
+    @pytest.mark.parametrize("sigma_z2", [math.nan, math.inf])
+    def test_non_finite_noise_rejected(self, sigma_z2):
+        with pytest.raises(ValidationError):
+            SimConfig(rho=0.9, sigma_z2=sigma_z2, horizon=10, trials=1, seed=0)
+
 
 class TestGmStream:
     def test_deterministic(self):
@@ -100,6 +105,48 @@ class TestBurstPositionSweep:
         two = sweep_burst_position(cfg, B=2, decode_time=30, offsets=(0,))
         assert two.exact[0] > one.exact[0]
 
+    @pytest.mark.parametrize(
+        "trials, B, decode_time, offsets",
+        [
+            (1, 1, None, None),
+            (1, 3, 15, None),
+            (7, 2, None, (4, 0, 9, 0, 4)),
+            (7, 4, 12, (8, 1, 3)),
+            (64, 5, 20, None),
+            (64, 5, 9, (4, 0, 2)),
+        ],
+    )
+    def test_equals_per_offset_runs(self, trials, B, decode_time, offsets):
+        # seed contract: the sweep replays the runs one burst at a time would
+        # make, so the comparison is exact
+        cfg = SimConfig(rho=0.87, sigma_z2=0.3, horizon=22, trials=trials, seed=101)
+        rep = sweep_burst_position(cfg, B=B, decode_time=decode_time, offsets=offsets)
+        t = rep.decode_time
+        expected = tuple(range(0, min(10, t - B) + 1)) if offsets is None else offsets
+        assert rep.offsets == expected
+        for i, k in enumerate(rep.offsets):
+            run = SimConfig(
+                rho=cfg.rho, sigma_z2=cfg.sigma_z2, horizon=cfg.horizon, trials=trials,
+                seed=cfg.seed, bursts=((t - B - k, B),),
+            )
+            res = simulate_gm_stream(run)
+            assert rep.empirical[i] == float(res.mse[t])
+            assert rep.stderr[i] == float(res.stderr[t])
+            assert rep.exact[i] == float(res.exact_mmse[t])
+
+    def test_config_bursts_ignored(self):
+        cfg = SimConfig(rho=0.9, sigma_z2=0.2, horizon=20, trials=50, seed=3)
+        with_burst = SimConfig(
+            rho=0.9, sigma_z2=0.2, horizon=20, trials=50, seed=3, bursts=((2, 3),)
+        )
+        assert sweep_burst_position(cfg, B=2) == sweep_burst_position(with_burst, B=2)
+
+    @pytest.mark.parametrize("decode_time, offsets", [(1, None), (10, ())])
+    def test_empty_offset_set_rejected(self, decode_time, offsets):
+        cfg = SimConfig(rho=0.9, sigma_z2=0.2, horizon=20, trials=10, seed=0)
+        with pytest.raises(ValidationError):
+            sweep_burst_position(cfg, B=2, decode_time=decode_time, offsets=offsets)
+
     def test_burst_at_stream_start_is_mildest(self):
         cfg = SimConfig(rho=0.9, sigma_z2=0.2, horizon=25, trials=2000, seed=23)
         t = 24
@@ -126,9 +173,9 @@ class TestBinning:
                 cfg = BinningConfig(n=n, q=q, rate=rate, trials=20000, seed=37)
                 ps.append(simulate_binning(cfg).p_hat)
             assert ps[1] < ps[0]
-        # q = 0.2 pushes the rate past one bit per symbol: bins become
-        # singletons and both error rates are exactly zero
-        rate = hb(0.2) + 0.3
+        # q = 0.2 would push the rate past one bit per symbol, the cap: bins
+        # become singletons and both error rates are exactly zero
+        rate = min(hb(0.2) + 0.3, 1.0)
         ps = []
         for n in (8, 16):
             cfg = BinningConfig(n=n, q=0.2, rate=rate, trials=20000, seed=37)
@@ -150,3 +197,8 @@ class TestBinning:
             BinningConfig(n=8, q=0.1, rate=-1.0, trials=10, seed=0)
         with pytest.raises(ValidationError):
             BinningConfig(n=8, q=1.0, rate=0.5, trials=10, seed=0)
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf, 1.0 + 1e-9, 5.0])
+    def test_rate_must_be_finite_and_at_most_one_bit(self, rate):
+        with pytest.raises(ValidationError):
+            BinningConfig(n=16, q=0.1, rate=rate, trials=10, seed=0)
