@@ -1,6 +1,8 @@
 """streamrate: rate-recovery bounds and simulators for zero-delay streaming
 of Markov sources over burst-erasure channels."""
 
+import importlib
+
 from .errors import (
     ConvergenceError,
     InfeasibleDistortionError,
@@ -25,40 +27,6 @@ from .gauss_markov import (
     riccati_prediction_error,
     solve_test_channel_single,
 )
-from .markov import (
-    LosslessBounds,
-    MarkovChain,
-    binary_symmetric_chain,
-    conditional_entropy_lag,
-    is_symmetric,
-    lossless_bounds,
-    multiterminal_sum_rate,
-    stationary_distribution,
-    window_conditional_entropy,
-)
-from .oracle import (
-    ErasurePattern,
-    GaussianSystem,
-    VerificationReport,
-    conditional_variance,
-    decode_mmse,
-    decode_rate,
-    enumerate_multi_burst,
-    verify_exchange_inequalities,
-    verify_multi_burst_worst_case,
-    verify_single_burst_worst_case,
-    worst_multi_burst,
-)
-from .sim import (
-    BinningConfig,
-    BinningResult,
-    BurstSweepReport,
-    SimConfig,
-    StreamResult,
-    simulate_binning,
-    simulate_gm_stream,
-    sweep_burst_position,
-)
 from .sliding import (
     BaselineRates,
     DecodeReport,
@@ -72,3 +40,31 @@ from .sliding import (
 )
 
 __version__ = "0.1.0"
+
+# numpy-backed modules, imported on first use so the analytic core loads
+# without numpy (PEP 562): module -> the names the package re-exports from it
+_LAZY = {
+    "markov": (
+        "LosslessBounds", "MarkovChain", "binary_symmetric_chain", "conditional_entropy_lag",
+        "is_symmetric", "lossless_bounds", "multiterminal_sum_rate", "stationary_distribution",
+        "window_conditional_entropy",
+    ),
+    "oracle": (
+        "ErasurePattern", "GaussianSystem", "VerificationReport", "conditional_variance",
+        "decode_mmse", "decode_rate", "enumerate_multi_burst", "verify_exchange_inequalities",
+        "verify_multi_burst_worst_case", "verify_single_burst_worst_case", "worst_multi_burst",
+    ),
+    "sim": (
+        "BinningConfig", "BinningResult", "BurstSweepReport", "SimConfig", "StreamResult",
+        "simulate_binning", "simulate_gm_stream", "sweep_burst_position",
+    ),
+}
+_OWNER = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name: str):
+    module = name if name in _LAZY else _OWNER.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    mod = importlib.import_module(f".{module}", __name__)
+    return mod if module == name else getattr(mod, name)

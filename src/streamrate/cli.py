@@ -15,13 +15,18 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import gauss_markov as gm
-from . import markov, oracle, sim, sliding
+from . import sliding
 from .errors import ConvergenceError, NumericalError, ValidationError
 
 LN2 = math.log(2.0)
+
+# figure grids, as the doubles nearest to the decimal values
+_FIG2_RHO = [i / 100 for i in range(5, 96)]  # 0.05, 0.06, ..., 0.95
+_FIG3_D = [i / 50 for i in range(1, 50)]  # 0.02, 0.04, ..., 0.98
+_FIG4_RHO = [(5 + 2 * i) / 100 for i in range(46)]  # 0.05, 0.07, ..., 0.95
+# 60 log-spaced values from 1e-4 to 0.9, rounded to 10 decimals
+_FIG5_D = [round(10 ** (-4 + (math.log10(0.9) + 4) * i / 59), 10) for i in range(60)]
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -66,6 +71,21 @@ def _write_json(path: str | None, doc) -> None:
             fh.write(text + "\n")
 
 
+def _read_json(path: str, *keys: str) -> dict:
+    """The JSON object in the file at path, which must hold every key in keys."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"cannot read JSON from {path!r}: {exc}")
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{path!r} must hold a JSON object")
+    missing = [k for k in keys if k not in doc]
+    if missing:
+        raise ValidationError(f"{path!r} lacks the key(s) {', '.join(missing)}")
+    return doc
+
+
 def _parse_floats(text: str) -> list[float]:
     try:
         return [float(x) for x in text.split(",") if x.strip() != ""]
@@ -74,7 +94,9 @@ def _parse_floats(text: str) -> list[float]:
 
 
 def _cmd_lossless(args) -> int:
-    chain = markov.MarkovChain.from_json(args.chain)
+    from . import markov
+
+    chain = markov.MarkovChain.from_json(_read_json(args.chain, "transition"))
     bounds = markov.lossless_bounds(chain, args.B, args.W)
     k = _unit_scale(args.nats)
     _write_csv(
@@ -106,12 +128,15 @@ _GM_HEADER = ["rho", "B", "L", "D", "lower", "upper_single", "upper_multi", "hig
 
 def _cmd_gm(args) -> int:
     if args.sweep:
-        with open(args.sweep, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = _read_json(args.sweep, "rho", "B", "D")
         rhos = doc["rho"] if isinstance(doc["rho"], list) else [doc["rho"]]
         ds = doc["D"] if isinstance(doc["D"], list) else [doc["D"]]
-        B, L = int(doc["B"]), int(doc.get("L", 1))
-        rows = [_gm_row(float(r), B, L, float(d)) for r in rhos for d in ds]
+        try:
+            cells = [(float(r), float(d)) for r in rhos for d in ds]
+        except (TypeError, ValueError):
+            raise ValidationError(f"{args.sweep!r}: rho and D must be numbers")
+        # GmConfig rejects a B or L that is not an integer
+        rows = [_gm_row(r, doc["B"], doc.get("L", 1), d) for r, d in cells]
     else:
         if args.rho is None or args.D is None:
             raise ValidationError("gm needs --rho and --D (or --sweep file.json)")
@@ -151,6 +176,8 @@ def _cmd_sliding(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from . import oracle
+
     if args.check == "single":
         report = oracle.verify_single_burst_worst_case(args.rho, args.sigma_z2, args.B, args.tmax)
     elif args.check == "multi":
@@ -166,10 +193,10 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from . import sim
+
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        for key, value in doc.items():
+        for key, value in _read_json(args.config).items():
             attr = {"sigma-z2": "sigma_z2"}.get(key, key)
             if not hasattr(args, attr):
                 raise ValidationError(f"unknown config key {key!r}")
@@ -224,52 +251,33 @@ def _cmd_simulate(args) -> int:
 def _figure_rows(fig: str):
     if fig in ("fig2", "fig3"):
         if fig == "fig2":
-            cells = [
-                (rho, B, D)
-                for B in (1, 2)
-                for D in (0.2, 0.3)
-                for rho in np.round(np.arange(0.05, 0.9501, 0.01), 4)
-            ]
+            cells = [(rho, B, D) for B in (1, 2) for D in (0.2, 0.3) for rho in _FIG2_RHO]
         else:
-            cells = [
-                (rho, B, D)
-                for rho in (0.7, 0.9)
-                for B in (1, 2)
-                for D in np.round(np.arange(0.02, 0.9801, 0.02), 4)
-            ]
+            cells = [(rho, B, D) for rho in (0.7, 0.9) for B in (1, 2) for D in _FIG3_D]
 
         def row(cell):
             rho, B, D = cell
-            cfg = gm.GmConfig(rho=float(rho), B=B, D=float(D))
+            cfg = gm.GmConfig(rho=rho, B=B, D=D)
             return [rho, B, D, gm.lower_bound_single(cfg), gm.rate_upper_single(cfg)]
 
         return ["rho", "B", "D", "lower", "upper"], [row(c) for c in cells]
 
     if fig == "fig4":
-        cells = [
-            (rho, 1, L, D)
-            for D in (0.8, 0.5)
-            for L in (1, 2, 3, 4)
-            for rho in np.round(np.arange(0.05, 0.9501, 0.02), 4)
-        ]
+        cells = [(rho, 1, L, D) for D in (0.8, 0.5) for L in (1, 2, 3, 4) for rho in _FIG4_RHO]
 
         def row(cell):
             rho, B, L, D = cell
-            b = gm.compute_bounds(gm.GmConfig(rho=float(rho), B=B, D=float(D), L=L))
+            b = gm.compute_bounds(gm.GmConfig(rho=rho, B=B, D=D, L=L))
             return [rho, B, L, D, b.lower, b.upper_single, b.upper_multi]
 
         return ["rho", "B", "L", "D", "lower", "upper_single", "upper_multi"], [row(c) for c in cells]
 
     if fig == "fig5":
-        cells = [
-            (rho, 1, 4, D)
-            for rho in (0.9, 0.5)
-            for D in np.round(np.geomspace(1e-4, 0.9, 60), 10)
-        ]
+        cells = [(rho, 1, 4, D) for rho in (0.9, 0.5) for D in _FIG5_D]
 
         def row(cell):
             rho, B, L, D = cell
-            cfg = gm.GmConfig(rho=float(rho), B=B, D=float(D), L=L)
+            cfg = gm.GmConfig(rho=rho, B=B, D=D, L=L)
             multi, _ = gm.rate_upper_multi(cfg)
             return [
                 rho,

@@ -14,9 +14,9 @@ provides the independent finite-horizon check.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import (
     ConvergenceError,
@@ -44,9 +44,9 @@ class GmConfig:
             raise ValidationError("rho must lie strictly inside (0, 1)")
         if not 0.0 < self.D <= 1.0:
             raise ValidationError("D must lie in (0, 1] for a unit-variance source")
-        if not (isinstance(self.B, (int, np.integer)) and self.B >= 1):
+        if not (isinstance(self.B, numbers.Integral) and self.B >= 1):
             raise ValidationError("B must be an integer >= 1")
-        if not (isinstance(self.L, (int, np.integer)) and self.L >= 1):
+        if not (isinstance(self.L, numbers.Integral) and self.L >= 1):
             raise ValidationError("L must be an integer >= 1")
 
 
@@ -100,28 +100,17 @@ def lower_bound_closed_form(rho: float, B: int, D: float) -> float:
 
 
 def lower_bound_single(cfg: GmConfig) -> float:
-    """Converse bound for the single-burst channel.
+    """Converse bound for the single-burst channel: (1/2) log2 x for the root
+    x > 1 of D x^2 - (D rho^2 + 1 - rho^(2(B+1))) x + rho^2 (1 - rho^(2B)) = 0,
+    by the closed form `lower_bound_closed_form`; 0 when D >= 1.
 
-    Cross-checked internally against the numerically solved quadratic
-    D x^2 - (D rho^2 + 1 - rho^(2(B+1))) x + rho^2 (1 - rho^(2B)) = 0 in
-    x = 2^(2R), keeping the root with x > 1 (the one yielding R > 0).
+    The quadratic is negative at x = 1 for D < 1, so exactly one root lies
+    above 1.  The tests check the closed form against a generic polynomial
+    root finder.
     """
     if cfg.D >= 1.0:
         return 0.0
-    closed = lower_bound_closed_form(cfg.rho, cfg.B, cfg.D)
-    b = cfg.D * cfg.rho**2 + 1.0 - cfg.rho ** (2 * (cfg.B + 1))
-    c = cfg.rho**2 * (1.0 - cfg.rho ** (2 * cfg.B))
-    roots = np.roots([cfg.D, -b, c])
-    roots = roots[np.isreal(roots)].real
-    valid = roots[roots > 1.0]
-    if valid.size != 1:
-        raise NumericalError(f"expected one quadratic root above 1, got {roots}")
-    numeric = 0.5 * math.log2(float(valid[0]))
-    if abs(closed - numeric) > 1e-10:
-        raise NumericalError(
-            f"closed form {closed:.12f} disagrees with quadratic root {numeric:.12f}"
-        )
-    return closed
+    return lower_bound_closed_form(cfg.rho, cfg.B, cfg.D)
 
 
 def kalman_steady_sigma(rho: float, sigma_z2: float) -> float:
@@ -174,15 +163,16 @@ def _single_aged(cfg: GmConfig, sigma_z2: float) -> float:
     return 1.0 - cfg.rho ** (2 * cfg.B) * (1.0 - kalman_steady_sigma(cfg.rho, sigma_z2))
 
 
-def _brentq(f, xpre: float, xcur: float) -> float:
-    """Root of f between xpre and xcur, where f changes sign, by Brent's method.
+def _brentq(f, xpre: float, xcur: float, fpre: float, fcur: float) -> float:
+    """Root of f between xpre and xcur, where f changes sign, by Brent's method;
+    fpre and fcur are the values of f at the two ends.
 
     A step-for-step port of SciPy's brentq.c (Brent 1973, ch. 4) with xtol =
     1e-14, rtol = 4 eps and 100 steps, so it returns the same float after the
     same evaluations.  Raises NumericalError on a NaN value or no sign change,
     ConvergenceError when the steps run out.
     """
-    xtol, rtol = 1e-14, 4 * np.finfo(float).eps
+    xtol, rtol = 1e-14, 4 * sys.float_info.epsilon
 
     def call(x: float) -> float:
         fx = f(x)
@@ -190,7 +180,8 @@ def _brentq(f, xpre: float, xcur: float) -> float:
             raise NumericalError(f"objective is NaN at {x!r}")
         return fx
 
-    fpre, fcur = call(xpre), call(xcur)
+    if math.isnan(fpre) or math.isnan(fcur):
+        raise NumericalError(f"objective is NaN at an end of [{xpre!r}, {xcur!r}]")
     if fpre == 0.0 or fcur == 0.0:
         return xpre if fpre == 0.0 else xcur
     if (fpre < 0.0) == (fcur < 0.0):
@@ -230,7 +221,13 @@ def _solve_increasing(fn, target: float, what: str) -> float:
     Brent's method in log space over SIGMA_BRACKET; the residual at the root
     must be at most 1e-10."""
     lo, hi = SIGMA_BRACKET
-    f_lo, f_hi = fn(lo) - target, fn(hi) - target
+
+    def f(y: float) -> float:
+        return fn(math.exp(y)) - target
+
+    # checked where Brent starts: exp(log(lo)) != lo and exp(log(hi)) != hi
+    y_lo, y_hi = math.log(lo), math.log(hi)
+    f_lo, f_hi = f(y_lo), f(y_hi)
     if f_lo > 0.0:
         raise PrecisionError(
             f"{what}: target {target:.3e} below resolution at sigma_z2 = {lo:.0e} "
@@ -240,8 +237,7 @@ def _solve_increasing(fn, target: float, what: str) -> float:
         raise InfeasibleDistortionError(
             f"{what}: no root in bracket [{lo:.0e}, {hi:.0e}] (residual at top {f_hi:.3e})"
         )
-    root = _brentq(lambda y: fn(math.exp(y)) - target, math.log(lo), math.log(hi))
-    sigma = math.exp(root)
+    sigma = math.exp(_brentq(f, y_lo, y_hi, f_lo, f_hi))
     residual = abs(fn(sigma) - target)
     if not residual <= 1e-10:
         raise NumericalError(f"{what}: solver residual {residual:.3e} exceeds 1e-10")
@@ -352,7 +348,7 @@ def finite_t_lower(cfg: GmConfig, t: int) -> float:
     Solved by damped fixed-point iteration; non-decreasing in t and converging
     to lower_bound_single as t grows.
     """
-    if not (isinstance(t, (int, np.integer)) and t >= cfg.B + 1):
+    if not (isinstance(t, numbers.Integral) and t >= cfg.B + 1):
         raise ValidationError("t must be an integer >= B + 1")
     if cfg.D >= 1.0:
         return 0.0

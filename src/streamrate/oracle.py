@@ -63,7 +63,6 @@ class ErasurePattern:
 
     t: int
     received: tuple[int, ...]
-    kind: str = "arbitrary"
 
     def __post_init__(self):
         if self.t < 0:
@@ -80,24 +79,22 @@ class ErasurePattern:
 
     @classmethod
     def no_erasure(cls, t: int) -> "ErasurePattern":
-        return cls(t=t, received=tuple(range(t)), kind="arbitrary")
+        return cls(t=t, received=tuple(range(t)))
 
     @classmethod
-    def single_burst(cls, t: int, burst_len: int, offset: int, max_burst: int | None = None) -> "ErasurePattern":
+    def single_burst(cls, t: int, burst_len: int, offset: int) -> "ErasurePattern":
         """Burst of burst_len erased packets ending offset slots before t,
         i.e. erasing [t - burst_len - offset, t - offset - 1]."""
         if burst_len < 0 or offset < 0 or offset > t - burst_len:
             raise ValidationError(f"burst (len={burst_len}, offset={offset}) does not fit before t={t}")
-        if max_burst is not None and burst_len > max_burst:
-            raise ValidationError(f"burst length {burst_len} exceeds cap {max_burst}")
         gone = set(range(t - burst_len - offset, t - offset))
-        return cls(t=t, received=tuple(i for i in range(t) if i not in gone), kind="single-burst")
+        return cls(t=t, received=tuple(i for i in range(t) if i not in gone))
 
     @classmethod
     def multi_burst(cls, t: int, received: tuple[int, ...], B: int, L: int) -> "ErasurePattern":
         """Validate that erased runs have length <= B and consecutive runs are
         separated by at least L intact slots."""
-        pat = cls(t=t, received=tuple(received), kind="multi-burst")
+        pat = cls(t=t, received=tuple(received))
         runs = _runs(pat.erased)
         for start, length in runs:
             if length > B:
@@ -146,8 +143,8 @@ def enumerate_multi_burst(t: int, B: int, L: int) -> list[ErasurePattern]:
 def _validate_model(rho: float, sigma_z2: float) -> None:
     if not 0.0 < rho < 1.0:
         raise ValidationError("rho must lie strictly inside (0, 1)")
-    if sigma_z2 < 0.0:
-        raise ValidationError("sigma_z2 must be nonnegative")
+    if not 0.0 <= sigma_z2 < math.inf:
+        raise ValidationError("sigma_z2 must be nonnegative and finite")
 
 
 def _require_rate_noise(sigma_z2: float) -> None:
@@ -293,7 +290,7 @@ class _SlackTracker:
 
     def add(self, slack: float, describe, *args) -> None:
         self.checks += 1
-        if slack < -SLACK_TOL:
+        if not slack >= -SLACK_TOL:  # a NaN slack is a violation too
             self.violations += 1
         if slack < self.min_slack:
             self.min_slack = float(slack)
@@ -594,6 +591,8 @@ def verify_exchange_inequalities(
         raise ValidationError(f"t capped at {DENSE_T_CAP}")
     if t < max_set_size + 2:
         raise ValidationError("horizon too small for the requested set size")
+    if samples < 0:
+        raise ValidationError("samples must be nonnegative")
     filt = _Filter(rho, sigma_z2)
     s2 = filt.s2
     track = _SlackTracker()

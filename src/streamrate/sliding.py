@@ -11,9 +11,8 @@ decodability checker for the packing, and four baseline schemes live here.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ValidationError
 
@@ -28,7 +27,7 @@ class DistortionVector:
         vals = tuple(float(v) for v in self.values)
         if len(vals) < 1:
             raise ValidationError("distortion vector must have at least one entry")
-        if vals[0] <= 0.0 or vals[-1] > 1.0:
+        if not all(0.0 < v <= 1.0 for v in vals):
             raise ValidationError("distortions must lie in (0, 1]")
         if any(b < a for a, b in zip(vals, vals[1:])):
             raise ValidationError("distortions must be non-decreasing with lag")
@@ -43,7 +42,7 @@ class DistortionVector:
 
 
 def _check_bw(B: int, W: int) -> None:
-    if not (isinstance(B, (int, np.integer)) and isinstance(W, (int, np.integer))):
+    if not (isinstance(B, numbers.Integral) and isinstance(W, numbers.Integral)):
         raise ValidationError("B and W must be integers")
     if B < 0 or W < 0:
         raise ValidationError("B and W must be nonnegative")
@@ -171,7 +170,7 @@ def decodability_check(
     violation, if any, is reported.
     """
     _check_bw(B, W)
-    if not (isinstance(K, (int, np.integer)) and K >= 0):
+    if not (isinstance(K, numbers.Integral) and K >= 0):
         raise ValidationError("K must be a nonnegative integer")
     if burst_len < 0 or burst_len > B:
         raise ValidationError("burst length must lie in [0, B]")

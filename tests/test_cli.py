@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import streamrate as sr
@@ -21,6 +22,12 @@ GOLDEN_SIMULATE_ARGV = [
     "simulate", "--kind", "gm", "--rho", "0.9", "--D", "0.2", "--B", "1",
     "--T", "50", "--trials", "100000", "--burst", "48:1",
 ]
+
+
+def assert_validation_error(capsys):
+    captured = capsys.readouterr()
+    assert captured.err.startswith("validation error:") and "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def read_csv_text(text):
@@ -150,13 +157,27 @@ class TestOracleCommand:
         failing = sr.VerificationReport(
             name="stub", passed=False, checks=1, violations=1, min_slack=-1.0, worst={}
         )
-        monkeypatch.setattr(cli.oracle, "verify_single_burst_worst_case", lambda *a, **k: failing)
+        monkeypatch.setattr(sr.oracle, "verify_single_burst_worst_case", lambda *a, **k: failing)
         out = tmp_path / "report.json"
         code = run(
             ["oracle", "--check", "single", "--rho", "0.9", "--sigma-z2", "0.1",
              "--B", "1", "--tmax", "6", "--out", str(out)]
         )
         assert code == 3
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [*check, "--sigma-z2", s2]
+            for check in (["--check", "single"], ["--check", "multi", "--L", "2"], ["--check", "exchange"])
+            for s2 in ("nan", "inf")
+        ]
+        + [["--check", "exchange", "--sigma-z2", "0.1", "--samples", "-1"]],
+    )
+    def test_bad_input_is_validation_error(self, argv, capsys):
+        assert run(["oracle", "--rho", "0.9", "--B", "1", "--tmax", "10", *argv]) == 1
+        assert_validation_error(capsys)
 
 
 class TestSimulateCommand:
@@ -227,9 +248,7 @@ class TestSimulateCommand:
     )
     def test_non_finite_or_oversized_input_is_validation_error(self, argv, capsys):
         assert run(["simulate", *argv]) == 1
-        captured = capsys.readouterr()
-        assert captured.err.startswith("validation error:") and "Traceback" not in captured.err
-        assert captured.out == ""
+        assert_validation_error(capsys)
 
     def test_golden_stream_is_byte_identical(self, capsys):
         # the Philox seed contract: frozen output of the default seed
@@ -276,18 +295,74 @@ class TestFigureCommand:
         assert float(sample[3]) == pytest.approx(sr.lower_bound_single(cfg), abs=1e-12)
         assert float(sample[4]) == pytest.approx(sr.rate_upper_single(cfg), abs=1e-12)
 
+    def test_grids_equal_numpy_expressions(self):
+        expected = {
+            "_FIG2_RHO": np.round(np.arange(0.05, 0.9501, 0.01), 4),
+            "_FIG3_D": np.round(np.arange(0.02, 0.9801, 0.02), 4),
+            "_FIG4_RHO": np.round(np.arange(0.05, 0.9501, 0.02), 4),
+            "_FIG5_D": np.round(np.geomspace(1e-4, 0.9, 60), 10),
+        }
+        for name, want in expected.items():
+            assert [x.hex() for x in getattr(cli, name)] == [float(x).hex() for x in want], name
+
     def test_unknown_figure(self):
         assert run(["figure", "--id", "fig7"]) == 1
 
 
+class TestInputFiles:
+    @pytest.mark.parametrize(
+        "argv, content",
+        [
+            (["sliding", "--d", "nan,0.2", "--B", "1", "--W", "1"], None),
+            (["gm", "--sweep", "MISSING"], None),
+            (["gm", "--sweep", "FILE"], '{"rho": 0.9, "B": 1}'),
+            (["gm", "--sweep", "FILE"], '{"rho": "high", "B": 1, "D": 0.2}'),
+            (["gm", "--sweep", "FILE"], '{"rho": 0.9, "B": 1.7, "D": 0.2}'),
+            (["lossless", "--chain", "MISSING", "--B", "1", "--W", "0"], None),
+            (["lossless", "--chain", "FILE", "--B", "1", "--W", "0"], "{bad"),
+            (["lossless", "--chain", "FILE", "--B", "1", "--W", "0"], "[1, 2]"),
+            (["simulate", "--kind", "gm", "--config", "FILE"], "[1, 2]"),
+        ],
+        ids=["sliding-nan", "sweep-missing-file", "sweep-missing-key", "sweep-not-a-number",
+             "sweep-fractional-B", "chain-missing-file", "chain-malformed", "chain-list", "config-list"],
+    )
+    def test_bad_input_is_validation_error(self, argv, content, tmp_path, capsys):
+        path = tmp_path / "input.json"
+        if content is not None:
+            path.write_text(content)
+        names = {"FILE": str(path), "MISSING": str(tmp_path / "missing.json")}
+        assert run([names.get(a, a) for a in argv]) == 1
+        assert_validation_error(capsys)
+
+
 class TestUsage:
-    def test_cli_imports_only_numpy_beyond_stdlib(self):
+    @pytest.mark.parametrize(
+        "argv, third_party",
+        [
+            (None, {"streamrate"}),
+            (["gm", "--rho", "0.9", "--D", "0.2"], {"streamrate"}),
+            (["sliding", "--d", "0.1,0.25", "--B", "1", "--W", "1"], {"streamrate"}),
+            (["figure", "--id", "fig4"], {"streamrate"}),
+            (["lossless", "--chain", "CHAIN", "--B", "1", "--W", "1"], {"numpy", "streamrate"}),
+            (["oracle", "--check", "single", "--rho", "0.9", "--sigma-z2", "0.1", "--tmax", "4"],
+             {"numpy", "streamrate"}),
+            (["simulate", "--kind", "gm", "--sigma-z2", "0.3", "--T", "4", "--trials", "8"],
+             {"numpy", "streamrate"}),
+        ],
+        ids=["import", "gm", "sliding", "figure", "lossless", "oracle", "simulate"],
+    )
+    def test_command_loads_numpy_only_when_it_needs_it(self, argv, third_party, chain_file):
         # a fresh interpreter, so modules loaded by the test run do not count
+        if argv is None:
+            run_it = "import streamrate\n"
+        else:
+            argv = [chain_file if a == "CHAIN" else a for a in argv] + ["--out", os.devnull]
+            run_it = f"from streamrate import cli\nassert cli.main({argv!r}) == 0\n"
         code = (
             "import sys\n"
             "before = set(sys.modules)\n"
-            "import streamrate.cli\n"
-            "new = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+            + run_it
+            + "new = {m.split('.')[0] for m in set(sys.modules) - before}\n"
             "print(' '.join(sorted(new - set(sys.stdlib_module_names))))\n"
         )
         src = os.path.dirname(os.path.dirname(sr.__file__))
@@ -295,7 +370,16 @@ class TestUsage:
         done = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
-        assert set(done.stdout.split()) == {"numpy", "streamrate"}
+        # numpy.random's Cython extensions register cython_runtime and _cython_<version>
+        loaded = {m for m in done.stdout.split() if not m.startswith(("cython_runtime", "_cython_"))}
+        assert loaded == third_party
+
+    def test_lazy_names_resolve_to_their_modules(self):
+        assert sr.MarkovChain is sr.markov.MarkovChain
+        assert sr.GaussianSystem is sr.oracle.GaussianSystem
+        assert sr.simulate_gm_stream is sr.sim.simulate_gm_stream
+        with pytest.raises(AttributeError):
+            sr.no_such_name
 
     def test_unknown_flag(self):
         assert run(["gm", "--bogus", "1"]) == 1

@@ -37,13 +37,15 @@ from streamrate.gauss_markov import (
 
 def quadratic_root_rate(rho: float, B: int, D: float) -> float:
     """Independent oracle: solve the converse quadratic in x = 2^(2R) with a
-    generic polynomial root finder and keep the root above 1."""
+    generic polynomial root finder and keep the larger root.
+
+    The quadratic equals (1 - rho^2)(D - 1) < 0 at x = 1, so the larger root is
+    the one above 1; as D -> 1 it tends to 1 and can round to either side."""
     b = D * rho**2 + 1 - rho ** (2 * (B + 1))
     c = rho**2 * (1 - rho ** (2 * B))
     roots = np.roots([D, -b, c])
-    roots = roots[np.isreal(roots)].real
-    (x,) = roots[roots > 1.0]
-    return 0.5 * math.log2(x)
+    assert np.isreal(roots).all()
+    return 0.5 * math.log2(max(roots.real))
 
 
 class TestConfigValidation:
@@ -79,6 +81,16 @@ class TestLowerBound:
             D = float(rng.uniform(0.01, 0.95))
             got = lower_bound_single(GmConfig(rho=rho, B=B, D=D))
             assert got == pytest.approx(quadratic_root_rate(rho, B, D), abs=1e-10)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rho=st.floats(1e-6, 1 - 1e-6),
+        B=st.integers(1, 4),
+        D=st.floats(1e-13, 1.0, exclude_max=True),
+    )
+    def test_matches_polynomial_root_finder(self, rho, B, D):
+        got = lower_bound_single(GmConfig(rho=rho, B=B, D=D))
+        assert got == pytest.approx(quadratic_root_rate(rho, B, D), abs=1e-10)
 
     def test_degenerate_burst_collapse(self):
         # with no erasure the bound is the one-step predictive rate form
@@ -218,15 +230,19 @@ class TestSingleBurstChannel:
             assert gamma_single(GmConfig(rho=rho, B=1, D=D), tc) == pytest.approx(D, abs=1e-10)
 
 
+def brentq(f, a, b):
+    return _brentq(f, a, b, f(a), f(b))
+
+
 class TestRootFinder:
     LOG_BRACKET = (math.log(SIGMA_BRACKET[0]), math.log(SIGMA_BRACKET[1]))
 
     def test_nan_objective(self):
         with pytest.raises(NumericalError):
-            _brentq(lambda x: math.nan, *self.LOG_BRACKET)
+            brentq(lambda x: math.nan, *self.LOG_BRACKET)
         # NaN inside the bracket only, where the solve first lands
         with pytest.raises(NumericalError):
-            _brentq(lambda x: -1.0 if x < -20 else (1.0 if x > 20 else math.nan), *self.LOG_BRACKET)
+            brentq(lambda x: -1.0 if x < -20 else (1.0 if x > 20 else math.nan), *self.LOG_BRACKET)
 
     def test_nan_inside_bracket_through_solver(self):
         def fn(s):
@@ -235,22 +251,29 @@ class TestRootFinder:
         with pytest.raises(NumericalError, match="NaN"):
             _solve_increasing(fn, 1.0, "nan objective")
 
+    def test_bracket_ends_evaluated_once(self):
+        seen = []
+        _solve_increasing(lambda s: seen.append(s) or s, 1.0, "identity")
+        ends = [math.exp(math.log(x)) for x in SIGMA_BRACKET]
+        assert seen[:2] == ends
+        assert not set(ends + list(SIGMA_BRACKET)) & set(seen[2:])
+
     def test_no_sign_change(self):
         with pytest.raises(NumericalError):
-            _brentq(lambda x: x * x + 1.0, -1.0, 2.0)
+            brentq(lambda x: x * x + 1.0, -1.0, 2.0)
 
     def test_iterations_exhausted(self):
         # atan is flat far from its root, so interpolation does no better than
         # bisection, which needs about 1000 halvings to get from 1e300 to 1e-14
         with pytest.raises(ConvergenceError):
-            _brentq(lambda x: math.atan(x - 1.0), -1e300, 1e300)
+            brentq(lambda x: math.atan(x - 1.0), -1e300, 1e300)
 
     def test_endpoint_root(self):
-        assert _brentq(lambda x: x, 0.0, 1.0) == 0.0
-        assert _brentq(lambda x: x - 1.0, 0.0, 1.0) == 1.0
+        assert brentq(lambda x: x, 0.0, 1.0) == 0.0
+        assert brentq(lambda x: x - 1.0, 0.0, 1.0) == 1.0
 
     def test_root_to_tolerance(self):
-        root = _brentq(lambda x: x * x - 2.0, 0.0, 2.0)
+        root = brentq(lambda x: x * x - 2.0, 0.0, 2.0)
         assert abs(root - math.sqrt(2.0)) <= 1e-14
 
 

@@ -18,7 +18,7 @@ from streamrate import (
     verify_single_burst_worst_case,
     worst_multi_burst,
 )
-from streamrate.oracle import _Filter, _received, _walk_multi_burst
+from streamrate.oracle import _Filter, _received, _SlackTracker, _walk_multi_burst
 
 
 class TestErasurePattern:
@@ -30,10 +30,6 @@ class TestErasurePattern:
     def test_single_burst_must_fit(self):
         with pytest.raises(ValidationError):
             ErasurePattern.single_burst(t=5, burst_len=3, offset=3)
-
-    def test_burst_cap(self):
-        with pytest.raises(ValidationError):
-            ErasurePattern.single_burst(t=10, burst_len=3, offset=0, max_burst=2)
 
     def test_multi_burst_guard_enforced(self):
         # erased runs {2,3} and {6} separated by only 2 intact slots
@@ -345,6 +341,26 @@ class TestCheckValidation:
                 verify_single_burst_worst_case(0.9, s2, B=1, t_max=4)
             with pytest.raises(ValidationError):
                 verify_multi_burst_worst_case(0.9, s2, B=1, L=2, t_max=4)
+
+    @pytest.mark.parametrize("s2", [float("nan"), float("inf")])
+    def test_non_finite_noise(self, s2):
+        with pytest.raises(ValidationError):
+            verify_single_burst_worst_case(0.9, s2, B=1, t_max=4)
+        with pytest.raises(ValidationError):
+            verify_multi_burst_worst_case(0.9, s2, B=1, L=2, t_max=4)
+        with pytest.raises(ValidationError):
+            verify_exchange_inequalities(0.9, s2, t=10, samples=5)
+
+    def test_negative_samples(self):
+        with pytest.raises(ValidationError):
+            verify_exchange_inequalities(0.9, 0.1, t=10, samples=-1)
+
+    def test_nan_slack_is_a_violation(self):
+        track = _SlackTracker()
+        track.add(0.5, dict)
+        track.add(float("nan"), dict)
+        report = track.report("nan")
+        assert report.violations == 1 and not report.passed
 
     def test_horizons_and_sizes(self):
         with pytest.raises(ValidationError):

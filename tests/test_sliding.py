@@ -35,6 +35,10 @@ class TestDistortionVector:
             DistortionVector((0.0, 0.5))
         with pytest.raises(ValidationError):
             DistortionVector((0.5, 1.2))
+        # NaN fails every comparison, so each entry is checked against (0, 1]
+        for values in ((float("nan"), 0.2), (0.2, float("nan"), 0.5), (0.2, float("inf"))):
+            with pytest.raises(ValidationError):
+                DistortionVector(values)
 
     def test_plateaus_allowed(self):
         d = DistortionVector((0.3, 0.3, 0.3))
