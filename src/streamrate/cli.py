@@ -192,15 +192,49 @@ def _cmd_oracle(args) -> int:
     return EXIT_OK if report.passed else EXIT_VERIFICATION
 
 
+def _config_value(action: argparse.Action, key: str, value):
+    """A `simulate --config` value, checked against its option: a number for
+    a float option, an integer for an int option, a list for --burst, a
+    string otherwise, or null where the option defaults to None."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if action.type is float and number and abs(value) <= sys.float_info.max:
+        return float(value)
+    if action.type is int and number and isinstance(value, int):
+        return value
+    if action.dest == "burst":
+        if isinstance(value, list):
+            return value
+    elif action.type is None and isinstance(value, str):
+        if action.choices is None or value in action.choices:
+            return value
+    if value is None and action.default is None:
+        return None
+    raise ValidationError(f"config key {key!r}: {value!r} is not a valid {action.option_strings[-1]} value")
+
+
+def _burst(spec) -> tuple[int, int]:
+    """A burst as "start:length", or as [start, length] in a config file."""
+    parts = spec
+    if isinstance(spec, str):
+        try:
+            parts = [int(x) for x in spec.split(":")]
+        except ValueError:
+            pass
+    if not (isinstance(parts, list) and len(parts) == 2
+            and all(isinstance(x, int) and not isinstance(x, bool) for x in parts)):
+        raise ValidationError(f"burst spec must be start:length, got {spec!r}")
+    return parts[0], parts[1]
+
+
 def _cmd_simulate(args) -> int:
     from . import sim
 
     if args.config:
         for key, value in _read_json(args.config).items():
-            attr = {"sigma-z2": "sigma_z2"}.get(key, key)
-            if not hasattr(args, attr):
+            action = args.options.get(key.replace("-", "_"))
+            if action is None or not action.option_strings or action.dest == "help":
                 raise ValidationError(f"unknown config key {key!r}")
-            setattr(args, attr, value)
+            setattr(args, action.dest, _config_value(action, key, value))
     if args.kind == "gm":
         sigma_z2 = args.sigma_z2
         if sigma_z2 is None:
@@ -208,16 +242,7 @@ def _cmd_simulate(args) -> int:
                 raise ValidationError("simulate gm needs --sigma-z2 or --D")
             cfg0 = gm.GmConfig(rho=args.rho, B=args.B, D=args.D)
             sigma_z2 = gm.solve_test_channel_single(cfg0).sigma_z2
-        bursts = []
-        for spec in args.burst or []:
-            if isinstance(spec, (list, tuple)):
-                start, length = (int(x) for x in spec)
-            else:
-                try:
-                    start, length = (int(x) for x in spec.split(":"))
-                except ValueError:
-                    raise ValidationError(f"burst spec must be start:length, got {spec!r}")
-            bursts.append((start, length))
+        bursts = [_burst(spec) for spec in args.burst or []]
         cfg = sim.SimConfig(
             rho=args.rho,
             sigma_z2=sigma_z2,
@@ -377,7 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
-    p.set_defaults(fn=_cmd_simulate)
+    # the options by dest, which also name and type the --config keys
+    p.set_defaults(fn=_cmd_simulate, options={a.dest: a for a in p._actions})
 
     p = sub.add_parser("figure", help="CSV data reproducing the survey figures")
     p.add_argument("--id", choices=["fig2", "fig3", "fig4", "fig5", "fig9"], required=True)

@@ -163,9 +163,10 @@ def _single_aged(cfg: GmConfig, sigma_z2: float) -> float:
     return 1.0 - cfg.rho ** (2 * cfg.B) * (1.0 - kalman_steady_sigma(cfg.rho, sigma_z2))
 
 
-def _brentq(f, xpre: float, xcur: float, fpre: float, fcur: float) -> float:
-    """Root of f between xpre and xcur, where f changes sign, by Brent's method;
-    fpre and fcur are the values of f at the two ends.
+def _brentq(f, xpre: float, xcur: float, fpre: float, fcur: float) -> tuple[float, float]:
+    """Root of f between xpre and xcur, where f changes sign, by Brent's method,
+    with the value of f there; fpre and fcur are the values of f at the two
+    ends.
 
     A step-for-step port of SciPy's brentq.c (Brent 1973, ch. 4) with xtol =
     1e-14, rtol = 4 eps and 100 steps, so it returns the same float after the
@@ -183,7 +184,7 @@ def _brentq(f, xpre: float, xcur: float, fpre: float, fcur: float) -> float:
     if math.isnan(fpre) or math.isnan(fcur):
         raise NumericalError(f"objective is NaN at an end of [{xpre!r}, {xcur!r}]")
     if fpre == 0.0 or fcur == 0.0:
-        return xpre if fpre == 0.0 else xcur
+        return (xpre, fpre) if fpre == 0.0 else (xcur, fcur)
     if (fpre < 0.0) == (fcur < 0.0):
         raise NumericalError("objective has the same sign at both ends of the bracket")
     xblk = fblk = spre = scur = 0.0
@@ -197,7 +198,7 @@ def _brentq(f, xpre: float, xcur: float, fpre: float, fcur: float) -> float:
         delta = (xtol + rtol * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
+            return xcur, fcur
         stry = math.inf  # bisect unless interpolation gives a short step
         if abs(spre) > delta and abs(fcur) < abs(fpre):
             if xpre == xblk:  # interpolate
@@ -218,8 +219,8 @@ def _brentq(f, xpre: float, xcur: float, fpre: float, fcur: float) -> float:
 
 def _solve_increasing(fn, target: float, what: str) -> float:
     """Root of fn(sigma_z2) = target for fn increasing in sigma_z2, solved by
-    Brent's method in log space over SIGMA_BRACKET; the residual at the root
-    must be at most 1e-10."""
+    Brent's method in log space over SIGMA_BRACKET; the residual at the root,
+    which Brent's last step evaluated, must be at most 1e-10."""
     lo, hi = SIGMA_BRACKET
 
     def f(y: float) -> float:
@@ -237,11 +238,11 @@ def _solve_increasing(fn, target: float, what: str) -> float:
         raise InfeasibleDistortionError(
             f"{what}: no root in bracket [{lo:.0e}, {hi:.0e}] (residual at top {f_hi:.3e})"
         )
-    sigma = math.exp(_brentq(f, y_lo, y_hi, f_lo, f_hi))
-    residual = abs(fn(sigma) - target)
+    y, f_y = _brentq(f, y_lo, y_hi, f_lo, f_hi)
+    residual = abs(f_y)
     if not residual <= 1e-10:
         raise NumericalError(f"{what}: solver residual {residual:.3e} exceeds 1e-10")
-    return sigma
+    return math.exp(y)
 
 
 def solve_test_channel_single(cfg: GmConfig) -> TestChannel:

@@ -11,6 +11,7 @@ a recovery penalty that decays like 1/(W+1).
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,7 +102,11 @@ class MarkovChain:
 
     @classmethod
     def from_transition(cls, transition) -> "MarkovChain":
-        P = _validate_transition(np.asarray(transition, dtype=float))
+        try:
+            P = np.asarray(transition, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"transition matrix must hold numbers: {exc}")
+        P = _validate_transition(P)
         pi = stationary_distribution(P)
         return cls(alphabet_size=P.shape[0], transition=P, stationary=pi)
 
@@ -117,8 +122,12 @@ class MarkovChain:
             with open(source, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
         chain = cls.from_transition(doc["transition"])
-        if "alphabet_size" in doc and int(doc["alphabet_size"]) != chain.alphabet_size:
-            raise ValidationError("alphabet_size field disagrees with transition matrix")
+        if "alphabet_size" in doc:
+            size = doc["alphabet_size"]
+            if not isinstance(size, numbers.Integral) or isinstance(size, bool):
+                raise ValidationError(f"alphabet_size must be an integer, got {size!r}")
+            if size != chain.alphabet_size:
+                raise ValidationError("alphabet_size field disagrees with transition matrix")
         return chain
 
 

@@ -322,9 +322,20 @@ class TestInputFiles:
             (["lossless", "--chain", "FILE", "--B", "1", "--W", "0"], "{bad"),
             (["lossless", "--chain", "FILE", "--B", "1", "--W", "0"], "[1, 2]"),
             (["simulate", "--kind", "gm", "--config", "FILE"], "[1, 2]"),
+            (["lossless", "--chain", "FILE", "--B", "1", "--W", "0"], '{"transition": "ab"}'),
+            (["lossless", "--chain", "FILE", "--B", "1", "--W", "0"],
+             '{"alphabet_size": "x", "transition": [[0.5, 0.5], [0.5, 0.5]]}'),
+            (["lossless", "--chain", "FILE", "--B", "1", "--W", "0"],
+             '{"alphabet_size": 2.5, "transition": [[0.5, 0.5], [0.5, 0.5]]}'),
+            (["simulate", "--kind", "gm", "--config", "FILE"], '{"trials": "x", "sigma-z2": 0.3}'),
+            (["simulate", "--kind", "gm", "--config", "FILE"], '{"T": 2.5, "sigma-z2": 0.3}'),
+            (["simulate", "--kind", "gm", "--config", "FILE"], '{"sigma-z2": 0.3, "burst": [[4.5, 2]]}'),
+            (["simulate", "--kind", "gm", "--config", "FILE"], '{"sigma-z2": 0.3, "burst": 5}'),
         ],
         ids=["sliding-nan", "sweep-missing-file", "sweep-missing-key", "sweep-not-a-number",
-             "sweep-fractional-B", "chain-missing-file", "chain-malformed", "chain-list", "config-list"],
+             "sweep-fractional-B", "chain-missing-file", "chain-malformed", "chain-list", "config-list",
+             "chain-string-matrix", "chain-string-size", "chain-fractional-size", "config-string-trials",
+             "config-fractional-T", "config-fractional-burst", "config-burst-not-a-list"],
     )
     def test_bad_input_is_validation_error(self, argv, content, tmp_path, capsys):
         path = tmp_path / "input.json"

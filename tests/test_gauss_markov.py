@@ -231,7 +231,10 @@ class TestSingleBurstChannel:
 
 
 def brentq(f, a, b):
-    return _brentq(f, a, b, f(a), f(b))
+    """The root alone, after checking that the value returned with it is f there."""
+    root, value = _brentq(f, a, b, f(a), f(b))
+    assert value == f(root)
+    return root
 
 
 class TestRootFinder:
@@ -257,6 +260,12 @@ class TestRootFinder:
         ends = [math.exp(math.log(x)) for x in SIGMA_BRACKET]
         assert seen[:2] == ends
         assert not set(ends + list(SIGMA_BRACKET)) & set(seen[2:])
+
+    def test_root_evaluated_once(self):
+        seen = []
+        root = _solve_increasing(lambda s: seen.append(s) or s * s, 2.0, "square")
+        assert seen.count(root) == 1
+        assert len(seen) == len(set(seen))
 
     def test_no_sign_change(self):
         with pytest.raises(NumericalError):

@@ -86,6 +86,21 @@ class TestMarkovChainType:
         with pytest.raises(ValidationError):
             MarkovChain.from_json({"alphabet_size": 3, "transition": [[0.5, 0.5], [0.5, 0.5]]})
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"transition": "ab"},
+            {"transition": [[0.5, "x"], [0.5, 0.5]]},
+            {"transition": [[0.5, 0.5], [0.5]]},
+            {"alphabet_size": "x", "transition": [[0.5, 0.5], [0.5, 0.5]]},
+            {"alphabet_size": 2.5, "transition": [[0.5, 0.5], [0.5, 0.5]]},
+        ],
+        ids=["string-matrix", "string-entry", "ragged", "string-size", "fractional-size"],
+    )
+    def test_from_json_wrong_types(self, doc):
+        with pytest.raises(ValidationError):
+            MarkovChain.from_json(doc)
+
     def test_bad_stationary_rejected(self):
         with pytest.raises(ValidationError):
             MarkovChain(2, np.array([[0.7, 0.3], [0.2, 0.8]]), np.array([0.5, 0.5]))

@@ -1,6 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import streamrate.oracle as oracle
 from streamrate import (
     ErasurePattern,
     GaussianSystem,
@@ -18,7 +23,59 @@ from streamrate import (
     verify_single_burst_worst_case,
     worst_multi_burst,
 )
-from streamrate.oracle import _Filter, _received, _SlackTracker, _walk_multi_burst
+from streamrate.oracle import (
+    ENUM_T_CAP,
+    _burst_preds,
+    _Filter,
+    _multi_burst_tops,
+    _path_received,
+    _SlackTracker,
+    _stars,
+)
+
+
+def _walk_multi_burst(filt, B, L, t_max):
+    """Yield (t, runs, P_pred) for every guard-respecting layout of erased runs
+    and every horizon 1 <= t <= t_max that the layout fits.
+
+    `runs` is a tuple of (start, length).  For each t the layouts come in the
+    order of `enumerate_multi_burst(t, B, L)`: the tree of runs by (start,
+    length), in preorder.  A node's filter states are computed once and
+    shared by its horizons and its children.  This is the enumeration the
+    multi-burst check ran on before its dynamic program, kept as its oracle.
+    """
+    predict, update = filt.predict, filt.update
+
+    def visit(runs, end, p):
+        states = []  # states[k]: the state at slot end + k, after u_end..u_{end+k-1}
+        for t in range(end, t_max + 1):
+            states.append(p)
+            pred = predict(p)
+            if t:
+                yield t, runs, pred
+            p = update(pred)
+        for start in range(end + L if runs else 0, t_max):
+            p = states[start - end]
+            for length in range(1, min(B, t_max - start) + 1):
+                p = predict(p)
+                yield from visit(runs + ((start, length),), start + length, p)
+
+    yield from visit((), 0, 0.0)
+
+
+def _received(t, runs):
+    gone = {i for start, length in runs for i in range(start, start + length)}
+    return [i for i in range(t) if i not in gone]
+
+
+def _stepwise_predicted(filt, t, received):
+    """`_Filter.predicted` written with the filter's own predict and update."""
+    p = 0.0
+    for i in range(t):
+        p = filt.predict(p)
+        if i in received:
+            p = filt.update(p)
+    return filt.predict(p)
 
 
 class TestErasurePattern:
@@ -302,24 +359,200 @@ def test_multi_burst_report_matches_dense_reference(rho, s2, B, L, t_max):
 
 
 def test_multi_burst_long_horizon():
-    """t_max = 24 passes.  From t = 21 on the argmax can differ from
-    star_received: the argmax then differs only by erasures of the oldest
-    slots, whose effect is below double precision, so its values equal the
-    star's exactly (slack 0.0, not a violation).  By then the star's own
-    requirement has converged, and the monotone check sees differences of
-    rounding size, well inside the tolerance."""
+    """t_max = 24 passes, and ties go to the star.  From t = 22 on other
+    patterns differ from the star only by erasures of the oldest slots,
+    whose effect is below double precision, so their values equal the
+    star's exactly (slack 0.0, not a violation); the first maximum in
+    enumeration order is then such a pattern, yet the argmax is the star.
+    By then the star's own requirement has converged, and the monotone check
+    sees differences of rounding size, well inside the tolerance."""
     rep = verify_multi_burst_worst_case(0.9, 0.1, B=2, L=3, t_max=24)
     assert rep.passed and rep.violations == 0
     assert rep.min_slack > -1e-15
-    filt = _Filter(0.9, 0.1)
     for t in range(1, 25):
         info = rep.details[f"t{t}"]
-        if t <= 20:
-            assert info["argmax_rate_received"] == info["star_received"]
-            assert info["argmax_mmse_received"] == info["star_received"]
-        star = filt.predicted(t, info["star_received"])
-        assert filt.predicted(t, info["argmax_rate_received"]) == star
-        assert filt.predicted(t, info["argmax_mmse_received"]) == star
+        assert info["argmax_rate_received"] == info["star_received"]
+        assert info["argmax_mmse_received"] == info["star_received"]
+    filt = _Filter(0.9, 0.1)
+    star = rep.details["t22"]["star_received"]
+    best_runs, best = None, -np.inf
+    for t, runs, pred in _walk_multi_burst(filt, 2, 3, 22):
+        if t == 22 and filt.rate(pred) > best:
+            best_runs, best = runs, filt.rate(pred)
+    assert _received(22, best_runs) != star
+    assert best == filt.rate(filt.predicted(22, star))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rho=st.floats(0.05, 0.99),
+    s2=st.floats(1e-4, 2.0),
+    B=st.integers(0, 4),
+    L=st.integers(1, 4),
+    t_max=st.integers(1, 14),
+)
+def test_dp_top_two_equals_walk(rho, s2, B, L, t_max):
+    """Per horizon the DP's pattern count equals the walk's, and each of its
+    two entries is a distinct pattern whose filter run gives the entry's
+    value.  Its two values equal the walk's two largest, except where
+    rounding breaks the filter's monotonicity (see the next test): then they
+    are real values at most 2 ulps below."""
+    filt = _Filter(rho, s2)
+    walked = {t: [] for t in range(1, t_max + 1)}
+    for t, _, pred in _walk_multi_burst(filt, B, L, t_max):
+        walked[t].append(pred)
+    for t, patterns, top in _multi_burst_tops(filt, B, L, t_max):
+        assert patterns == len(walked[t])
+        preds = [filt.predict(p) for p, _, _ in top]
+        kept = [_path_received(t, entry) for entry in top]
+        assert len(kept) == min(2, patterns) and len({tuple(r) for r in kept}) == len(kept)
+        for received, pred in zip(kept, preds):
+            ErasurePattern.multi_burst(t, tuple(received), B, L)
+            assert _stepwise_predicted(filt, t, received) == pred
+        for got, want in zip(preds, sorted(walked[t], reverse=True)[:2]):
+            assert want - 2 * math.ulp(want) <= got <= want
+
+
+def test_dp_rounding_limit():
+    """The monotonicity behind the DP is exact in real arithmetic only: here
+    (found by fuzzing the DP against the walk) the update rounds two nearly
+    equal prefixes into the other order, so at t = 8 the second value the DP
+    keeps is one ulp below the walk's.  The reported slack moves by that ulp,
+    far inside SLACK_TOL, and the report still passes."""
+    rho, s2 = 0.9860504056203343, 1e-4
+    filt = _Filter(rho, s2)
+    walked = sorted(pred for t, _, pred in _walk_multi_burst(filt, 1, 3, 8) if t == 8)[::-1][:2]
+    (_, _, top), = [step for step in _multi_burst_tops(filt, 1, 3, 8) if step[0] == 8]
+    preds = [filt.predict(p) for p, _, _ in top]
+    assert preds[0] == walked[0]
+    assert preds[1] == walked[1] - math.ulp(walked[1])
+    assert verify_multi_burst_worst_case(rho, s2, 1, 3, 8).passed
+
+
+def _walk_multi_report(rho, s2, B, L, t_max):
+    """The multi-burst report from the enumeration of every pattern, with the
+    rules of the check: each non-star pattern is one check per side, each
+    failing (horizon, side) one violation, and ties go to the star, then to
+    the first maximum in enumeration order."""
+    filt = _Filter(rho, s2)
+    walked = {t: [] for t in range(1, t_max + 1)}
+    for t, runs, pred in _walk_multi_burst(filt, B, L, t_max):
+        walked[t].append((_received(t, runs), pred))
+    checks = violations = 0
+    min_slack = np.inf
+    details = {"rho": rho, "sigma_z2": s2, "B": B, "L": L, "t_max": t_max}
+    prev = None
+    for t in range(1, t_max + 1):
+        star = list(worst_multi_burst(t, B, L).received)
+        star_pred = _stepwise_predicted(filt, t, star)
+        row = {"patterns": len(walked[t]), "star_received": star}
+        values = []
+        for side, value in (("rate", filt.rate), ("mmse", filt.mmse)):
+            star_value = value(star_pred)
+            slacks = [star_value - value(pred) for received, pred in walked[t] if received != star]
+            if slacks:
+                checks += len(slacks)
+                violations += not min(slacks) >= -oracle.SLACK_TOL
+                min_slack = min(min_slack, *slacks)
+            best_received, best = star, star_value
+            for received, pred in walked[t]:
+                if value(pred) > best:
+                    best_received, best = received, value(pred)
+            row[f"argmax_{side}_received"] = best_received
+            values.append(star_value)
+        if prev is not None:
+            for now, before in zip(values, prev):
+                checks += 1
+                violations += not now - before >= -oracle.SLACK_TOL
+                min_slack = min(min_slack, now - before)
+        prev = values
+        details[f"t{t}"] = row
+    return violations == 0, checks, violations, min_slack, details
+
+
+@pytest.mark.parametrize(
+    "rho,s2,B,L,t_max",
+    [
+        (0.9, 0.1, 2, 3, 18),
+        (0.7, 0.3, 1, 2, 16),
+        (0.8, 0.5, 3, 2, 12),
+        (0.5, 1e-3, 3, 1, 14),
+        (0.3, 0.05, 2, 1, 14),
+        (0.95, 2.0, 4, 1, 12),
+        (0.9, 0.1, 0, 2, 6),
+    ],
+)
+@pytest.mark.parametrize("tol", [oracle.SLACK_TOL, -1.0], ids=["tol", "every-check-fails"])
+def test_multi_burst_report_matches_walk(rho, s2, B, L, t_max, tol, monkeypatch):
+    """The DP's report equals the one from enumerating every pattern.  With a
+    tolerance of -1 every slack below 1 fails, so each (horizon, side) check
+    and each monotone check counts one violation, and the notes say so."""
+    monkeypatch.setattr(oracle, "SLACK_TOL", tol)
+    rep = verify_multi_burst_worst_case(rho, s2, B, L, t_max)
+    assert (rep.passed, rep.checks, rep.violations, rep.min_slack, rep.details) == _walk_multi_report(
+        rho, s2, B, L, t_max
+    )
+    if tol < 0:
+        multi = sum(rep.details[f"t{t}"]["patterns"] > 1 for t in range(1, t_max + 1))
+        assert rep.violations == 2 * multi + 2 * (t_max - 1)
+        assert any("(horizon, side)" in note for note in rep.notes)
+    else:
+        assert rep.passed and rep.notes == []
+
+
+def test_multi_burst_counts_at_the_cap():
+    """At L = 1 with B >= t every subset of slots is a pattern: 2^t of them,
+    counted exactly at every horizon up to the cap."""
+    rep = verify_multi_burst_worst_case(0.9, 0.1, B=ENUM_T_CAP, L=1, t_max=ENUM_T_CAP)
+    assert rep.passed
+    assert all(rep.details[f"t{t}"]["patterns"] == 2**t for t in range(1, ENUM_T_CAP + 1))
+    assert rep.checks == sum(2 * (2**t - 1) for t in range(1, ENUM_T_CAP + 1)) + 2 * (ENUM_T_CAP - 1)
+
+
+@pytest.mark.parametrize("B,L", [(0, 1), (0, 3), (1, 1), (2, 3), (3, 1), (4, 2), (5, 5), (40, 1), (1, 40)])
+def test_stars_equal_worst_multi_burst(B, L):
+    filt = _Filter(0.7, 0.3)
+    received, preds = _stars(filt, B, L, 30)
+    for t in range(31):
+        star = worst_multi_burst(t, B, L).received
+        assert received[t] == list(star)
+        assert preds[t] == _stepwise_predicted(filt, t, star)
+
+
+def _rebuilt_burst_preds(filt, t_max, B):
+    """The table of `_burst_preds`, each value from a filter run over its whole pattern."""
+    return [
+        [
+            [_stepwise_predicted(filt, t, ErasurePattern.single_burst(t, bl, k).received)
+             for k in range(t - bl + 1 if bl else 1)]
+            if t >= bl else []
+            for t in range(t_max + 1)
+        ]
+        for bl in range(B + 1)
+    ]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_single_and_exchange_reports_equal_pattern_rebuild(seed, monkeypatch):
+    """Seeded configurations: the single-burst and exchange reports equal those
+    computed with every value rebuilt from its whole pattern."""
+    rng = np.random.default_rng(seed)
+    rho, s2 = float(rng.uniform(0.05, 0.99)), float(rng.uniform(1e-4, 2.0))
+    B = int(rng.integers(0, 5))
+    t_max, t = int(rng.integers(B + 1, 21)), int(rng.integers(8, 21))
+
+    def reports():
+        return [
+            verify_single_burst_worst_case(rho, s2, B, t_max),
+            verify_exchange_inequalities(rho, s2, t=t, samples=60, seed=seed),
+        ]
+
+    filt = _Filter(rho, s2)
+    assert _burst_preds(filt, t_max, B) == _rebuilt_burst_preds(filt, t_max, B)
+    got = reports()
+    monkeypatch.setattr(oracle, "_burst_preds", _rebuilt_burst_preds)
+    monkeypatch.setattr(oracle._Filter, "predicted", _stepwise_predicted)
+    assert got == reports()
 
 
 class TestCheckValidation:
@@ -364,7 +597,7 @@ class TestCheckValidation:
 
     def test_horizons_and_sizes(self):
         with pytest.raises(ValidationError):
-            verify_multi_burst_worst_case(0.9, 0.1, B=1, L=2, t_max=27)
+            verify_multi_burst_worst_case(0.9, 0.1, B=1, L=2, t_max=ENUM_T_CAP + 1)
         with pytest.raises(ValidationError):
             enumerate_multi_burst(23, 1, 2)
         with pytest.raises(ValidationError):
