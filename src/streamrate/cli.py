@@ -433,6 +433,12 @@ def main(argv=None) -> int:
     except (NumericalError, ConvergenceError, FloatingPointError) as exc:
         sys.stderr.write(f"numerical error: {exc}\n")
         return EXIT_NUMERICAL
+    except ModuleNotFoundError as exc:
+        # lossless, oracle and simulate import numpy on first use
+        if exc.name != "numpy":
+            raise
+        sys.stderr.write(f"streamrate {args.command}: this command needs numpy, which is not installed\n")
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ a recovery penalty that decays like 1/(W+1).
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -106,8 +107,7 @@ class MarkovChain:
             P = np.asarray(transition, dtype=float)
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"transition matrix must hold numbers: {exc}")
-        P = _validate_transition(P)
-        pi = stationary_distribution(P)
+        pi = stationary_distribution(P)  # validates P before its solve
         return cls(alphabet_size=P.shape[0], transition=P, stationary=pi)
 
     @classmethod
@@ -169,12 +169,21 @@ def _check_window(B: int, W: int) -> None:
         raise ValidationError("B and W must be nonnegative")
 
 
+def _lag_entropy(chain: MarkovChain, lag: int) -> float:
+    """H(s_lag | s_0) in bits: the pi-weighted row entropies of P^lag, all rows
+    in one pass.  Entries that are not positive (zeros, and the tiny negative
+    entries the row-sum tolerance admits) are skipped, so 0*log(0) = 0."""
+    Pk = np.linalg.matrix_power(chain.transition, lag)
+    logs = np.zeros_like(Pk)
+    np.log2(Pk, out=logs, where=Pk > 0.0)
+    return float(-(chain.stationary @ (Pk * logs).sum(axis=1)))
+
+
 def conditional_entropy_lag(chain: MarkovChain, lag: int) -> float:
     """H(s_lag | s_0) in bits for the stationary chain; lag >= 1."""
     if not isinstance(lag, (int, np.integer)) or lag < 1:
         raise ValidationError("lag must be a positive integer")
-    Pk = np.linalg.matrix_power(chain.transition, int(lag))
-    return float(sum(chain.stationary[a] * _entropy_bits(Pk[a]) for a in range(chain.alphabet_size)))
+    return _lag_entropy(chain, int(lag))
 
 
 def window_conditional_entropy(chain: MarkovChain, B: int, W: int) -> float:
@@ -198,17 +207,24 @@ def lossless_bounds(chain: MarkovChain, B: int, W: int) -> LosslessBounds:
     entropies through the Markov property: I(s_B; s_{B+j} | s_0) =
     H(s_{B+j}|s_0) - H(s_j|s_0).  At B = 0 both penalties vanish and the
     bounds equal the predictive rate.
+
+    Each distinct lag entropy is computed once: lag 1 alone when B = 0,
+    otherwise lags 1, B+1, W+1 and B+W+1.  The cross-check against the joint
+    window entropy H(s_{B+1}|s_0) + W * H(s_1|s_0) reads those same values,
+    which are exactly what `window_conditional_entropy` returns.
     """
     _check_window(B, W)
-    h1 = conditional_entropy_lag(chain, 1)
+    lags = {1} if B == 0 else {1, B + 1, W + 1, B + W + 1}
+    h = {k: _lag_entropy(chain, k) for k in lags}
+    h1 = h[1]
     if B == 0:
         mi_upper = mi_lower = 0.0
     else:
-        mi_upper = conditional_entropy_lag(chain, B + 1) - h1
-        mi_lower = conditional_entropy_lag(chain, B + W + 1) - conditional_entropy_lag(chain, W + 1)
+        mi_upper = h[B + 1] - h1
+        mi_lower = h[B + W + 1] - h[W + 1]
     upper = h1 + mi_upper / (W + 1)
     lower = h1 + mi_lower / (W + 1)
-    window = window_conditional_entropy(chain, B, W)
+    window = h[B + 1] + W * h1
     if abs(upper * (W + 1) - window) > 1e-10:
         raise NumericalError(
             f"amortized upper bound {upper * (W + 1):.12f} disagrees with the joint "
@@ -236,7 +252,7 @@ def multiterminal_sum_rate(chain: MarkovChain) -> float:
 def is_symmetric(chain: MarkovChain, tol: float) -> bool:
     """True iff the chain is reversible: pi(a) P(a,b) == pi(b) P(b,a) entrywise,
     so adjacent pairs can be exchanged without changing the joint law."""
-    if tol <= 0:
-        raise ValidationError("tolerance must be positive")
+    if not (0.0 < tol < math.inf):
+        raise ValidationError("tolerance must be positive and finite")
     flow = chain.stationary[:, None] * chain.transition
     return bool(np.max(np.abs(flow - flow.T)) <= tol)

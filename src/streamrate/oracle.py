@@ -130,6 +130,8 @@ class ErasurePattern:
 def worst_multi_burst(t: int, B: int, L: int) -> ErasurePattern:
     """Guard-respecting pattern packing bursts of length B toward time t;
     the earliest burst is truncated if fewer than B slots remain."""
+    if B < 0 or L < 1:
+        raise ValidationError("need burst length B >= 0 and guard L >= 1")
     erased: set[int] = set()
     i = t - 1
     while i >= 0:

@@ -27,8 +27,9 @@ class DistortionVector:
         vals = tuple(float(v) for v in self.values)
         if len(vals) < 1:
             raise ValidationError("distortion vector must have at least one entry")
-        if not all(0.0 < v <= 1.0 for v in vals):
-            raise ValidationError("distortions must lie in (0, 1]")
+        # below 2**-1024 the reciprocal overflows and every rate is infinite
+        if not all(0.0 < v <= 1.0 and 1.0 / v < math.inf for v in vals):
+            raise ValidationError("distortions must lie in (0, 1], with a finite reciprocal")
         if any(b < a for a, b in zip(vals, vals[1:])):
             raise ValidationError("distortions must be non-decreasing with lag")
         object.__setattr__(self, "values", vals)

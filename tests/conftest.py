@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from streamrate import MarkovChain
+from streamrate import LosslessBounds, MarkovChain, NumericalError
 
 
 def joint_pmf(chain: MarkovChain, length: int) -> np.ndarray:
@@ -50,3 +50,26 @@ def random_chain(rng: np.random.Generator, alphabet: int) -> MarkovChain:
     """Random irreducible chain: Dirichlet rows with a floor on every entry."""
     raw = rng.dirichlet(np.ones(alphabet), size=alphabet) + 0.05
     return MarkovChain.from_transition(raw / raw.sum(axis=1, keepdims=True))
+
+
+def oracle_lag_entropy(chain: MarkovChain, lag: int) -> float:
+    """H(s_lag | s_0) in bits, one row of P^lag at a time."""
+    Pk = np.linalg.matrix_power(chain.transition, lag)
+    return float(sum(chain.stationary[a] * entropy_bits(Pk[a]) for a in range(chain.alphabet_size)))
+
+
+def oracle_lossless_bounds(chain: MarkovChain, B: int, W: int) -> LosslessBounds:
+    """The lossless bounds with every lag entropy recomputed where it is used,
+    and the window cross-check on its own evaluations."""
+    h1 = oracle_lag_entropy(chain, 1)
+    if B == 0:
+        mi_upper = mi_lower = 0.0
+    else:
+        mi_upper = oracle_lag_entropy(chain, B + 1) - h1
+        mi_lower = oracle_lag_entropy(chain, B + W + 1) - oracle_lag_entropy(chain, W + 1)
+    upper = h1 + mi_upper / (W + 1)
+    lower = h1 + mi_lower / (W + 1)
+    window = oracle_lag_entropy(chain, B + 1) + W * oracle_lag_entropy(chain, 1)
+    if abs(upper * (W + 1) - window) > 1e-10:
+        raise NumericalError("amortized upper bound disagrees with the joint window entropy")
+    return LosslessBounds(upper=upper, lower=max(lower, h1), predictive_rate=h1, B=B, W=W)

@@ -385,6 +385,31 @@ class TestUsage:
         loaded = {m for m in done.stdout.split() if not m.startswith(("cython_runtime", "_cython_"))}
         assert loaded == third_party
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lossless", "--chain", "CHAIN", "--B", "1", "--W", "0"],
+            ["oracle", "--check", "single", "--rho", "0.9", "--sigma-z2", "0.1", "--tmax", "4"],
+            ["simulate", "--kind", "gm", "--sigma-z2", "0.3", "--T", "4", "--trials", "8"],
+        ],
+        ids=["lossless", "oracle", "simulate"],
+    )
+    def test_numpy_command_without_numpy_is_one_line(self, argv, chain_file):
+        # a None entry in sys.modules makes `import numpy` fail as if it were not installed
+        argv = [chain_file if a == "CHAIN" else a for a in argv]
+        code = (
+            "import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from streamrate import cli\n"
+            f"sys.exit(cli.main({argv!r}))\n"
+        )
+        src = os.path.dirname(os.path.dirname(sr.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr == f"streamrate {argv[0]}: this command needs numpy, which is not installed\n"
+
     def test_lazy_names_resolve_to_their_modules(self):
         assert sr.MarkovChain is sr.markov.MarkovChain
         assert sr.GaussianSystem is sr.oracle.GaussianSystem

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,11 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import oracle_conditional_entropy, random_chain
+from conftest import (
+    oracle_conditional_entropy,
+    oracle_lag_entropy,
+    oracle_lossless_bounds,
+    random_chain,
+)
 from streamrate import (
     ConvergenceError,
     LosslessBounds,
     MarkovChain,
+    NumericalError,
     ValidationError,
     binary_symmetric_chain,
     conditional_entropy_lag,
@@ -238,6 +245,12 @@ class TestIsSymmetric:
         chain = MarkovChain.from_transition([[0.7, 0.3], [0.2, 0.8]])
         assert is_symmetric(chain, 1e-10)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-9])
+    def test_tolerance_must_be_positive_and_finite(self, tol):
+        # a NaN tol made every chain asymmetric and an infinite one every chain symmetric
+        with pytest.raises(ValidationError):
+            is_symmetric(binary_symmetric_chain(0.1), tol)
+
     def test_cycle_not_reversible(self):
         P = np.full((3, 3), 0.0)
         for a in range(3):
@@ -392,3 +405,62 @@ class TestStationaryProperties:
     def test_block_diagonal_has_no_unique_law(self, P):
         with pytest.raises(ConvergenceError):
             stationary_distribution(P)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValidationError, NumericalError) as exc:
+        return exc
+
+
+class TestEntropyKernel:
+    """The one-pass lag entropy against the row-by-row loop it replaced."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(random_stochastic(), st.integers(1, 12), st.integers(0, 4), st.integers(0, 4))
+    def test_matches_row_loop(self, P, lag, B, W):
+        try:
+            chain = MarkovChain.from_transition(P)
+        except (ValidationError, ConvergenceError):
+            return
+        assert conditional_entropy_lag(chain, lag) == pytest.approx(
+            oracle_lag_entropy(chain, lag), rel=0, abs=1e-12
+        )
+        got = _outcome(lossless_bounds, chain, B, W)
+        expected = _outcome(oracle_lossless_bounds, chain, B, W)
+        assert type(got) is type(expected)
+        if isinstance(expected, LosslessBounds):
+            for field in ("upper", "lower", "predictive_rate"):
+                assert getattr(got, field) == pytest.approx(getattr(expected, field), rel=0, abs=1e-12)
+            assert (got.B, got.W) == (expected.B, expected.W)
+
+    @pytest.mark.parametrize(
+        "B, W, powers", [(0, 3, 1), (1, 0, 2), (1, 1, 3), (2, 1, 4), (3, 4, 4)]
+    )
+    def test_each_lag_powered_once(self, monkeypatch, B, W, powers):
+        chain = binary_symmetric_chain(0.1)
+        lags = []
+        matrix_power = np.linalg.matrix_power
+        monkeypatch.setattr(np.linalg, "matrix_power", lambda M, k: lags.append(k) or matrix_power(M, k))
+        lossless_bounds(chain, B, W)
+        assert len(lags) == len(set(lags)) == powers
+
+    @pytest.mark.parametrize(
+        "P",
+        [
+            [[0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [0.0, 1.0, 0.0]],
+            # a negative entry within the row-sum tolerance is skipped like a zero
+            [[-1e-13, 1.0 + 1e-13], [0.5, 0.5]],
+        ],
+        ids=["periodic-zeros", "negative-round-off"],
+    )
+    def test_zero_entries_raise_no_warning(self, P):
+        chain = MarkovChain.from_transition(P)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for lag in range(1, 6):
+                assert math.isfinite(conditional_entropy_lag(chain, lag))
+            for B in range(4):
+                for W in range(4):
+                    lossless_bounds(chain, B, W)

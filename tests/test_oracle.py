@@ -107,6 +107,12 @@ class TestErasurePattern:
         pat = worst_multi_burst(t=18, B=2, L=3)
         assert pat.received == (0, 3, 4, 5, 8, 9, 10, 13, 14, 15)
 
+    @pytest.mark.parametrize("B, L", [(0, 0), (2, 0), (-1, 1), (-1, 0)])
+    def test_worst_pattern_rejects_bad_burst_or_guard(self, B, L):
+        # with L = 0 (or B < 0) the packing loop never moved its index and hung
+        with pytest.raises(ValidationError):
+            worst_multi_burst(5, B, L)
+
     def test_enumeration_contains_no_erasure_and_star(self):
         pats = enumerate_multi_burst(8, 2, 3)
         received_sets = {p.received for p in pats}

@@ -1,7 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamrate import (
     DistortionVector,
@@ -191,3 +194,42 @@ class TestDecodability:
                                 B=B, W=W, K=K, horizon=24, burst_start=start, burst_len=burst_len
                             )
                             assert rep.passed, (B, W, K, start, burst_len, rep.first_failure)
+
+
+@st.composite
+def distortion_vectors(draw) -> DistortionVector:
+    """Non-decreasing d of 1..8 entries, each a legal distortion."""
+    values = draw(st.lists(st.floats(sys.float_info.min, 1.0), min_size=1, max_size=8))
+    return DistortionVector(tuple(sorted(values)))
+
+
+_window = st.integers(0, 4)
+
+
+class TestRateProperties:
+    def test_reciprocal_overflow_rejected(self):
+        # 1/d is infinite below 2**-1024, which made every rate infinite
+        for values in ((1e-310, 0.5), (5e-324,), (0.1, 1e-309)):
+            with pytest.raises(ValidationError):
+                DistortionVector(tuple(sorted(values)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(distortion_vectors(), _window, _window)
+    def test_rate_plan_and_baselines(self, d, B, W):
+        rate = rate_recovery(d, B, W)
+        assert math.isfinite(rate) and rate >= 0.0
+        plan = layer_plan(d, B, W)
+        assert plan.amortized_rate == pytest.approx(rate, rel=0, abs=1e-9)
+        assert all(r >= 0.0 for r in plan.tilde_rates)
+        assert all(b <= a for a, b in zip(plan.cum_rates, plan.cum_rates[1:]))
+        assert baseline_rates(d, B, W).minimum() >= rate - 1e-9
+        assert rate_recovery(d, B, W + 1) <= rate + 1e-12
+        assert rate_recovery(d, B + 1, W) >= rate - 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(distortion_vectors(), st.data(), _window, _window)
+    def test_rate_does_not_rise_as_an_entry_grows(self, d, data, B, W):
+        i = data.draw(st.integers(0, d.K))
+        v = data.draw(st.floats(d[i], d[i + 1] if i < d.K else 1.0))
+        grown = DistortionVector(d.values[:i] + (v,) + d.values[i + 1:])
+        assert rate_recovery(grown, B, W) <= rate_recovery(d, B, W) + 1e-12
