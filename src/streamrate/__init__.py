@@ -24,7 +24,6 @@ from .gauss_markov import (
     naive_wz_rate,
     rate_upper_multi,
     rate_upper_single,
-    riccati_prediction_error,
     solve_test_channel_single,
 )
 from .sliding import (
@@ -52,7 +51,7 @@ _LAZY = {
     "oracle": (
         "ErasurePattern", "GaussianSystem", "VerificationReport", "conditional_variance",
         "decode_mmse", "decode_rate", "enumerate_multi_burst", "verify_exchange_inequalities",
-        "verify_multi_burst_worst_case", "verify_single_burst_worst_case", "worst_multi_burst",
+        "verify_multi_burst_worst_case", "verify_single_burst_worst_case",
     ),
     "sim": (
         "BinningConfig", "BinningResult", "BurstSweepReport", "SimConfig", "StreamResult",

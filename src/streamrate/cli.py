@@ -3,16 +3,19 @@
 Thin adapters only: every subcommand parses flags, calls the library, and
 writes CSV/JSON ('.' decimal, header row, no locale formatting).  Exit codes:
 0 success, 1 validation/usage error, 2 numerical error, 3 a verification
-report found violations.
+report found violations, 141 the reader closed standard output early (128 +
+SIGPIPE, the status of a writer that SIGPIPE kills).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
 import math
+import os
 import sys
 
 from . import gauss_markov as gm
@@ -32,6 +35,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 EXIT_VERIFICATION = 3
+EXIT_BROKEN_PIPE = 141
 
 
 class _UsageError(Exception):
@@ -49,26 +53,28 @@ def _unit_scale(nats: bool) -> float:
     return LN2 if nats else 1.0
 
 
-def _write_csv(path: str | None, header: list[str], rows) -> None:
-    rows = list(rows)
+@contextlib.contextmanager
+def _output(path: str | None):
+    """Standard output for no path or "-", else the file at path."""
     if path is None or path == "-":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        yield sys.stdout
     else:
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
+            yield fh
+
+
+def _write_csv(path: str | None, header: list[str], rows) -> None:
+    rows = list(rows)
+    with _output(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _write_json(path: str | None, doc) -> None:
     text = json.dumps(doc, indent=2)
-    if path is None or path == "-":
-        sys.stdout.write(text + "\n")
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+    with _output(path) as fh:
+        fh.write(text + "\n")
 
 
 def _read_json(path: str, *keys: str) -> dict:
@@ -426,7 +432,14 @@ def main(argv=None) -> int:
     except _UsageError:
         return EXIT_VALIDATION
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to devnull, so the
+        # flush at interpreter exit does not fail again, and stop quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except ValidationError as exc:
         sys.stderr.write(f"validation error: {exc}\n")
         return EXIT_VALIDATION

@@ -14,7 +14,6 @@ provides the independent finite-horizon check.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 
@@ -24,9 +23,13 @@ from .errors import (
     NumericalError,
     PrecisionError,
     ValidationError,
+    check_int,
+    check_open_unit,
+    check_variance,
 )
 
 SIGMA_BRACKET = (1e-12, 1e12)
+GUARD_CAP = 10**4  # eta_multi steps through the guard, once per objective evaluation
 
 
 @dataclass(frozen=True)
@@ -40,14 +43,11 @@ class GmConfig:
     L: int = 1
 
     def __post_init__(self):
-        if not 0.0 < self.rho < 1.0:
-            raise ValidationError("rho must lie strictly inside (0, 1)")
+        check_open_unit("rho", self.rho)
         if not 0.0 < self.D <= 1.0:
             raise ValidationError("D must lie in (0, 1] for a unit-variance source")
-        if not (isinstance(self.B, numbers.Integral) and self.B >= 1):
-            raise ValidationError("B must be an integer >= 1")
-        if not (isinstance(self.L, numbers.Integral) and self.L >= 1):
-            raise ValidationError("L must be an integer >= 1")
+        check_int("B", self.B, 1)
+        check_int("L", self.L, 1, GUARD_CAP)
 
 
 @dataclass(frozen=True)
@@ -59,8 +59,7 @@ class TestChannel:
     sigma_z2: float
 
     def __post_init__(self):
-        if not (self.sigma_z2 > 0.0 and math.isfinite(self.sigma_z2)):
-            raise ValidationError("sigma_z2 must be positive and finite")
+        check_variance("sigma_z2", self.sigma_z2)
 
 
 @dataclass(frozen=True)
@@ -116,39 +115,17 @@ def lower_bound_single(cfg: GmConfig) -> float:
 def kalman_steady_sigma(rho: float, sigma_z2: float) -> float:
     """Steady-state one-step prediction error of the scalar Kalman filter that
     tracks the source through the test channel."""
-    if not 0.0 < rho < 1.0:
-        raise ValidationError("rho must lie strictly inside (0, 1)")
-    if sigma_z2 < 0.0:
-        raise ValidationError("sigma_z2 must be nonnegative")
+    check_open_unit("rho", rho)
+    check_variance("sigma_z2", sigma_z2, zero_ok=True)
+    return _steady_sigma(rho, sigma_z2)
+
+
+def _steady_sigma(rho: float, sigma_z2: float) -> float:
+    """`kalman_steady_sigma` on checked arguments: the objectives' kernel."""
     one_m_r2 = 1.0 - rho**2
     return 0.5 * math.sqrt(
         (1.0 - sigma_z2) ** 2 * one_m_r2**2 + 4.0 * sigma_z2 * one_m_r2
     ) + 0.5 * one_m_r2 * (1.0 - sigma_z2)
-
-
-def riccati_prediction_error(
-    rho: float, sigma_z2: float, tol: float = 1e-12, max_iter: int = 10**6
-) -> float:
-    """One-step prediction error by iterating the scalar Riccati recursion
-    p <- 1 - rho^2 + rho^2 * p * sigma_z2 / (p + sigma_z2) to its fixed point.
-
-    Independent check of kalman_steady_sigma.
-    """
-    if not 0.0 < rho < 1.0:
-        raise ValidationError("rho must lie strictly inside (0, 1)")
-    if sigma_z2 < 0.0:
-        raise ValidationError("sigma_z2 must be nonnegative")
-    # the map contracts by at most rho^2 per step, so an increment below
-    # tol * (1 - rho^2) / rho^2 certifies distance tol from the fixed point
-    stop = tol * min(1.0, (1.0 - rho**2) / rho**2)
-    p = 1.0
-    for _ in range(max_iter):
-        gain = 0.0 if p + sigma_z2 == 0.0 else p * sigma_z2 / (p + sigma_z2)
-        nxt = 1.0 - rho**2 + rho**2 * gain
-        if abs(nxt - p) < stop:
-            return nxt
-        p = nxt
-    raise ConvergenceError("Riccati iteration did not reach its fixed point")
 
 
 def gamma_single(cfg: GmConfig, tc: TestChannel) -> float:
@@ -160,7 +137,7 @@ def gamma_single(cfg: GmConfig, tc: TestChannel) -> float:
 
 def _single_aged(cfg: GmConfig, sigma_z2: float) -> float:
     """1 - rho^(2B) (1 - Sigma): the steady-state error aged across the burst."""
-    return 1.0 - cfg.rho ** (2 * cfg.B) * (1.0 - kalman_steady_sigma(cfg.rho, sigma_z2))
+    return 1.0 - cfg.rho ** (2 * cfg.B) * (1.0 - _steady_sigma(cfg.rho, sigma_z2))
 
 
 def _brentq(f, xpre: float, xcur: float, fpre: float, fcur: float) -> tuple[float, float]:
@@ -349,8 +326,7 @@ def finite_t_lower(cfg: GmConfig, t: int) -> float:
     Solved by damped fixed-point iteration; non-decreasing in t and converging
     to lower_bound_single as t grows.
     """
-    if not (isinstance(t, numbers.Integral) and t >= cfg.B + 1):
-        raise ValidationError("t must be an integer >= B + 1")
+    check_int("t", t, cfg.B + 1)
     if cfg.D >= 1.0:
         return 0.0
 

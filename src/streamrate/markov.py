@@ -12,15 +12,17 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, NumericalError, ValidationError
+from .errors import ConvergenceError, NumericalError, ValidationError, check_int
 
 ROW_SUM_TOL = 1e-12
 STATIONARY_TOL = 1e-10
+# lags, B and W: P^k built by repeated squaring drifts off row-stochastic by
+# about 1e-17 k, so at 2**40 the lag entropies are wrong in the 5th digit
+LAG_CAP = 10**6
 
 
 def _entropy_bits(p: np.ndarray) -> float:
@@ -124,8 +126,7 @@ class MarkovChain:
         chain = cls.from_transition(doc["transition"])
         if "alphabet_size" in doc:
             size = doc["alphabet_size"]
-            if not isinstance(size, numbers.Integral) or isinstance(size, bool):
-                raise ValidationError(f"alphabet_size must be an integer, got {size!r}")
+            check_int("alphabet_size", size)
             if size != chain.alphabet_size:
                 raise ValidationError("alphabet_size field disagrees with transition matrix")
         return chain
@@ -162,13 +163,6 @@ class LosslessBounds:
             raise ValidationError("bounds must coincide at W = 0")
 
 
-def _check_window(B: int, W: int) -> None:
-    if not (isinstance(B, (int, np.integer)) and isinstance(W, (int, np.integer))):
-        raise ValidationError("B and W must be integers")
-    if B < 0 or W < 0:
-        raise ValidationError("B and W must be nonnegative")
-
-
 def _lag_entropy(chain: MarkovChain, lag: int) -> float:
     """H(s_lag | s_0) in bits: the pi-weighted row entropies of P^lag, all rows
     in one pass.  Entries that are not positive (zeros, and the tiny negative
@@ -181,15 +175,15 @@ def _lag_entropy(chain: MarkovChain, lag: int) -> float:
 
 def conditional_entropy_lag(chain: MarkovChain, lag: int) -> float:
     """H(s_lag | s_0) in bits for the stationary chain; lag >= 1."""
-    if not isinstance(lag, (int, np.integer)) or lag < 1:
-        raise ValidationError("lag must be a positive integer")
+    check_int("lag", lag, 1, LAG_CAP)
     return _lag_entropy(chain, int(lag))
 
 
 def window_conditional_entropy(chain: MarkovChain, B: int, W: int) -> float:
     """H(s_{B+1}, ..., s_{B+W+1} | s_0) in bits via the chain-rule decomposition
     H(s_{B+1}|s_0) + W * H(s_1|s_0)."""
-    _check_window(B, W)
+    check_int("B", B, 0, LAG_CAP)
+    check_int("W", W, 0, LAG_CAP)
     h = conditional_entropy_lag(chain, B + 1)
     if W:
         h += W * conditional_entropy_lag(chain, 1)
@@ -213,7 +207,8 @@ def lossless_bounds(chain: MarkovChain, B: int, W: int) -> LosslessBounds:
     window entropy H(s_{B+1}|s_0) + W * H(s_1|s_0) reads those same values,
     which are exactly what `window_conditional_entropy` returns.
     """
-    _check_window(B, W)
+    check_int("B", B, 0, LAG_CAP)
+    check_int("W", W, 0, LAG_CAP)
     lags = {1} if B == 0 else {1, B + 1, W + 1, B + W + 1}
     h = {k: _lag_entropy(chain, k) for k in lags}
     h1 = h[1]
@@ -225,7 +220,7 @@ def lossless_bounds(chain: MarkovChain, B: int, W: int) -> LosslessBounds:
     upper = h1 + mi_upper / (W + 1)
     lower = h1 + mi_lower / (W + 1)
     window = h[B + 1] + W * h1
-    if abs(upper * (W + 1) - window) > 1e-10:
+    if not abs(upper * (W + 1) - window) <= 1e-10:  # NaN fails too
         raise NumericalError(
             f"amortized upper bound {upper * (W + 1):.12f} disagrees with the joint "
             f"window entropy {window:.12f}"
@@ -235,18 +230,21 @@ def lossless_bounds(chain: MarkovChain, B: int, W: int) -> LosslessBounds:
 
 def multiterminal_sum_rate(chain: MarkovChain) -> float:
     """Sum-rate floor H(s1|s0,s2) + H(s3|s0) of the two-decoder side-information
-    problem; equals twice the (B=1, W=1) lower bound."""
+    problem; equals twice the (B=1, W=1) lower bound.
+
+    H(s1|s0,s2) comes from the joint pmf of (s0, s1, s2) and is cross-checked
+    against its Markov form 2 H(s1|s0) - H(s2|s0), from lags 1 and 2."""
     P = chain.transition
     pi = chain.stationary
     joint3 = pi[:, None, None] * P[:, :, None] * P[None, :, :]
     h_mid = _entropy_bits(joint3) - _entropy_bits(joint3.sum(axis=1))
-    total = h_mid + conditional_entropy_lag(chain, 3)
-    cross = 2.0 * lossless_bounds(chain, 1, 1).lower
-    if abs(total - cross) > 1e-10:
+    h1, h2, h3 = (_lag_entropy(chain, k) for k in (1, 2, 3))
+    if not abs(h_mid - (2.0 * h1 - h2)) <= 1e-10:
         raise NumericalError(
-            f"sum rate {total:.12f} disagrees with twice the (B=1, W=1) lower bound {cross:.12f}"
+            f"H(s1|s0,s2) = {h_mid:.12f} from the joint pmf disagrees with "
+            f"2 H(s1|s0) - H(s2|s0) = {2.0 * h1 - h2:.12f}"
         )
-    return total
+    return h_mid + h3
 
 
 def is_symmetric(chain: MarkovChain, tol: float) -> bool:

@@ -53,13 +53,15 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, check_int, check_open_unit, check_seed, check_variance
 
 RIDGE = 1e-12
 SLACK_TOL = 1e-12
 DENSE_T_CAP = 30  # single-burst and exchange horizons
 ENUM_T_CAP = 500  # multi-burst check horizon: the report alone grows as t^2
 LIST_T_CAP = 22  # enumerate_multi_burst, which returns every pattern as a list
+MAX_SET_SIZE = 6  # largest conditioning set the exchange check samples
+SAMPLES_CAP = 10**4  # exchange samples, about 40 us each
 
 VarId = tuple[str, int]
 
@@ -87,8 +89,7 @@ class ErasurePattern:
     received: tuple[int, ...]
 
     def __post_init__(self):
-        if self.t < 0:
-            raise ValidationError("decoding time must be nonnegative")
+        check_int("decoding time t", self.t)
         rec = tuple(sorted(set(int(i) for i in self.received)))
         if rec and (rec[0] < 0 or rec[-1] >= self.t):
             raise ValidationError("received indices must lie in [0, t)")
@@ -127,25 +128,11 @@ class ErasurePattern:
         return pat
 
 
-def worst_multi_burst(t: int, B: int, L: int) -> ErasurePattern:
-    """Guard-respecting pattern packing bursts of length B toward time t;
-    the earliest burst is truncated if fewer than B slots remain."""
-    if B < 0 or L < 1:
-        raise ValidationError("need burst length B >= 0 and guard L >= 1")
-    erased: set[int] = set()
-    i = t - 1
-    while i >= 0:
-        lo = max(0, i - B + 1)
-        erased.update(range(lo, i + 1))
-        i = lo - 1 - L
-    received = tuple(j for j in range(t) if j not in erased)
-    return ErasurePattern.multi_burst(t, received, B, L)
-
-
 def enumerate_multi_burst(t: int, B: int, L: int) -> list[ErasurePattern]:
     """Every feasible pattern of erased runs (length <= B, gaps >= L) in [0, t)."""
-    if t > LIST_T_CAP:
-        raise ValidationError(f"enumeration horizon capped at t <= {LIST_T_CAP}")
+    check_int("t", t, 0, LIST_T_CAP)
+    check_int("B", B)
+    check_int("L", L, 1)
     layouts: list[tuple[int, ...]] = []
 
     def extend(next_free: int, erased: tuple[int, ...]) -> None:
@@ -164,18 +151,6 @@ def enumerate_multi_burst(t: int, B: int, L: int) -> list[ErasurePattern]:
     return out
 
 
-def _validate_model(rho: float, sigma_z2: float) -> None:
-    if not 0.0 < rho < 1.0:
-        raise ValidationError("rho must lie strictly inside (0, 1)")
-    if not 0.0 <= sigma_z2 < math.inf:
-        raise ValidationError("sigma_z2 must be nonnegative and finite")
-
-
-def _require_rate_noise(sigma_z2: float) -> None:
-    if sigma_z2 <= 0.0:
-        raise ValidationError("decode_rate needs a strictly positive test-channel noise")
-
-
 @dataclass(frozen=True)
 class GaussianSystem:
     """Joint covariance of (s_{-1}, s_0..s_t, u_0..u_t) with u_i = s_i + z_i.
@@ -189,9 +164,9 @@ class GaussianSystem:
     t: int
 
     def __post_init__(self):
-        _validate_model(self.rho, self.sigma_z2)
-        if self.t < 0:
-            raise ValidationError("horizon t must be nonnegative")
+        check_open_unit("rho", self.rho)
+        check_variance("sigma_z2", self.sigma_z2, zero_ok=True)
+        check_int("horizon t", self.t)
         times = np.concatenate([np.arange(-1, self.t + 1), np.arange(0, self.t + 1)])
         cov = self.rho ** np.abs(times[:, None] - times[None, :])
         n_s = self.t + 2
@@ -256,7 +231,7 @@ def decode_rate(sys: GaussianSystem, pattern: ErasurePattern) -> float:
     (1/2) log2(Var(u_t | u_received, s_{-1}) / sigma_z2)."""
     if pattern.t != sys.t:
         raise ValidationError("pattern and system horizons disagree")
-    _require_rate_noise(sys.sigma_z2)
+    check_variance("decode_rate: sigma_z2", sys.sigma_z2)
     given = [("u", i) for i in pattern.received] + [("s", -1)]
     var = conditional_variance(sys, ("u", sys.t), given)
     return 0.5 * float(np.log2(var / sys.sigma_z2))
@@ -362,7 +337,8 @@ class _Filter:
     """
 
     def __init__(self, rho: float, sigma_z2: float):
-        _validate_model(rho, sigma_z2)
+        check_open_unit("rho", rho)
+        check_variance("sigma_z2", sigma_z2, zero_ok=True)
         self.a = rho * rho
         self.q = 1.0 - self.a
         self.s2 = sigma_z2
@@ -424,8 +400,8 @@ def _burst_preds(filt: _Filter, t_max: int, B: int) -> list:
 
 
 def _stars(filt: _Filter, B: int, L: int, t_max: int) -> tuple[list, list]:
-    """Received slots and P_pred of `worst_multi_burst(t, B, L)`, the star,
-    for every horizon 0 <= t <= t_max.
+    """Received slots and P_pred of the star, the guard-respecting pattern
+    that packs bursts of length B toward t, for every horizon 0 <= t <= t_max.
 
     The star at t >= B + L is the star at t - B - L followed by L received
     and B erased slots, so its received list and its filter state extend
@@ -547,14 +523,10 @@ def verify_single_burst_worst_case(
     Degenerate identity instances (no erased packet) are skipped so the
     minimum slack reflects strict comparisons.
     """
-    if t_max > DENSE_T_CAP:
-        raise ValidationError(f"t_max capped at {DENSE_T_CAP}")
-    if t_max < B + 1:
-        raise ValidationError("t_max must be at least B + 1")
-    if B < 0:
-        raise ValidationError("burst length B must be nonnegative")
+    check_int("B", B)
+    check_int("t_max", t_max, B + 1, DENSE_T_CAP)
+    check_variance("sigma_z2", sigma_z2)
     filt = _Filter(rho, sigma_z2)
-    _require_rate_noise(sigma_z2)
 
     preds = _burst_preds(filt, t_max, B)
 
@@ -643,12 +615,11 @@ def verify_multi_burst_worst_case(
     the DP and as many for the stars; the report's received lists hold
     O(t_max^2) integers, which is what ENUM_T_CAP bounds.
     """
-    if t_max > ENUM_T_CAP:
-        raise ValidationError(f"t_max capped at {ENUM_T_CAP}")
-    if B < 0 or L < 1:
-        raise ValidationError("need burst length B >= 0 and guard L >= 1")
+    check_int("t_max", t_max, 1, ENUM_T_CAP)
+    check_int("B", B)
+    check_int("L", L, 1)
+    check_variance("sigma_z2", sigma_z2)
     filt = _Filter(rho, sigma_z2)
-    _require_rate_noise(sigma_z2)
 
     stars_received, star_preds = _stars(filt, B, L, t_max)
 
@@ -695,7 +666,6 @@ def verify_exchange_inequalities(
     t: int = 20,
     samples: int = 500,
     seed: int = 0,
-    max_set_size: int = 6,
 ) -> VerificationReport:
     """Check the two observation-exchange facts behind the worst-case proofs,
     as variance inequalities.
@@ -707,14 +677,11 @@ def verify_exchange_inequalities(
 
     Domination: for index sets A, B with a_i <= b_i entrywise, conditioning on
     the later set B is at least as informative; sampled over random dominating
-    pairs with |A| = |B| <= max_set_size.
+    pairs with |A| = |B| <= MAX_SET_SIZE.
     """
-    if t > DENSE_T_CAP:
-        raise ValidationError(f"t capped at {DENSE_T_CAP}")
-    if t < max_set_size + 2:
-        raise ValidationError("horizon too small for the requested set size")
-    if samples < 0:
-        raise ValidationError("samples must be nonnegative")
+    check_int("t", t, MAX_SET_SIZE + 2, DENSE_T_CAP)
+    check_int("samples", samples, 0, SAMPLES_CAP)
+    check_seed(seed)
     filt = _Filter(rho, sigma_z2)
     s2 = filt.s2
     track = _SlackTracker()
@@ -731,7 +698,7 @@ def verify_exchange_inequalities(
                 track.add(filt.mmse(new) - filt.mmse(old), _REPLACE, "replace-s", tt, bl, k)
 
     for _ in range(samples):
-        r = int(rng.integers(1, max_set_size + 1))
+        r = int(rng.integers(1, MAX_SET_SIZE + 1))
         later = np.sort(rng.choice(np.arange(1, t), size=r, replace=False))
         earlier = []
         prev = 0

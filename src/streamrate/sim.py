@@ -37,10 +37,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_int, check_open_unit, check_seed, check_variance
 
 HORIZON_CAP = 10**4
 BLOCK_CAP = 16
+TRIALS_CAP = 10**7  # the stream filter holds four float64 lanes of this length
 
 
 def _philox(seed: int) -> np.random.Generator:
@@ -60,17 +61,16 @@ class SimConfig:
     bursts: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        if not 0.0 < self.rho < 1.0:
-            raise ValidationError("rho must lie strictly inside (0, 1)")
-        if not 0.0 < self.sigma_z2 < math.inf:
-            raise ValidationError("sigma_z2 must be positive and finite")
-        if not 1 <= self.horizon <= HORIZON_CAP:
-            raise ValidationError(f"horizon must lie in [1, {HORIZON_CAP}]")
-        if self.trials < 1:
-            raise ValidationError("need at least one trial")
+        check_open_unit("rho", self.rho)
+        check_variance("sigma_z2", self.sigma_z2)
+        check_int("horizon", self.horizon, 1, HORIZON_CAP)
+        check_int("trials", self.trials, 1, TRIALS_CAP)
+        check_seed(self.seed)
         spans = []
         for start, length in self.bursts:
-            if length < 0 or start < 0 or start + length > self.horizon:
+            check_int("burst start", start)
+            check_int("burst length", length)
+            if start + length > self.horizon:
                 raise ValidationError(f"burst ({start}, {length}) outside the horizon")
             spans.append((start, start + length))
         for (a0, a1), (b0, b1) in zip(sorted(spans), sorted(spans)[1:]):
@@ -204,17 +204,14 @@ def sweep_burst_position(
     ``simulate_gm_stream`` run with that burst bit for bit; ``cfg.bursts``
     is ignored."""
     t = cfg.horizon - 1 if decode_time is None else decode_time
-    if not B >= 1:
-        raise ValidationError("burst length must be at least 1")
-    if not 0 <= t < cfg.horizon:
-        raise ValidationError("decode time outside the horizon")
-    if offsets is None:
-        offsets = tuple(range(0, min(10, t - B) + 1))
-    offsets = tuple(int(k) for k in offsets)
+    check_int("B", B, 1)
+    check_int("decode_time", t, 0, cfg.horizon - 1)
+    offsets = tuple(range(0, min(10, t - B) + 1) if offsets is None else offsets)
     if not offsets:
         raise ValidationError("no burst offset to sweep: need 0 <= k <= decode_time - B")
-    if any(k < 0 or k > t - B for k in offsets):
-        raise ValidationError("offsets must satisfy 0 <= k <= decode_time - B")
+    for k in offsets:
+        check_int("offset", k, 0, t - B)
+    offsets = tuple(int(k) for k in offsets)
 
     stream = _Stream(cfg)
     at_start = {}
@@ -254,12 +251,10 @@ class BinningConfig:
     seed: int
 
     def __post_init__(self):
-        if not 1 <= self.n <= BLOCK_CAP:
-            raise ValidationError(f"block length must lie in [1, {BLOCK_CAP}]")
-        if not 0.0 < self.q < 1.0:
-            raise ValidationError("flip probability must lie in (0, 1)")
-        if self.trials < 1:
-            raise ValidationError("need at least one trial")
+        check_int("block length n", self.n, 1, BLOCK_CAP)
+        check_open_unit("flip probability q", self.q)
+        check_int("trials", self.trials, 1, TRIALS_CAP)
+        check_seed(self.seed)
         if not -math.inf < self.rate <= 1.0:
             raise ValidationError("rate must be finite and at most 1 bit per symbol")
         if self.bin_count < 1:

@@ -11,10 +11,11 @@ decodability checker for the packing, and four baseline schemes live here.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import ValidationError, check_int
+
+WINDOW_CAP = 10**4  # B and W: the layer plan and the reduced window hold B + W + 1 entries
 
 
 @dataclass(frozen=True)
@@ -43,10 +44,8 @@ class DistortionVector:
 
 
 def _check_bw(B: int, W: int) -> None:
-    if not (isinstance(B, numbers.Integral) and isinstance(W, numbers.Integral)):
-        raise ValidationError("B and W must be integers")
-    if B < 0 or W < 0:
-        raise ValidationError("B and W must be nonnegative")
+    check_int("B", B, 0, WINDOW_CAP)
+    check_int("W", W, 0, WINDOW_CAP)
 
 
 def reduce_window(d: DistortionVector, B: int, W: int) -> DistortionVector:
@@ -171,11 +170,11 @@ def decodability_check(
     violation, if any, is reported.
     """
     _check_bw(B, W)
-    if not (isinstance(K, numbers.Integral) and K >= 0):
-        raise ValidationError("K must be a nonnegative integer")
-    if burst_len < 0 or burst_len > B:
-        raise ValidationError("burst length must lie in [0, B]")
-    if burst_start < 0 or horizon < burst_start + burst_len + W + K:
+    check_int("K", K)
+    check_int("horizon", horizon)
+    check_int("burst_start", burst_start)
+    check_int("burst_len", burst_len, 0, B)
+    if horizon < burst_start + burst_len + W + K:
         raise ValidationError(
             "invalid window geometry: need horizon >= burst_start + burst_len + W + K"
         )

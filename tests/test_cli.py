@@ -432,3 +432,22 @@ class TestUsage:
         assert run(argv) == 0
         assert capsys.readouterr().out == first
         assert first.startswith("B,W,predictive_rate,lower,upper\n2,1,")
+
+
+class TestClosedPipe:
+    def test_reader_closing_after_one_line_ends_quietly(self):
+        # 10,001 lines: far more than the pipe buffer, so the writer is still
+        # writing when the reader goes away
+        argv = ["simulate", "--kind", "gm", "--sigma-z2", "0.1", "--T", "10000", "--trials", "2"]
+        src = os.path.dirname(os.path.dirname(sr.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "streamrate.cli", *argv],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline() == b"time,mse,stderr,exact_mmse,erased\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE == 141
+        assert stderr == b""

@@ -23,9 +23,9 @@ from streamrate import (
     naive_wz_rate,
     rate_upper_multi,
     rate_upper_single,
-    riccati_prediction_error,
     solve_test_channel_single,
 )
+from oracles import riccati_prediction_error
 from streamrate.gauss_markov import (
     SIGMA_BRACKET,
     _brentq,

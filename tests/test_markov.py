@@ -14,6 +14,7 @@ from conftest import (
     oracle_lossless_bounds,
     random_chain,
 )
+import streamrate.markov as markov
 from streamrate import (
     ConvergenceError,
     LosslessBounds,
@@ -445,6 +446,24 @@ class TestEntropyKernel:
         monkeypatch.setattr(np.linalg, "matrix_power", lambda M, k: lags.append(k) or matrix_power(M, k))
         lossless_bounds(chain, B, W)
         assert len(lags) == len(set(lags)) == powers
+
+    def test_sum_rate_powers_each_lag_once(self, monkeypatch):
+        # H(s3|s0) was computed twice: once for the sum, once in its cross-check
+        chain = random_chain(np.random.default_rng(5), 4)
+        expected = multiterminal_sum_rate(chain)
+        lags = []
+        matrix_power = np.linalg.matrix_power
+        monkeypatch.setattr(np.linalg, "matrix_power", lambda M, k: lags.append(k) or matrix_power(M, k))
+        assert multiterminal_sum_rate(chain) == expected
+        assert sorted(lags) == [1, 2, 3]
+
+    def test_sum_rate_cross_check_fires(self, monkeypatch):
+        # the joint-pmf H(s1|s0,s2) against 2 H(s1|s0) - H(s2|s0), from a wrong lag entropy
+        chain = binary_symmetric_chain(0.1)
+        lag_entropy = markov._lag_entropy
+        monkeypatch.setattr(markov, "_lag_entropy", lambda c, k: lag_entropy(c, k) + (1e-9 if k == 2 else 0.0))
+        with pytest.raises(NumericalError, match="joint pmf"):
+            multiterminal_sum_rate(chain)
 
     @pytest.mark.parametrize(
         "P",

@@ -21,8 +21,8 @@ from streamrate import (
     verify_exchange_inequalities,
     verify_multi_burst_worst_case,
     verify_single_burst_worst_case,
-    worst_multi_burst,
 )
+from oracles import worst_multi_burst
 from streamrate.oracle import (
     ENUM_T_CAP,
     _burst_preds,
@@ -611,7 +611,7 @@ class TestCheckValidation:
         with pytest.raises(ValidationError):
             verify_exchange_inequalities(0.9, 0.1, t=31)
         with pytest.raises(ValidationError):
-            verify_exchange_inequalities(0.9, 0.1, t=7, max_set_size=6)
+            verify_exchange_inequalities(0.9, 0.1, t=7)
         for B, L in ((-1, 2), (2, 0)):
             with pytest.raises(ValidationError):
                 verify_multi_burst_worst_case(0.9, 0.1, B=B, L=L, t_max=6)
