@@ -6,7 +6,8 @@ through the additive test channel, u_i = s_i + z_i.
 The dense API (`GaussianSystem`, `conditional_variance`, `decode_rate`,
 `decode_mmse`) builds the joint covariance of (s_{-1}, s_0..s_t, u_0..u_t)
 and answers any query by Schur complement, at O(t^3) per query.  It is the
-general public interface and the independent cross-check in the tests.
+general public interface and the independent cross-check in the tests; it
+imports numpy when called, not when the module loads.
 
 The worst-case-erasure checks run on a scalar Kalman filter instead.  The
 state is scalar and s_{-1} is known, so conditioning on any set of received
@@ -42,6 +43,10 @@ far inside the 1e-12 slack tolerance.
 
 Reports are plain dataclasses serializable to JSON: pass/fail, instance
 counts, the minimum slack observed, and the worst instance.
+
+The single- and multi-burst checks run on the standard library alone, so
+`streamrate oracle --check single|multi` starts without loading numpy.  The
+exchange check imports numpy for its seeded draws.
 """
 
 from __future__ import annotations
@@ -51,13 +56,12 @@ import math
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-import numpy as np
-
 from .errors import NumericalError, ValidationError, check_int, check_open_unit, check_seed, check_variance
 
 RIDGE = 1e-12
 SLACK_TOL = 1e-12
-DENSE_T_CAP = 30  # single-burst and exchange horizons
+SINGLE_T_CAP = 30  # single-burst check horizon
+EXCHANGE_T_CAP = 30  # exchange check horizon
 ENUM_T_CAP = 500  # multi-burst check horizon: the report alone grows as t^2
 LIST_T_CAP = 22  # enumerate_multi_burst, which returns every pattern as a list
 MAX_SET_SIZE = 6  # largest conditioning set the exchange check samples
@@ -167,6 +171,8 @@ class GaussianSystem:
         check_open_unit("rho", self.rho)
         check_variance("sigma_z2", self.sigma_z2, zero_ok=True)
         check_int("horizon t", self.t)
+        import numpy as np
+
         times = np.concatenate([np.arange(-1, self.t + 1), np.arange(0, self.t + 1)])
         cov = self.rho ** np.abs(times[:, None] - times[None, :])
         n_s = self.t + 2
@@ -193,6 +199,8 @@ class GaussianSystem:
         raise ValidationError(f"unknown variable kind {name!r}")
 
     def min_eigenvalue(self) -> float:
+        import numpy as np
+
         return float(np.linalg.eigvalsh(self._cov)[0])
 
 
@@ -203,6 +211,8 @@ def conditional_variance(sys: GaussianSystem, target: VarId, given) -> float:
     numerically singular (test channels with near-zero noise), and raises
     NumericalError with a condition-number diagnostic if that also fails.
     """
+    import numpy as np
+
     ti = sys.index(target)
     gi = [sys.index(v) for v in given]
     if ti in gi:
@@ -229,6 +239,8 @@ def conditional_variance(sys: GaussianSystem, target: VarId, given) -> float:
 def decode_rate(sys: GaussianSystem, pattern: ErasurePattern) -> float:
     """Bits needed to recover the time-t packet given the received history:
     (1/2) log2(Var(u_t | u_received, s_{-1}) / sigma_z2)."""
+    import numpy as np
+
     if pattern.t != sys.t:
         raise ValidationError("pattern and system horizons disagree")
     check_variance("decode_rate: sigma_z2", sys.sigma_z2)
@@ -500,6 +512,17 @@ def _other_instance(side: str, t: int, top: list, star: list[int]) -> dict:
     return {"side": side, "t": t, "received": first if first != star else _path_received(t, top[1])}
 
 
+def _check_rate_noise(sigma_z2: float) -> None:
+    """The rate side divides by sigma_z2, and Var(u_t | .) is at most
+    1 + sigma_z2: past where that ratio overflows, rates read inf and their
+    slacks NaN, a false violation."""
+    check_variance("sigma_z2", sigma_z2)
+    if not math.isfinite((1.0 + sigma_z2) / sigma_z2):
+        raise NumericalError(
+            f"sigma_z2 = {sigma_z2!r} is too small: the rate (1/2) log2(Var(u_t) / sigma_z2) overflows"
+        )
+
+
 _PROP_LEN_OFFSET = _fields("property", "side", "t", "len", "offset")
 _PROP_LEN = _fields("property", "side", "t", "len")
 _PROP = _fields("property", "side", "t")
@@ -524,8 +547,8 @@ def verify_single_burst_worst_case(
     minimum slack reflects strict comparisons.
     """
     check_int("B", B)
-    check_int("t_max", t_max, B + 1, DENSE_T_CAP)
-    check_variance("sigma_z2", sigma_z2)
+    check_int("t_max", t_max, B + 1, SINGLE_T_CAP)
+    _check_rate_noise(sigma_z2)
     filt = _Filter(rho, sigma_z2)
 
     preds = _burst_preds(filt, t_max, B)
@@ -618,7 +641,7 @@ def verify_multi_burst_worst_case(
     check_int("t_max", t_max, 1, ENUM_T_CAP)
     check_int("B", B)
     check_int("L", L, 1)
-    check_variance("sigma_z2", sigma_z2)
+    _check_rate_noise(sigma_z2)
     filt = _Filter(rho, sigma_z2)
 
     stars_received, star_preds = _stars(filt, B, L, t_max)
@@ -677,9 +700,12 @@ def verify_exchange_inequalities(
 
     Domination: for index sets A, B with a_i <= b_i entrywise, conditioning on
     the later set B is at least as informative; sampled over random dominating
-    pairs with |A| = |B| <= MAX_SET_SIZE.
+    pairs with |A| = |B| <= MAX_SET_SIZE.  The sampler draws from numpy, the
+    one use of numpy among the checks.
     """
-    check_int("t", t, MAX_SET_SIZE + 2, DENSE_T_CAP)
+    import numpy as np
+
+    check_int("t", t, MAX_SET_SIZE + 2, EXCHANGE_T_CAP)
     check_int("samples", samples, 0, SAMPLES_CAP)
     check_seed(seed)
     filt = _Filter(rho, sigma_z2)

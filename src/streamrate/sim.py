@@ -42,6 +42,7 @@ from .errors import ValidationError, check_int, check_open_unit, check_seed, che
 HORIZON_CAP = 10**4
 BLOCK_CAP = 16
 TRIALS_CAP = 10**7  # the stream filter holds four float64 lanes of this length
+DECODE_CHUNK = 1 << 18  # binning candidate-table entries decoded at once
 
 
 def _philox(seed: int) -> np.random.Generator:
@@ -279,37 +280,44 @@ class BinningResult:
 
 def simulate_binning(cfg: BinningConfig) -> BinningResult:
     """Estimate the block error probability of bin-index coding with the true
-    previous block as side information and exhaustive in-bin decoding."""
+    previous block as side information and exhaustive in-bin decoding.
+
+    Trials are decoded in chunks of at most ``DECODE_CHUNK`` candidate-table
+    entries; the flip bits are drawn chunk by chunk in row order, which is
+    the order of one whole draw, so the results do not depend on the chunking.
+    """
     rng = _philox(cfg.seed)
     size = 1 << cfg.n
     nb = cfg.bin_count
 
     perm = rng.permutation(size)
-    # balanced partition: position p in the permutation goes to bin p mod nb
+    # balanced partition: position p in the permutation goes to bin p mod nb,
+    # so row b of the padded permutation's transpose holds bin b in
+    # permutation order; a short bin repeats its first member
     width = -(-size // nb)
-    members = np.empty((nb, width), dtype=np.int64)
-    for b in range(nb):
-        chunk = perm[b::nb]
-        members[b, : len(chunk)] = chunk
-        members[b, len(chunk) :] = chunk[0] if len(chunk) else 0
+    pad = nb * width - size
+    members = np.concatenate([perm, perm[nb - pad : nb]]).reshape(width, nb).T.copy()
     bin_of = np.empty(size, dtype=np.int64)
     bin_of[perm] = np.arange(size) % nb
 
     popcount = np.zeros(size, dtype=np.uint8)
     for bit in range(cfg.n):
         popcount += (np.arange(size) >> bit).astype(np.uint8) & 1
+    weights = 1 << np.arange(cfg.n)
+    # the earliest member at the least (q <= 1/2) or greatest (q > 1/2) distance
+    closest = np.argmax if cfg.q > 0.5 else np.argmin
 
     prev = rng.integers(0, size, size=cfg.trials)
-    flip_bits = rng.random((cfg.trials, cfg.n)) < cfg.q
-    flips = flip_bits @ (1 << np.arange(cfg.n))
-    sent = prev ^ flips
-
-    cand = members[bin_of[sent]]  # (trials, width)
-    dist = popcount[cand ^ prev[:, None]].astype(np.int16)
-    if cfg.q > 0.5:
-        dist = -dist
-    decoded = cand[np.arange(cfg.trials), np.argmin(dist, axis=1)]
-    errors = int(np.count_nonzero(decoded != sent))
+    rows = max(1, DECODE_CHUNK // width)
+    errors = 0
+    for lo in range(0, cfg.trials, rows):
+        side = prev[lo : lo + rows]
+        flips = (rng.random((len(side), cfg.n)) < cfg.q) @ weights
+        diff = members[bin_of[side ^ flips]]  # (rows, width): candidates xor side information
+        diff ^= side[:, None]
+        picked = diff[np.arange(len(side)), closest(popcount[diff], axis=1)]
+        # the decoded block differs from the sent one exactly when picked != flips
+        errors += int(np.count_nonzero(picked != flips))
 
     p = errors / cfg.trials
     se = math.sqrt(max(p * (1.0 - p), 0.0) / cfg.trials)

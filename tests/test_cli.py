@@ -18,6 +18,9 @@ def run(argv):
 
 
 GOLDEN = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "golden")
+GOLDEN_MULTI_ARGV = [
+    "oracle", "--check", "multi", "--B", "2", "--L", "3", "--rho", "0.9", "--sigma-z2", "0.1", "--tmax", "18",
+]
 GOLDEN_SIMULATE_ARGV = [
     "simulate", "--kind", "gm", "--rho", "0.9", "--D", "0.2", "--B", "1",
     "--T", "50", "--trials", "100000", "--burst", "48:1",
@@ -165,6 +168,44 @@ class TestOracleCommand:
         )
         assert code == 3
 
+
+    @pytest.mark.parametrize(
+        "check",
+        [["--check", "single", "--B", "0"], ["--check", "multi", "--B", "1", "--L", "1"]],
+        ids=["single", "multi"],
+    )
+    def test_subnormal_noise_is_numerical_error(self, check, capsys):
+        # the rate (1/2) log2(Var(u_t) / sigma_z2) overflows, and inf - inf
+        # slacks read NaN: a false violation (exit 3) before the check
+        argv = ["oracle", *check, "--rho", "0.9", "--tmax", "6"]
+        assert run([*argv, "--sigma-z2", "5e-324"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numerical error:") and captured.err.count("\n") == 1
+        assert run([*argv, "--sigma-z2", "1e-300"]) == 0
+        assert json.loads(capsys.readouterr().out)["passed"] is True
+
+    def test_golden_multi_without_numpy(self, capsys):
+        # the single and multi checks run on the standard library alone
+        assert run(GOLDEN_MULTI_ARGV) == 0
+        expected = capsys.readouterr().out
+        code = (
+            "import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from streamrate import cli\n"
+            f"sys.exit(cli.main({GOLDEN_MULTI_ARGV!r}))\n"
+        )
+        src = os.path.dirname(os.path.dirname(sr.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == expected
+        with open(os.path.join(GOLDEN, "multi_B2_L3_t18.json"), encoding="utf-8") as fh:
+            golden = json.load(fh)
+        doc = json.loads(expected)
+        assert (doc["passed"], doc["checks"]) == (golden["passed"], golden["checks"])
+        for t, fields in golden["horizons"].items():
+            assert {k: doc["details"][t][k] for k in fields} == fields
 
     @pytest.mark.parametrize(
         "argv",
@@ -356,11 +397,15 @@ class TestUsage:
             (["figure", "--id", "fig4"], {"streamrate"}),
             (["lossless", "--chain", "CHAIN", "--B", "1", "--W", "1"], {"numpy", "streamrate"}),
             (["oracle", "--check", "single", "--rho", "0.9", "--sigma-z2", "0.1", "--tmax", "4"],
+             {"streamrate"}),
+            (GOLDEN_MULTI_ARGV, {"streamrate"}),
+            (["oracle", "--check", "exchange", "--rho", "0.9", "--sigma-z2", "0.1", "--tmax", "8"],
              {"numpy", "streamrate"}),
             (["simulate", "--kind", "gm", "--sigma-z2", "0.3", "--T", "4", "--trials", "8"],
              {"numpy", "streamrate"}),
         ],
-        ids=["import", "gm", "sliding", "figure", "lossless", "oracle", "simulate"],
+        ids=["import", "gm", "sliding", "figure", "lossless", "oracle", "oracle-multi", "oracle-exchange",
+             "simulate"],
     )
     def test_command_loads_numpy_only_when_it_needs_it(self, argv, third_party, chain_file):
         # a fresh interpreter, so modules loaded by the test run do not count
@@ -389,7 +434,7 @@ class TestUsage:
         "argv",
         [
             ["lossless", "--chain", "CHAIN", "--B", "1", "--W", "0"],
-            ["oracle", "--check", "single", "--rho", "0.9", "--sigma-z2", "0.1", "--tmax", "4"],
+            ["oracle", "--check", "exchange", "--rho", "0.9", "--sigma-z2", "0.1", "--tmax", "8"],
             ["simulate", "--kind", "gm", "--sigma-z2", "0.3", "--T", "4", "--trials", "8"],
         ],
         ids=["lossless", "oracle", "simulate"],

@@ -11,6 +11,7 @@ from streamrate import (
     SimConfig,
     ValidationError,
     decode_mmse,
+    sim,
     simulate_binning,
     simulate_gm_stream,
     solve_test_channel_single,
@@ -189,6 +190,24 @@ class TestBinning:
     def test_confidence_interval_brackets_estimate(self):
         res = simulate_binning(BinningConfig(n=8, q=0.1, rate=0.7, trials=5000, seed=43))
         assert res.ci_low <= res.p_hat <= res.ci_high
+
+    @pytest.mark.parametrize(
+        "n, q, rate, trials, seed, errors",
+        [
+            (16, 0.1, 0.77, 20000, 5, 796),  # the benchmark's shape: one chunk of 20000 x 13
+            (16, 0.1, 0.0, 300, 2, 248),  # one bin of 2^16: 75 chunks of 4 trials
+            (12, 0.6, 0.5, 3000, 1, 2813),  # q > 1/2: the farthest member is decoded
+        ],
+    )
+    def test_errors_are_frozen(self, n, q, rate, trials, seed, errors):
+        # the Philox seed contract: error counts of the unchunked decoder
+        assert simulate_binning(BinningConfig(n=n, q=q, rate=rate, trials=trials, seed=seed)).errors == errors
+
+    def test_chunk_size_does_not_change_results(self, monkeypatch):
+        cfg = BinningConfig(n=10, q=0.08, rate=0.6, trials=3001, seed=47)
+        whole = simulate_binning(cfg)
+        monkeypatch.setattr(sim, "DECODE_CHUNK", 1)  # one trial per chunk
+        assert simulate_binning(cfg) == whole
 
     def test_validation(self):
         with pytest.raises(ValidationError):
