@@ -41,8 +41,8 @@ from .sliding import (
 __version__ = "0.1.0"
 
 # modules imported on first use (PEP 562), so the analytic core loads without
-# numpy: markov and sim import it, and oracle only for its dense Schur API and
-# the exchange sampler; module -> the names the package re-exports from it
+# numpy: markov and sim import it, and oracle only for its dense Schur API;
+# module -> the names the package re-exports from it
 _LAZY = {
     "markov": (
         "LosslessBounds", "MarkovChain", "binary_symmetric_chain", "conditional_entropy_lag",

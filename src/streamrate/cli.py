@@ -447,7 +447,7 @@ def main(argv=None) -> int:
         sys.stderr.write(f"numerical error: {exc}\n")
         return EXIT_NUMERICAL
     except ModuleNotFoundError as exc:
-        # lossless, simulate and oracle --check exchange import numpy on first use
+        # lossless and simulate import numpy on first use
         if exc.name != "numpy":
             raise
         sys.stderr.write(f"streamrate {args.command}: this command needs numpy, which is not installed\n")

@@ -65,6 +65,6 @@ def check_variance(name: str, value, zero_ok: bool = False) -> None:
 
 
 def check_seed(value) -> None:
-    """An integer in [0, 2**64), the keys both the Philox stream and
-    `numpy.random.default_rng` accept."""
+    """An integer in [0, 2**64): a Philox key, and the seed of the exchange
+    check's `random.Random`."""
     check_int("seed", value, 0, 2**64 - 1)

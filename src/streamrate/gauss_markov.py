@@ -87,14 +87,14 @@ def lower_bound_closed_form(rho: float, B: int, D: float) -> float:
     """Converse rate as an explicit formula; no argument validation.
 
     R = (1/2) log2((D rho^2 + 1 - rho^(2(B+1)) + sqrt(delta)) / (2 D)) with
-    delta = (D rho^2 + 1 - rho^(2(B+1)))^2 - 4 D rho^2 (1 - rho^(2B)).
+    delta = (D rho^2 + 1 - rho^(2(B+1)))^2 - 4 D rho^2 (1 - rho^(2B)).  With
+    x = rho^2 and y = rho^(2B) that is the sum of two nonnegative terms,
+    delta = (x D + 2 y - 1 - x y)^2 + 4 y (1 - y) (1 - x), so no rounding
+    makes it negative.
     """
-    b = D * rho**2 + 1.0 - rho ** (2 * (B + 1))
-    delta = b * b - 4.0 * D * rho**2 * (1.0 - rho ** (2 * B))
-    if delta < 0.0:
-        if delta < -1e-13:
-            raise NumericalError(f"negative discriminant {delta:.3e}")
-        delta = 0.0
+    x, y = rho**2, rho ** (2 * B)
+    b = D * x + 1.0 - rho ** (2 * (B + 1))
+    delta = (x * D + 2.0 * y - 1.0 - x * y) ** 2 + 4.0 * y * (1.0 - y) * (1.0 - x)
     return 0.5 * math.log2((b + math.sqrt(delta)) / (2.0 * D))
 
 
@@ -104,12 +104,13 @@ def lower_bound_single(cfg: GmConfig) -> float:
     by the closed form `lower_bound_closed_form`; 0 when D >= 1.
 
     The quadratic is negative at x = 1 for D < 1, so exactly one root lies
-    above 1.  The tests check the closed form against a generic polynomial
-    root finder.
+    above 1.  Where that root is within rounding of 1 (rho and D both near 1)
+    the closed form can read about -1e-16, so the rate is floored at 0.  The
+    tests check the closed form against a generic polynomial root finder.
     """
     if cfg.D >= 1.0:
         return 0.0
-    return lower_bound_closed_form(cfg.rho, cfg.B, cfg.D)
+    return max(0.0, lower_bound_closed_form(cfg.rho, cfg.B, cfg.D))
 
 
 def kalman_steady_sigma(rho: float, sigma_z2: float) -> float:

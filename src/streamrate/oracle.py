@@ -44,15 +44,15 @@ far inside the 1e-12 slack tolerance.
 Reports are plain dataclasses serializable to JSON: pass/fail, instance
 counts, the minimum slack observed, and the worst instance.
 
-The single- and multi-burst checks run on the standard library alone, so
-`streamrate oracle --check single|multi` starts without loading numpy.  The
-exchange check imports numpy for its seeded draws.
+Every check runs on the standard library alone, so `streamrate oracle`
+starts without loading numpy; only the dense API imports it.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import random
 from dataclasses import dataclass, field
 from operator import itemgetter
 
@@ -65,7 +65,7 @@ EXCHANGE_T_CAP = 30  # exchange check horizon
 ENUM_T_CAP = 500  # multi-burst check horizon: the report alone grows as t^2
 LIST_T_CAP = 22  # enumerate_multi_burst, which returns every pattern as a list
 MAX_SET_SIZE = 6  # largest conditioning set the exchange check samples
-SAMPLES_CAP = 10**4  # exchange samples, about 40 us each
+SAMPLES_CAP = 10**4  # exchange samples, about 11 us each at t = 30
 
 VarId = tuple[str, int]
 
@@ -239,14 +239,12 @@ def conditional_variance(sys: GaussianSystem, target: VarId, given) -> float:
 def decode_rate(sys: GaussianSystem, pattern: ErasurePattern) -> float:
     """Bits needed to recover the time-t packet given the received history:
     (1/2) log2(Var(u_t | u_received, s_{-1}) / sigma_z2)."""
-    import numpy as np
-
     if pattern.t != sys.t:
         raise ValidationError("pattern and system horizons disagree")
-    check_variance("decode_rate: sigma_z2", sys.sigma_z2)
+    _check_rate_noise(sys.sigma_z2)
     given = [("u", i) for i in pattern.received] + [("s", -1)]
     var = conditional_variance(sys, ("u", sys.t), given)
-    return 0.5 * float(np.log2(var / sys.sigma_z2))
+    return 0.5 * math.log2(var / sys.sigma_z2)
 
 
 def decode_mmse(sys: GaussianSystem, pattern: ErasurePattern) -> float:
@@ -700,18 +698,17 @@ def verify_exchange_inequalities(
 
     Domination: for index sets A, B with a_i <= b_i entrywise, conditioning on
     the later set B is at least as informative; sampled over random dominating
-    pairs with |A| = |B| <= MAX_SET_SIZE.  The sampler draws from numpy, the
-    one use of numpy among the checks.
+    pairs with |A| = |B| <= MAX_SET_SIZE, drawn by `random.Random(seed)`.  A
+    seed gives the same pairs on the same Python version; Python does not
+    promise the `sample` and `randint` streams across versions.
     """
-    import numpy as np
-
     check_int("t", t, MAX_SET_SIZE + 2, EXCHANGE_T_CAP)
     check_int("samples", samples, 0, SAMPLES_CAP)
     check_seed(seed)
     filt = _Filter(rho, sigma_z2)
     s2 = filt.s2
     track = _SlackTracker()
-    rng = np.random.default_rng(seed)
+    rng = random.Random(int(seed))
 
     horizons = sorted({max(4, t // 3), max(6, (2 * t) // 3), t})
     preds = _burst_preds(filt, horizons[-1], 3)
@@ -724,17 +721,12 @@ def verify_exchange_inequalities(
                 track.add(filt.mmse(new) - filt.mmse(old), _REPLACE, "replace-s", tt, bl, k)
 
     for _ in range(samples):
-        r = int(rng.integers(1, MAX_SET_SIZE + 1))
-        later = np.sort(rng.choice(np.arange(1, t), size=r, replace=False))
-        earlier = []
-        prev = 0
-        for i in range(r):
-            lo = prev + 1
-            hi = int(later[i])
-            pick = int(rng.integers(lo, hi + 1))
-            earlier.append(pick)
-            prev = pick
-        later = [int(x) for x in later]
+        r = rng.randint(1, MAX_SET_SIZE)
+        later = sorted(rng.sample(range(1, t), r))
+        earlier, prev = [], 0
+        for b in later:
+            prev = rng.randint(prev + 1, b)
+            earlier.append(prev)
         v_a = filt.predicted(t, earlier)
         v_b = filt.predicted(t, later)
         track.add(v_a - v_b, _DOMINATE, "dominate-s", earlier, later)

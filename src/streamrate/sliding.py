@@ -81,7 +81,6 @@ class LayerPlan:
     cum_rates: tuple[float, ...]
     B: int
     W: int
-    effective_K: int
 
     def __post_init__(self):
         if len(self.tilde_rates) != self.B + 1 or len(self.cum_rates) != self.B + 1:
@@ -108,13 +107,13 @@ def layer_plan(d: DistortionVector, B: int, W: int) -> LayerPlan:
     eff = reduce_window(d, B, W)
     if B == 0:
         r0 = 0.5 * math.log2(1.0 / eff[0])
-        return LayerPlan((r0,), (r0,), 0, int(W), eff.K)
+        return LayerPlan((r0,), (r0,), 0, int(W))
     tilde = [0.5 * math.log2(eff[W + 1] / eff[0])]
     for j in range(1, B):
         tilde.append(0.5 * math.log2(eff[W + j + 1] / eff[W + j]))
     tilde.append(0.5 * math.log2(1.0 / eff[W + B]))
     cum = [float(sum(tilde[j:])) for j in range(B + 1)]
-    return LayerPlan(tuple(tilde), tuple(cum), int(B), int(W), eff.K)
+    return LayerPlan(tuple(tilde), tuple(cum), int(B), int(W))
 
 
 @dataclass(frozen=True)

@@ -137,6 +137,27 @@ class TestSlidingCommand:
         assert run(["sliding", "--d", "0.1,0.2", "--B", "1", "--W", "0", "--K", "3"]) == 1
 
 
+def _without_numpy_matches(argv, capsys):
+    """Run argv in-process, then in a fresh interpreter where numpy cannot be
+    imported; assert that the second exits 0 with the same stdout, and
+    return it."""
+    assert run(argv) == 0
+    expected = capsys.readouterr().out
+    # a None entry in sys.modules makes `import numpy` fail as if it were not installed
+    code = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from streamrate import cli\n"
+        f"sys.exit(cli.main({argv!r}))\n"
+    )
+    src = os.path.dirname(os.path.dirname(sr.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == expected
+    return expected
+
+
 class TestOracleCommand:
     def test_single_check_passes(self, tmp_path):
         out = tmp_path / "report.json"
@@ -187,25 +208,19 @@ class TestOracleCommand:
 
     def test_golden_multi_without_numpy(self, capsys):
         # the single and multi checks run on the standard library alone
-        assert run(GOLDEN_MULTI_ARGV) == 0
-        expected = capsys.readouterr().out
-        code = (
-            "import sys\n"
-            "sys.modules['numpy'] = None\n"
-            "from streamrate import cli\n"
-            f"sys.exit(cli.main({GOLDEN_MULTI_ARGV!r}))\n"
-        )
-        src = os.path.dirname(os.path.dirname(sr.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-        assert (done.returncode, done.stderr) == (0, "")
-        assert done.stdout == expected
+        expected = _without_numpy_matches(GOLDEN_MULTI_ARGV, capsys)
         with open(os.path.join(GOLDEN, "multi_B2_L3_t18.json"), encoding="utf-8") as fh:
             golden = json.load(fh)
         doc = json.loads(expected)
         assert (doc["passed"], doc["checks"]) == (golden["passed"], golden["checks"])
         for t, fields in golden["horizons"].items():
             assert {k: doc["details"][t][k] for k in fields} == fields
+
+    def test_exchange_without_numpy(self, capsys):
+        # the domination sampler draws from the standard library's random
+        argv = ["oracle", "--check", "exchange", "--rho", "0.9", "--sigma-z2", "0.1",
+                "--tmax", "20", "--samples", "500", "--seed", "7"]
+        assert json.loads(_without_numpy_matches(argv, capsys))["passed"] is True
 
     @pytest.mark.parametrize(
         "argv",
@@ -400,7 +415,7 @@ class TestUsage:
              {"streamrate"}),
             (GOLDEN_MULTI_ARGV, {"streamrate"}),
             (["oracle", "--check", "exchange", "--rho", "0.9", "--sigma-z2", "0.1", "--tmax", "8"],
-             {"numpy", "streamrate"}),
+             {"streamrate"}),
             (["simulate", "--kind", "gm", "--sigma-z2", "0.3", "--T", "4", "--trials", "8"],
              {"numpy", "streamrate"}),
         ],
@@ -434,10 +449,9 @@ class TestUsage:
         "argv",
         [
             ["lossless", "--chain", "CHAIN", "--B", "1", "--W", "0"],
-            ["oracle", "--check", "exchange", "--rho", "0.9", "--sigma-z2", "0.1", "--tmax", "8"],
             ["simulate", "--kind", "gm", "--sigma-z2", "0.3", "--T", "4", "--trials", "8"],
         ],
-        ids=["lossless", "oracle", "simulate"],
+        ids=["lossless", "simulate"],
     )
     def test_numpy_command_without_numpy_is_one_line(self, argv, chain_file):
         # a None entry in sys.modules makes `import numpy` fail as if it were not installed

@@ -92,6 +92,20 @@ class TestLowerBound:
         got = lower_bound_single(GmConfig(rho=rho, B=B, D=D))
         assert got == pytest.approx(quadratic_root_rate(rho, B, D), abs=1e-10)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rho=st.floats(1 - 1e-12, 1.0, exclude_max=True),
+        B=st.integers(1, 10**4),
+        D=st.floats(1e-300, 1.0, exclude_max=True),
+    )
+    def test_near_unit_correlation_is_finite(self, rho, B, D):
+        # the discriminant is a sum of two nonnegative terms, so it never
+        # rounds below zero; near rho = 1 the rate is off from exact
+        # arithmetic by up to about 1e-4 (1 - rho^2 loses its low digits),
+        # so no root finder is compared here
+        got = lower_bound_single(GmConfig(rho=rho, B=B, D=D))
+        assert math.isfinite(got) and got >= 0.0
+
     def test_degenerate_burst_collapse(self):
         # with no erasure the bound is the one-step predictive rate form
         for rho, D in ((0.9, 0.2), (0.5, 0.6)):

@@ -10,6 +10,7 @@ from streamrate import (
     ErasurePattern,
     GaussianSystem,
     GmConfig,
+    NumericalError,
     ValidationError,
     conditional_variance,
     decode_mmse,
@@ -25,6 +26,7 @@ from streamrate import (
 from oracles import worst_multi_burst
 from streamrate.oracle import (
     ENUM_T_CAP,
+    MAX_SET_SIZE,
     _burst_preds,
     _Filter,
     _multi_burst_tops,
@@ -186,6 +188,13 @@ class TestDecodeQuantities:
         sys = GaussianSystem(0.9, tc.sigma_z2, 25)
         assert decode_mmse(sys, ErasurePattern.no_erasure(25)) <= 0.3
 
+    def test_subnormal_noise_is_numerical_error(self):
+        # the ratio Var(u_t) / sigma_z2 overflows, as in the worst-case checks
+        pat = ErasurePattern(3, (0, 1))
+        with pytest.raises(NumericalError, match="too small"):
+            decode_rate(GaussianSystem(0.9, 5e-324, 3), pat)
+        assert math.isfinite(decode_rate(GaussianSystem(0.9, 1e-300, 3), pat))
+
     def test_information_monotonicity_random_patterns(self):
         # growing the received set never increases the rate or the error
         rng = np.random.default_rng(13)
@@ -244,6 +253,26 @@ class TestWorstCaseVerification:
             for s2 in (0.05, 0.5):
                 rep = verify_exchange_inequalities(rho, s2, t=20, samples=125, seed=11)
                 assert rep.passed and rep.violations == 0
+
+    def test_exchange_sampler_draws_dominating_pairs(self, monkeypatch):
+        t, samples = 20, 300
+        sets = []
+        predicted = _Filter.predicted
+
+        def record(filt, horizon, received):
+            assert horizon == t
+            sets.append(list(received))
+            return predicted(filt, horizon, received)
+
+        monkeypatch.setattr(_Filter, "predicted", record)
+        first = verify_exchange_inequalities(0.9, 0.1, t=t, samples=samples, seed=5)
+        assert len(sets) == 2 * samples
+        for earlier, later in zip(sets[::2], sets[1::2]):
+            assert 1 <= len(later) == len(earlier) <= MAX_SET_SIZE
+            assert len(set(later)) == len(later) and all(1 <= b < t for b in later)
+            assert all(a <= b for a, b in zip(earlier, later))
+            assert all(a < a2 for a, a2 in zip(earlier, earlier[1:]))
+        assert verify_exchange_inequalities(0.9, 0.1, t=t, samples=samples, seed=5) == first
 
     def test_exchange_identical_sets_tie(self):
         sys = GaussianSystem(0.9, 0.1, 10)
