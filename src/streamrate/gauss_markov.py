@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import (
     ConvergenceError,
@@ -89,12 +90,14 @@ def lower_bound_closed_form(rho: float, B: int, D: float) -> float:
     R = (1/2) log2((D rho^2 + 1 - rho^(2(B+1)) + sqrt(delta)) / (2 D)) with
     delta = (D rho^2 + 1 - rho^(2(B+1)))^2 - 4 D rho^2 (1 - rho^(2B)).  With
     x = rho^2 and y = rho^(2B) that is the sum of two nonnegative terms,
-    delta = (x D + 2 y - 1 - x y)^2 + 4 y (1 - y) (1 - x), so no rounding
-    makes it negative.
+    delta = (x D + y (1 - x) - (1 - y))^2 + 4 y (1 - y) (1 - x), so no rounding
+    makes it negative.  1 - rho^2 is (1 - rho)(1 + rho) and 1 - rho^(2k) is
+    -expm1(2k log rho), so neither loses its digits as rho nears 1.
     """
-    x, y = rho**2, rho ** (2 * B)
-    b = D * x + 1.0 - rho ** (2 * (B + 1))
-    delta = (x * D + 2.0 * y - 1.0 - x * y) ** 2 + 4.0 * y * (1.0 - y) * (1.0 - x)
+    x, y, log_rho = rho**2, rho ** (2 * B), math.log(rho)
+    one_m_x, one_m_y = (1.0 - rho) * (1.0 + rho), -math.expm1(2 * B * log_rho)
+    b = D * x - math.expm1(2 * (B + 1) * log_rho)
+    delta = (x * D + y * one_m_x - one_m_y) ** 2 + 4.0 * y * one_m_y * one_m_x
     return 0.5 * math.log2((b + math.sqrt(delta)) / (2.0 * D))
 
 
@@ -118,27 +121,48 @@ def kalman_steady_sigma(rho: float, sigma_z2: float) -> float:
     tracks the source through the test channel."""
     check_open_unit("rho", rho)
     check_variance("sigma_z2", sigma_z2, zero_ok=True)
-    return _steady_sigma(rho, sigma_z2)
+    return _steady_sigma(1.0 - rho**2, sigma_z2)
 
 
-def _steady_sigma(rho: float, sigma_z2: float) -> float:
-    """`kalman_steady_sigma` on checked arguments: the objectives' kernel."""
-    one_m_r2 = 1.0 - rho**2
-    return 0.5 * math.sqrt(
-        (1.0 - sigma_z2) ** 2 * one_m_r2**2 + 4.0 * sigma_z2 * one_m_r2
-    ) + 0.5 * one_m_r2 * (1.0 - sigma_z2)
+def _steady_sigma(q: float, s: float) -> float:
+    """`kalman_steady_sigma` at noise s, with q = 1 - rho^2; unchecked."""
+    return 0.5 * math.sqrt((1.0 - s) ** 2 * q**2 + 4.0 * s * q) + 0.5 * q * (1.0 - s)
+
+
+def _eta(a: float, q: float, p: float, steps: int, s: float) -> float:
+    """`eta_multi` from error p over `steps` guard steps at noise s; a = rho^2, q = 1 - a."""
+    for _ in range(steps):
+        p = a * p + q
+        p = p * s / (p + s)
+    return p
+
+
+def _burst_kernels(pre, c: float):
+    """(pre, aged, mmse) of the noise s alone: the pre-burst error pre(s) aged by
+    c = rho^(2n) over n lost slots, and the MMSE with the fresh observation."""
+    def aged(s: float) -> float:
+        return 1.0 - c * (1.0 - pre(s))
+
+    def mmse(s: float) -> float:
+        return 1.0 / (1.0 / s + 1.0 / aged(s))
+
+    return pre, aged, mmse
+
+
+def _single_kernels(cfg: GmConfig):
+    return _burst_kernels(partial(_steady_sigma, 1.0 - cfg.rho**2), cfg.rho ** (2 * cfg.B))
 
 
 def gamma_single(cfg: GmConfig, tc: TestChannel) -> float:
     """Steady-state decoder MMSE for the single-burst worst case: harmonic sum
     of the fresh observation and the aged pre-burst estimate.  Strictly
     increasing in the test-channel noise."""
-    return 1.0 / (1.0 / tc.sigma_z2 + 1.0 / _single_aged(cfg, tc.sigma_z2))
+    return _single_kernels(cfg)[2](tc.sigma_z2)
 
 
 def _single_aged(cfg: GmConfig, sigma_z2: float) -> float:
     """1 - rho^(2B) (1 - Sigma): the steady-state error aged across the burst."""
-    return 1.0 - cfg.rho ** (2 * cfg.B) * (1.0 - _steady_sigma(cfg.rho, sigma_z2))
+    return _single_kernels(cfg)[1](sigma_z2)
 
 
 def _brentq(f, xpre: float, xcur: float, fpre: float, fcur: float) -> tuple[float, float]:
@@ -150,55 +174,64 @@ def _brentq(f, xpre: float, xcur: float, fpre: float, fcur: float) -> tuple[floa
     1e-14, rtol = 4 eps and 100 steps, so it returns the same float after the
     same evaluations.  Raises NumericalError on a NaN value or no sign change,
     ConvergenceError when the steps run out.
+
+    The objective contract: a plain float in, a float out, no validation per
+    evaluation, and the configuration's constants computed once per solve.
     """
     xtol, rtol = 1e-14, 4 * sys.float_info.epsilon
-
-    def call(x: float) -> float:
-        fx = f(x)
-        if math.isnan(fx):
-            raise NumericalError(f"objective is NaN at {x!r}")
-        return fx
-
     if math.isnan(fpre) or math.isnan(fcur):
         raise NumericalError(f"objective is NaN at an end of [{xpre!r}, {xcur!r}]")
     if fpre == 0.0 or fcur == 0.0:
         return (xpre, fpre) if fpre == 0.0 else (xcur, fcur)
     if (fpre < 0.0) == (fcur < 0.0):
         raise NumericalError("objective has the same sign at both ends of the bracket")
-    xblk = fblk = spre = scur = 0.0
+    # each |f| travels with its f; fpre is never 0 here, a zero fcur returns first
+    afpre, afcur = abs(fpre), abs(fcur)
+    xblk = fblk = afblk = spre = scur = 0.0
     for _ in range(100):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
+        if (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk, afblk = xpre, fpre, afpre
             spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
+        if afblk < afcur:
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
+            afpre, afcur, afblk = afcur, afblk, afcur
         delta = (xtol + rtol * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
+        abis = abs(sbis)
+        if fcur == 0.0 or abis < delta:
             return xcur, fcur
-        stry = math.inf  # bisect unless interpolation gives a short step
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
+        aspre = abs(spre)
+        if aspre > delta and afcur < afpre:
             if xpre == xblk:  # interpolate
                 stry = -fcur * (xcur - xpre) / (fcur - fpre)
             else:  # extrapolate
                 dpre = (fpre - fcur) / (xpre - xcur)
                 dblk = (fblk - fcur) / (xblk - xcur)
                 stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-            spre, scur = scur, stry
+            bound = 3 * abis - delta
+            if 2 * abs(stry) < (bound if bound < aspre else aspre):  # min(aspre, bound)
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
         else:
             spre = scur = sbis
-        xpre, fpre = xcur, fcur
+        xpre, fpre, afpre = xcur, fcur, afcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = call(xcur)
+        fcur = f(xcur)
+        if fcur != fcur:
+            raise NumericalError(f"objective is NaN at {xcur!r}")
+        afcur = abs(fcur)
     raise ConvergenceError(f"Brent's method did not converge in 100 steps (at {xcur!r})")
 
 
 def _solve_increasing(fn, target: float, what: str) -> float:
     """Root of fn(sigma_z2) = target for fn increasing in sigma_z2, solved by
     Brent's method in log space over SIGMA_BRACKET; the residual at the root,
-    which Brent's last step evaluated, must be at most 1e-10."""
+    which Brent's last step evaluated, must be at most 1e-10.  fn keeps
+    `_brentq`'s objective contract: a plain float in, a float out, no
+    validation per evaluation, the configuration's constants computed once.
+    """
     lo, hi = SIGMA_BRACKET
 
     def f(y: float) -> float:
@@ -227,9 +260,8 @@ def solve_test_channel_single(cfg: GmConfig) -> TestChannel:
     """Noise variance whose steady-state single-burst MMSE equals D."""
     if cfg.D >= 1.0:
         raise ValidationError("D >= 1 needs no test channel (rate is zero)")
-    return TestChannel(_solve_increasing(
-        lambda s: gamma_single(cfg, TestChannel(s)), cfg.D, "single-burst test channel"
-    ))
+    gamma = _single_kernels(cfg)[2]
+    return TestChannel(_solve_increasing(gamma, cfg.D, "single-burst test channel"))
 
 
 def _single_rate(cfg: GmConfig, tc: TestChannel) -> float:
@@ -254,23 +286,21 @@ def eta_multi(cfg: GmConfig, tc: TestChannel) -> float:
     """
     if cfg.D >= 1.0:
         raise ValidationError("eta is defined for D < 1")
+    return _multi_kernels(cfg)[0](tc.sigma_z2)
+
+
+def _multi_kernels(cfg: GmConfig):
     a = cfg.rho * cfg.rho
-    q = 1.0 - a
-    s2 = tc.sigma_z2
-    p = cfg.D
-    for _ in range(cfg.L - 1):
-        p = a * p + q
-        p = p * s2 / (p + s2)
-    return p
+    return _burst_kernels(partial(_eta, a, 1.0 - a, cfg.D, cfg.L - 1), cfg.rho ** (2 * (cfg.B + 1)))
 
 
 def _multi_aged(cfg: GmConfig, sigma_z2: float) -> float:
     """1 - rho^(2(B+1)) (1 - eta): the pre-burst error aged across the burst."""
-    return 1.0 - cfg.rho ** (2 * (cfg.B + 1)) * (1.0 - eta_multi(cfg, TestChannel(sigma_z2)))
+    return _multi_kernels(cfg)[1](sigma_z2)
 
 
 def _multi_distortion(cfg: GmConfig, sigma_z2: float) -> float:
-    return 1.0 / (1.0 / sigma_z2 + 1.0 / _multi_aged(cfg, sigma_z2))
+    return _multi_kernels(cfg)[2](sigma_z2)
 
 
 def rate_upper_multi(cfg: GmConfig) -> tuple[float, TestChannel | None]:
@@ -288,9 +318,7 @@ def rate_upper_multi(cfg: GmConfig) -> tuple[float, TestChannel | None]:
     """
     if cfg.D >= 1.0:
         return 0.0, None
-    sigma = _solve_increasing(
-        lambda s: _multi_distortion(cfg, s), cfg.D, "multi-burst test channel"
-    )
+    sigma = _solve_increasing(_multi_kernels(cfg)[2], cfg.D, "multi-burst test channel")
     return 0.5 * math.log2(_multi_aged(cfg, sigma) / cfg.D), TestChannel(sigma)
 
 
@@ -300,10 +328,9 @@ def high_res_rate(cfg: GmConfig) -> float:
     return max(0.0, 0.5 * math.log2((1.0 - cfg.rho ** (2 * (cfg.B + 1))) / cfg.D))
 
 
-def _two_point_mmse(rho: float, B: int, sigma_z2: float) -> float:
-    """MMSE of s_t from the stale observation u_{t-B-1} and the fresh u_t."""
-    r = rho ** (B + 1)
-    v = 1.0 + sigma_z2
+def _two_point_mmse(r: float, s: float) -> float:
+    """MMSE of s_t from the stale u_{t-B-1} and the fresh u_t at noise s; r = rho^(B+1)."""
+    v = 1.0 + s
     return 1.0 - (v * (1.0 + r * r) - 2.0 * r * r) / (v * v - r * r)
 
 
@@ -312,10 +339,8 @@ def naive_wz_rate(cfg: GmConfig) -> float:
     I(s_t; u_t | u_{t-B-1}) with sigma_z2 matched so the two-point MMSE is D."""
     if cfg.D >= 1.0:
         return 0.0
-    sigma = _solve_increasing(
-        lambda s: _two_point_mmse(cfg.rho, cfg.B, s), cfg.D, "two-point test channel"
-    )
     r = cfg.rho ** (cfg.B + 1)
+    sigma = _solve_increasing(partial(_two_point_mmse, r), cfg.D, "two-point test channel")
     v = 1.0 + sigma
     var_u_given_old = v - r * r / v
     return 0.5 * math.log2(var_u_given_old / sigma)

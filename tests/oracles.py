@@ -1,12 +1,24 @@
 """Independent oracles for the Gauss-Markov bounds and the worst-case checks.
 
 The library computes these quantities another way (a closed form, a
-dynamic program); the tests compare the two.
+dynamic program); the tests compare the two.  The reference test-channel
+objectives and Brent loop are the plain forms of the library's per-solve
+kernels, which must match them bit for bit.
 """
 
 from __future__ import annotations
 
-from streamrate import ConvergenceError, ErasurePattern
+import math
+import sys
+from decimal import Decimal, localcontext
+
+from streamrate import (
+    ConvergenceError,
+    ErasurePattern,
+    NumericalError,
+    TestChannel,
+    ValidationError,
+)
 from streamrate.errors import check_int, check_open_unit, check_variance
 
 
@@ -48,3 +60,135 @@ def worst_multi_burst(t: int, B: int, L: int) -> ErasurePattern:
     received = tuple(j for j in range(t) if j not in erased)
     return ErasurePattern.multi_burst(t, received, B, L)
 
+
+def converse_rate_decimal(rho: float, B: int, D: float, digits: int = 50) -> float:
+    """`lower_bound_closed_form` evaluated in `digits`-digit decimal arithmetic
+    on the exact values of the float inputs: the reference for rho near 1,
+    where 1 - rho^2 and 1 - rho^(2B) cancel in floating point."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        r, d = Decimal(rho), Decimal(D)
+        x = r * r
+        b = d * x + 1 - r ** (2 * (B + 1))
+        delta = b * b - 4 * d * x * (1 - r ** (2 * B))
+        return float(((b + delta.sqrt()) / (2 * d)).ln() / (2 * Decimal(2).ln()))
+
+
+def reference_brentq(f, xpre: float, xcur: float, fpre: float, fcur: float) -> tuple[float, float]:
+    """SciPy's brentq.c step for step, in its plain form (a NaN-checking call
+    wrapper, abs and min at each use): `gauss_markov._brentq` must evaluate
+    the same points in the same order."""
+    xtol, rtol = 1e-14, 4 * sys.float_info.epsilon
+
+    def call(x: float) -> float:
+        fx = f(x)
+        if math.isnan(fx):
+            raise NumericalError(f"objective is NaN at {x!r}")
+        return fx
+
+    if math.isnan(fpre) or math.isnan(fcur):
+        raise NumericalError(f"objective is NaN at an end of [{xpre!r}, {xcur!r}]")
+    if fpre == 0.0 or fcur == 0.0:
+        return (xpre, fpre) if fpre == 0.0 else (xcur, fcur)
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise NumericalError("objective has the same sign at both ends of the bracket")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur, fcur
+        stry = math.inf  # bisect unless interpolation gives a short step
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = call(xcur)
+    raise ConvergenceError(f"Brent's method did not converge in 100 steps (at {xcur!r})")
+
+
+# Reference test-channel objectives, written as a chain of checked calls:
+# every evaluation builds and validates a TestChannel and recomputes the
+# powers of rho.  The per-solve kernels must reproduce them bit for bit.
+
+
+def _reference_steady_sigma(rho: float, sigma_z2: float) -> float:
+    one_m_r2 = 1.0 - rho**2
+    return 0.5 * math.sqrt(
+        (1.0 - sigma_z2) ** 2 * one_m_r2**2 + 4.0 * sigma_z2 * one_m_r2
+    ) + 0.5 * one_m_r2 * (1.0 - sigma_z2)
+
+
+def _reference_single_aged(cfg, sigma_z2: float) -> float:
+    return 1.0 - cfg.rho ** (2 * cfg.B) * (1.0 - _reference_steady_sigma(cfg.rho, sigma_z2))
+
+
+def reference_gamma_single(cfg, tc: TestChannel) -> float:
+    return 1.0 / (1.0 / tc.sigma_z2 + 1.0 / _reference_single_aged(cfg, tc.sigma_z2))
+
+
+def reference_eta_multi(cfg, tc: TestChannel) -> float:
+    if cfg.D >= 1.0:
+        raise ValidationError("eta is defined for D < 1")
+    a = cfg.rho * cfg.rho
+    q = 1.0 - a
+    s2 = tc.sigma_z2
+    p = cfg.D
+    for _ in range(cfg.L - 1):
+        p = a * p + q
+        p = p * s2 / (p + s2)
+    return p
+
+
+def _reference_multi_aged(cfg, sigma_z2: float) -> float:
+    eta = reference_eta_multi(cfg, TestChannel(sigma_z2))
+    return 1.0 - cfg.rho ** (2 * (cfg.B + 1)) * (1.0 - eta)
+
+
+def _reference_two_point_mmse(rho: float, B: int, sigma_z2: float) -> float:
+    r = rho ** (B + 1)
+    v = 1.0 + sigma_z2
+    return 1.0 - (v * (1.0 + r * r) - 2.0 * r * r) / (v * v - r * r)
+
+
+def reference_objectives(cfg) -> dict:
+    """The three test-channel objectives of `cfg`, each a function of sigma_z2."""
+    return {
+        "single": lambda s: reference_gamma_single(cfg, TestChannel(s)),
+        "multi": lambda s: 1.0 / (1.0 / s + 1.0 / _reference_multi_aged(cfg, s)),
+        "two-point": lambda s: _reference_two_point_mmse(cfg.rho, cfg.B, s),
+    }
+
+
+def reference_bounds(cfg, solve) -> dict:
+    """The three solved noise variances and the rates they give, from the
+    reference objectives; `solve(fn, target, what)` is the root finder."""
+    fns = reference_objectives(cfg)
+    single = solve(fns["single"], cfg.D, "single-burst test channel")
+    multi = solve(fns["multi"], cfg.D, "multi-burst test channel")
+    two = solve(fns["two-point"], cfg.D, "two-point test channel")
+    r = cfg.rho ** (cfg.B + 1)
+    v = 1.0 + two
+    return {
+        "sigma_single": single,
+        "sigma_multi": multi,
+        "sigma_two_point": two,
+        "upper_single": 0.5 * math.log2(_reference_single_aged(cfg, single) / cfg.D),
+        "upper_multi": 0.5 * math.log2(_reference_multi_aged(cfg, multi) / cfg.D),
+        "nwz": 0.5 * math.log2((v - r * r / v) / two),
+    }

@@ -1,14 +1,17 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import streamrate.gauss_markov as gm
 from streamrate import (
     ConvergenceError,
     GmBounds,
     GmConfig,
+    InfeasibleDistortionError,
     NumericalError,
     PrecisionError,
     TestChannel,
@@ -25,7 +28,13 @@ from streamrate import (
     rate_upper_single,
     solve_test_channel_single,
 )
-from oracles import riccati_prediction_error
+from oracles import (
+    converse_rate_decimal,
+    reference_bounds,
+    reference_brentq,
+    reference_objectives,
+    riccati_prediction_error,
+)
 from streamrate.gauss_markov import (
     SIGMA_BRACKET,
     _brentq,
@@ -100,11 +109,30 @@ class TestLowerBound:
     )
     def test_near_unit_correlation_is_finite(self, rho, B, D):
         # the discriminant is a sum of two nonnegative terms, so it never
-        # rounds below zero; near rho = 1 the rate is off from exact
-        # arithmetic by up to about 1e-4 (1 - rho^2 loses its low digits),
-        # so no root finder is compared here
+        # rounds below zero; accuracy here is checked against decimal
+        # arithmetic below, not against a float root finder
         got = lower_bound_single(GmConfig(rho=rho, B=B, D=D))
         assert math.isfinite(got) and got >= 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rho=st.floats(1 - 1e-12, 1.0, exclude_max=True),
+        B=st.integers(1, 20),
+        D=st.floats(1e-300, 1.0, exclude_max=True),
+    )
+    def test_near_unit_correlation_matches_decimal(self, rho, B, D):
+        # relative error 1e-9; the 1e-15 floor covers rates within rounding of 0
+        got = lower_bound_single(GmConfig(rho=rho, B=B, D=D))
+        want = converse_rate_decimal(rho, B, D)
+        assert got >= 0.0
+        assert abs(got - want) <= 1e-9 * want + 1e-15
+
+    def test_near_unit_correlation_reference_point(self):
+        # 1 - rho^2 formed from the rounded rho^2 read 2.722369 here, 1.2e-4 high
+        rho, B, D = 0.9999999999999734, 2, 3.7e-15
+        want = converse_rate_decimal(rho, B, D)
+        assert want == pytest.approx(2.7222539536926929, abs=1e-15)
+        assert abs(lower_bound_single(GmConfig(rho=rho, B=B, D=D)) - want) <= 1e-9 * want
 
     def test_degenerate_burst_collapse(self):
         # with no erasure the bound is the one-step predictive rate form
@@ -298,6 +326,150 @@ class TestRootFinder:
     def test_root_to_tolerance(self):
         root = brentq(lambda x: x * x - 2.0, 0.0, 2.0)
         assert abs(root - math.sqrt(2.0)) <= 1e-14
+
+
+def production_bounds(cfg: GmConfig) -> dict:
+    """The solved noise variances, read off `_solve_increasing` as it returns,
+    and the rates of `compute_bounds` and `naive_wz_rate`."""
+    sigmas = {}
+    solve = gm._solve_increasing
+
+    def record(fn, target, what):
+        sigmas[what] = solve(fn, target, what)
+        return sigmas[what]
+
+    with mock.patch.object(gm, "_solve_increasing", record):
+        bounds, nwz = compute_bounds(cfg), naive_wz_rate(cfg)
+    assert (bounds.sigma_z2_single, bounds.sigma_z2_multi) == (
+        sigmas["single-burst test channel"], sigmas["multi-burst test channel"])
+    return {
+        "sigma_single": sigmas["single-burst test channel"],
+        "sigma_multi": sigmas["multi-burst test channel"],
+        "sigma_two_point": sigmas["two-point test channel"],
+        "upper_single": bounds.upper_single,
+        "upper_multi": bounds.upper_multi,
+        "nwz": nwz,
+    }
+
+
+class TestKernelParity:
+    """The per-solve kernels against the objective chain they replaced
+    (`oracles.reference_objectives`): every float must match to the last bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rho=st.floats(0.05, 0.99),
+        B=st.integers(1, 4),
+        L=st.integers(1, 8),
+        D=st.floats(1e-3, 0.95),
+    )
+    def test_solves_match_reference_chain(self, rho, B, L, D):
+        cfg = GmConfig(rho=rho, B=B, D=D, L=L)
+        assert production_bounds(cfg) == reference_bounds(cfg, _solve_increasing)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rho=st.floats(0.05, 0.99),
+        B=st.integers(1, 4),
+        L=st.integers(1, 8),
+        D=st.floats(1e-3, 0.95),
+    )
+    def test_brent_iterates_match_reference(self, rho, B, L, D):
+        # the same points evaluated in the same order, and the same root
+        lo, hi = (math.log(x) for x in SIGMA_BRACKET)
+        for fn in reference_objectives(GmConfig(rho=rho, B=B, D=D, L=L)).values():
+            runs = []
+            for brent in (_brentq, reference_brentq):
+                seen = []
+
+                def f(y, seen=seen, fn=fn):
+                    seen.append(y)
+                    return fn(math.exp(y)) - D
+
+                runs.append((brent(f, lo, hi, f(lo), f(hi)), seen))
+            assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("f, a, b", [
+        (lambda x: math.atan(x - 1.0), -1e300, 1e300),
+        (lambda x: x * x - 2.0, 0.0, 2.0),
+        (lambda x: -1.0 if x < -20 else (1.0 if x > 20 else math.nan), -27.6, 27.6),
+        (lambda x: math.copysign(1.0, x - 0.3), -1.0, 1.0),
+        (lambda x: x, 0.0, 1.0),
+        (lambda x: x * x + 1.0, -1.0, 2.0),
+    ])
+    def test_brent_outcomes_match_reference(self, f, a, b):
+        outcomes = []
+        for brent in (_brentq, reference_brentq):
+            try:
+                outcomes.append(brent(f, a, b, f(a), f(b)))
+            except (NumericalError, ConvergenceError) as exc:
+                outcomes.append((type(exc), str(exc)))
+        assert outcomes[0] == outcomes[1]
+
+    # (rho, B, L, D) and float.hex of sigma single, multi and two-point, then
+    # upper_single, upper_multi and nwz, as the reference objective chain and
+    # the plain Brent loop give them; (0.9, 1, 1, 0.2) is the config of the
+    # golden `simulate --D` output
+    FROZEN_HEX = [
+        (0.9, 1, 1, 0.2, "0x1.6cca69de118c7p-2", "0x1.61ae347ec9605p-2", "0x1.524b902a7db5cp-2",
+         "0x1.30679d0a57899p-1", "0x1.3f900f78732cep-1", "0x1.576c381e60b0dp-1"),
+        (0.9, 1, 8, 0.2, "0x1.6cca69de118c7p-2", "0x1.6cca5984f3042p-2", "0x1.524b902a7db5cp-2",
+         "0x1.30679d0a57899p-1", "0x1.3067b23a46908p-1", "0x1.576c381e60b0dp-1"),
+        (0.05, 2, 3, 0.3, "0x1.b6db6dd960c80p-2", "0x1.b6db6dd960c7fp-2", "0x1.b6db6dd95eca4p-2",
+         "0x1.bca9c6b16ef6fp-1", "0x1.bca9c6b16ef6fp-1", "0x1.bca9c6b172dfbp-1"),
+        (0.99, 3, 4, 0.5, "0x1.58bbc96e0fd54p+4", "0x1.c0b97d56d07e6p+3", "0x1.e2ede1f409cafp+0",
+         "0x1.157f6f57aa1b6p-6", "0x1.ad1b37b04c988p-6", "0x1.c6f170b9fd44dp-3"),
+        (0.7, 2, 2, 0.001, "0x1.0670ff3cc8f34p-10", "0x1.0670ff3cc8f34p-10", "0x1.0670ff3c25603p-10",
+         "0x1.392201657f31ep+2", "0x1.392201657f3c5p+2", "0x1.392201c871f66p+2"),
+        (0.5, 4, 5, 0.95, "0x1.305d45e9eb3a0p+4", "0x1.305d37e5edf03p+4", "0x1.304834f55fc2cp+4",
+         "0x1.2ebbecf2f0b11p-5", "0x1.2ebbfb40b5b45p-5", "0x1.2ed16e52e0b32p-5"),
+        (0.99, 1, 8, 0.001, "0x1.0cce9be96a08cp-10", "0x1.0cce9be96a08cp-10", "0x1.0ccca7b3f61c0p-10",
+         "0x1.5564342eb8b88p+1", "0x1.5564342eb8b88p+1", "0x1.557e9fe86c425p+1"),
+        (0.05, 1, 1, 0.95, "0x1.3000768f5fc65p+4", "0x1.3000764b106b8p+4", "0x1.3000764ae4b0cp+4",
+         "0x1.2f1ac28772210p-5", "0x1.2f1ac2cd54c7ep-5", "0x1.2f1ac2cd81844p-5"),
+        (0.8, 3, 6, 0.1, "0x1.d06b4ccea8c59p-4", "0x1.d06b4cce9cb0bp-4", "0x1.d04385e463974p-4",
+         "0x1.8a951efd1e4f9p+0", "0x1.8a951efd42349p+0", "0x1.8b0b7c6ba2df0p+0"),
+        (0.6, 2, 1, 0.4, "0x1.5c78054cb8ed6p-1", "0x1.5c03e2e3b6e49p-1", "0x1.5bf6101524a40p-1",
+         "0x1.473d85e71d7a0p-1", "0x1.47ed60223e0dap-1", "0x1.48025c0e29a88p-1"),
+        (0.95, 4, 2, 0.05, "0x1.d033cec11a08ep-5", "0x1.d02275e959893p-5", "0x1.cf080f614351bp-5",
+         "0x1.8b3a5aaa9bcbep+0", "0x1.8b6e2827e63b4p+0", "0x1.8ec3bb8c1a7fcp+0"),
+        (0.3, 1, 7, 0.7, "0x1.2c72671b45515p+1", "0x1.2c72671b42b92p+1", "0x1.2c5dfa7b1fbc8p+1",
+         "0x1.05968d9fb848cp-2", "0x1.05968d9fbafeep-2", "0x1.05abe60e40084p-2"),
+    ]
+
+    @pytest.mark.parametrize("row", FROZEN_HEX)
+    def test_frozen_hex(self, row):
+        rho, B, L, D, *frozen = row
+        got = production_bounds(GmConfig(rho=rho, B=B, D=D, L=L))
+        assert [v.hex() for v in got.values()] == frozen
+
+    @pytest.mark.parametrize("solve, what", [
+        (solve_test_channel_single, "single-burst test channel"),
+        (rate_upper_multi, "multi-burst test channel"),
+        (naive_wz_rate, "two-point test channel"),
+    ])
+    def test_error_classes_and_messages(self, solve, what):
+        with pytest.raises(PrecisionError) as exc:
+            solve(GmConfig(rho=0.9, B=3, D=1e-300, L=4))
+        assert str(exc.value) == (
+            f"{what}: target 1.000e-300 below resolution at sigma_z2 = 1e-12 "
+            "(residual 1.000e-12); the required noise would underflow"
+        )
+        top = {"single-burst test channel": "-1.000e-12", "multi-burst test channel": "-1.020e-12",
+               "two-point test channel": "-1.016e-12"}[what]
+        with pytest.raises(InfeasibleDistortionError) as exc:
+            solve(GmConfig(rho=0.5, B=2, D=1 - 1e-16, L=3))
+        assert type(exc.value) is InfeasibleDistortionError
+        assert str(exc.value) == f"{what}: no root in bracket [1e-12, 1e+12] (residual at top {top})"
+
+    def test_nan_objective_message(self):
+        def fn(s):
+            return s if s in SIGMA_BRACKET or s < 1e-9 or s > 1e9 else math.nan
+
+        with pytest.raises(NumericalError) as exc:
+            _solve_increasing(fn, 1.0, "nan objective")
+        assert type(exc.value) is NumericalError
+        assert str(exc.value) == "objective is NaN at 2.7629454280031496e-11"
 
 
 def direct_pre_burst_mmse(rho: float, L: int, D: float, sigma_z2: float) -> float:

@@ -1,4 +1,6 @@
 import math
+import random
+import types
 
 import numpy as np
 import pytest
@@ -274,12 +276,29 @@ class TestWorstCaseVerification:
             assert all(a < a2 for a, a2 in zip(earlier, earlier[1:]))
         assert verify_exchange_inequalities(0.9, 0.1, t=t, samples=samples, seed=5) == first
 
-    def test_exchange_identical_sets_tie(self):
-        sys = GaussianSystem(0.9, 0.1, 10)
-        given = [("u", 2), ("u", 5), ("s", -1)]
-        a = conditional_variance(sys, ("s", 10), given)
-        b = conditional_variance(sys, ("s", 10), list(given))
-        assert abs(a - b) <= 1e-12
+    def test_exchange_identical_sets_tie(self, monkeypatch):
+        # a sampler that draws every earlier index at its upper end makes each
+        # dominating pair a tie: the earlier set is the later set, slack 0
+        class TieRandom(random.Random):
+            def randint(self, a, b):
+                return b
+
+        pairs = []
+        add = _SlackTracker.add
+
+        def record(tracker, slack, describe, *args, **kwargs):
+            if args[0].startswith("dominate"):
+                pairs.append((slack, *args))
+            return add(tracker, slack, describe, *args, **kwargs)
+
+        monkeypatch.setattr(oracle, "random", types.SimpleNamespace(Random=TieRandom))
+        monkeypatch.setattr(_SlackTracker, "add", record)
+        rep = verify_exchange_inequalities(0.9, 0.1, t=20, samples=40, seed=3)
+        assert rep.passed and rep.violations == 0
+        assert len(pairs) == 2 * 40
+        for slack, _, earlier, later in pairs:
+            assert earlier == later and len(later) == MAX_SET_SIZE
+            assert slack == 0.0
 
 
 def _dense_values(sys, received):
