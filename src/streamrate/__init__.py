@@ -40,9 +40,10 @@ from .sliding import (
 
 __version__ = "0.1.0"
 
-# modules imported on first use (PEP 562), so the analytic core loads without
-# numpy: markov and sim import it, and oracle only for its dense Schur API;
-# module -> the names the package re-exports from it
+# modules imported on first use (PEP 562), so a command loads only what it
+# runs: sim imports numpy, and oracle only for its dense Schur API; markov
+# runs on the standard library; module -> the names the package re-exports
+# from it
 _LAZY = {
     "markov": (
         "LosslessBounds", "MarkovChain", "binary_symmetric_chain", "conditional_entropy_lag",

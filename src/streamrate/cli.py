@@ -20,7 +20,7 @@ import sys
 
 from . import gauss_markov as gm
 from . import sliding
-from .errors import ConvergenceError, NumericalError, ValidationError
+from .errors import ConvergenceError, NumericalError, ValidationError, read_json_object
 
 LN2 = math.log(2.0)
 
@@ -77,21 +77,6 @@ def _write_json(path: str | None, doc) -> None:
         fh.write(text + "\n")
 
 
-def _read_json(path: str, *keys: str) -> dict:
-    """The JSON object in the file at path, which must hold every key in keys."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise ValidationError(f"cannot read JSON from {path!r}: {exc}")
-    if not isinstance(doc, dict):
-        raise ValidationError(f"{path!r} must hold a JSON object")
-    missing = [k for k in keys if k not in doc]
-    if missing:
-        raise ValidationError(f"{path!r} lacks the key(s) {', '.join(missing)}")
-    return doc
-
-
 def _parse_floats(text: str) -> list[float]:
     try:
         return [float(x) for x in text.split(",") if x.strip() != ""]
@@ -102,7 +87,7 @@ def _parse_floats(text: str) -> list[float]:
 def _cmd_lossless(args) -> int:
     from . import markov
 
-    chain = markov.MarkovChain.from_json(_read_json(args.chain, "transition"))
+    chain = markov.MarkovChain.from_json(args.chain)
     bounds = markov.lossless_bounds(chain, args.B, args.W)
     k = _unit_scale(args.nats)
     _write_csv(
@@ -134,7 +119,7 @@ _GM_HEADER = ["rho", "B", "L", "D", "lower", "upper_single", "upper_multi", "hig
 
 def _cmd_gm(args) -> int:
     if args.sweep:
-        doc = _read_json(args.sweep, "rho", "B", "D")
+        doc = read_json_object(args.sweep, "rho", "B", "D")
         rhos = doc["rho"] if isinstance(doc["rho"], list) else [doc["rho"]]
         ds = doc["D"] if isinstance(doc["D"], list) else [doc["D"]]
         try:
@@ -236,7 +221,7 @@ def _cmd_simulate(args) -> int:
     from . import sim
 
     if args.config:
-        for key, value in _read_json(args.config).items():
+        for key, value in read_json_object(args.config).items():
             action = args.options.get(key.replace("-", "_"))
             if action is None or not action.option_strings or action.dest == "help":
                 raise ValidationError(f"unknown config key {key!r}")
@@ -447,7 +432,8 @@ def main(argv=None) -> int:
         sys.stderr.write(f"numerical error: {exc}\n")
         return EXIT_NUMERICAL
     except ModuleNotFoundError as exc:
-        # lossless and simulate import numpy on first use
+        # simulate imports numpy on first use; every other command runs on
+        # the standard library
         if exc.name != "numpy":
             raise
         sys.stderr.write(f"streamrate {args.command}: this command needs numpy, which is not installed\n")

@@ -1,6 +1,7 @@
 """Exception types shared across the library, and the input rules that
 every module checks its parameters with: integers in a range, numbers
-strictly inside (0, 1), finite variances and seeds.
+strictly inside (0, 1), probabilities, finite variances, seeds and JSON
+input documents.
 
 The CLI maps validation failures to exit 1 and numerical failures (including
 convergence and precision problems) to exit 2.  Each rule raises
@@ -9,8 +10,10 @@ belong at the public boundary: inner loops, such as the root finders'
 objectives, run on values already checked.
 """
 
+import json
 import math
 import numbers
+import os
 
 
 class ValidationError(ValueError):
@@ -53,10 +56,20 @@ def check_open_unit(name: str, value) -> None:
         raise ValidationError(f"{name} must lie strictly inside (0, 1), got {value!r}")
 
 
-def check_variance(name: str, value, zero_ok: bool = False) -> None:
-    """A finite number > 0, or >= 0 when zero_ok."""
+def check_probability(name: str, value) -> None:
+    """A number in [0, 1], not a bool."""
     try:
-        ok = 0.0 < value < math.inf or (zero_ok and value == 0.0)
+        ok = not isinstance(value, bool) and 0.0 <= value <= 1.0
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ValidationError(f"{name} must lie in [0, 1], got {value!r}")
+
+
+def check_variance(name: str, value, zero_ok: bool = False) -> None:
+    """A finite number > 0, or >= 0 when zero_ok; not a bool."""
+    try:
+        ok = not isinstance(value, bool) and (0.0 < value < math.inf or (zero_ok and value == 0.0))
     except TypeError:
         ok = False
     if not ok:
@@ -68,3 +81,30 @@ def check_seed(value) -> None:
     """An integer in [0, 2**64): a Philox key, and the seed of the exchange
     check's `random.Random`."""
     check_int("seed", value, 0, 2**64 - 1)
+
+
+def read_json_object(source, *keys: str) -> dict:
+    """The JSON object in source, which must hold every key in keys.
+
+    source is a path, a file object, or a document json.load already returned.
+    A file that cannot be read or parsed, a document that is not an object and
+    a missing key each raise ValidationError.
+    """
+    if isinstance(source, (str, bytes, os.PathLike)) or hasattr(source, "read"):
+        name = repr(getattr(source, "name", source))
+        try:
+            if hasattr(source, "read"):
+                doc = json.load(source)
+            else:
+                with open(source, "r", encoding="utf-8") as fh:
+                    doc = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ValidationError(f"cannot read JSON from {name}: {exc}")
+    else:
+        name, doc = "the document", source
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{name} must hold a JSON object")
+    missing = [k for k in keys if k not in doc]
+    if missing:
+        raise ValidationError(f"{name} lacks the key(s) {', '.join(missing)}")
+    return doc

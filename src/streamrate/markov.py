@@ -6,123 +6,208 @@ convention.  This module also builds the streaming rate bounds for lossless
 recovery after a burst of up to B erased packets followed by a grace window
 of W slots: both bounds equal the ideal predictive-coding rate H(s1|s0) plus
 a recovery penalty that decays like 1/(W+1).
+
+Chains are small (at most ALPHABET_CAP symbols), so everything runs on the
+standard library: matrices are tuples of row tuples of floats.
 """
 
 from __future__ import annotations
 
-import json
 import math
+import numbers
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_, mul
 
-import numpy as np
-
-from .errors import ConvergenceError, NumericalError, ValidationError, check_int
+from .errors import (
+    ConvergenceError,
+    NumericalError,
+    ValidationError,
+    check_int,
+    check_probability,
+    check_variance,
+    read_json_object,
+)
 
 ROW_SUM_TOL = 1e-12
 STATIONARY_TOL = 1e-10
 # lags, B and W: P^k built by repeated squaring drifts off row-stochastic by
 # about 1e-17 k, so at 2**40 the lag entropies are wrong in the 5th digit
 LAG_CAP = 10**6
+# symbols: the costliest legal call is lossless_bounds with lags of many set
+# bits, such as B = 983038, W = 786430 (111 matrix products); on a 2 vCPU
+# Xeon sandbox with Python 3.11 it took 0.43-0.68 s at 48 symbols and
+# 1.3-1.5 s at 64 (the work grows like n**3)
+ALPHABET_CAP = 48
+
+Matrix = tuple[tuple[float, ...], ...]
 
 
-def _entropy_bits(p: np.ndarray) -> float:
-    """Shannon entropy of a probability vector/array in bits, 0*log(0) = 0."""
-    p = np.asarray(p, dtype=float).ravel()
-    nz = p[p > 0.0]
-    return float(-np.sum(nz * np.log2(nz)))
+def _real(x) -> float:
+    # `type is float` first: the ABC check costs about 0.3 us an entry
+    if type(x) is not float and (isinstance(x, bool) or not isinstance(x, numbers.Real)):
+        raise ValidationError(f"probabilities must be real numbers, got {x!r}")
+    return float(x)
 
 
-def _validate_transition(transition: np.ndarray) -> np.ndarray:
-    P = np.asarray(transition, dtype=float)
-    if P.ndim != 2 or P.shape[0] != P.shape[1] or P.shape[0] < 1:
-        raise ValidationError(f"transition matrix must be square, got shape {P.shape}")
-    if not np.all(np.isfinite(P)):
-        raise ValidationError("transition probabilities must be finite")
-    if np.any(P < -ROW_SUM_TOL) or np.any(P > 1.0 + ROW_SUM_TOL):
-        raise ValidationError("transition probabilities must lie in [0, 1]")
-    row_err = np.max(np.abs(P.sum(axis=1) - 1.0))
-    if row_err > ROW_SUM_TOL:
-        raise ValidationError(f"rows must sum to 1 within {ROW_SUM_TOL}, max error {row_err:.3e}")
+def _matrix(transition) -> Matrix:
+    """transition as a tuple matrix, checked square and row-stochastic."""
+    try:
+        rows = list(transition)
+        check_int("alphabet size", len(rows), 1, ALPHABET_CAP)
+        P = tuple([tuple(map(_real, row)) for row in rows])
+    except TypeError as exc:
+        raise ValidationError(f"transition matrix must be a nested sequence of numbers: {exc}")
+    n = len(P)
+    for row in P:
+        if len(row) != n:
+            raise ValidationError(f"transition matrix must be square, got a row of {len(row)} in {n} rows")
+        if not all(-ROW_SUM_TOL <= p <= 1.0 + ROW_SUM_TOL for p in row):  # NaN fails too
+            raise ValidationError("transition probabilities must be finite and lie in [0, 1]")
+        row_err = abs(math.fsum(row) - 1.0)
+        if row_err > ROW_SUM_TOL:
+            raise ValidationError(f"rows must sum to 1 within {ROW_SUM_TOL}, error {row_err:.3e}")
     return P
 
 
-def _stationary_null_space(P: np.ndarray) -> np.ndarray | None:
-    """Unique probability vector in the null space of (P^T - I), or None when
-    the chain has no unique stationary law (more than one closed class)."""
-    n = P.shape[0]
-    _, s, vt = np.linalg.svd(P.T - np.eye(n))
-    null_dim = int(np.sum(s < 1e-10 * max(1.0, s[0])))
-    if null_dim != 1:
-        return None
-    v = vt[-1]
-    v = v / v.sum()
-    if np.any(v < -1e-9):
-        return None
-    v = np.clip(v, 0.0, None)
-    return v / v.sum()
+def _check_law(P: Matrix, pi: tuple[float, ...]) -> None:
+    """pi is a finite probability vector with pi P = pi, all within STATIONARY_TOL."""
+    if not all(map(math.isfinite, pi)):
+        raise ValidationError("stationary vector must be finite")
+    if abs(math.fsum(pi) - 1.0) > STATIONARY_TOL or min(pi) < -STATIONARY_TOL:
+        raise ValidationError("stationary vector must be a probability vector")
+    residual = max(abs(sum(map(mul, pi, col)) - p) for col, p in zip(zip(*P), pi))
+    if residual > STATIONARY_TOL:
+        raise ValidationError(f"stationary vector fails pi P = pi within {STATIONARY_TOL}")
 
 
-def stationary_distribution(transition: np.ndarray) -> np.ndarray:
-    """Stationary law of a row-stochastic matrix, by one null-space solve of
-    (P^T - I).
+def _closed_class(P: Matrix) -> list[int]:
+    """The states of the one closed class of P's support graph (entries > 0).
 
-    Periodic chains and reducible chains with a single closed class have a
-    unique law and are solved like any other.  Chains with no unique
+    reach[i] is the bitmask of the states reachable from i, by Warshall's
+    transitive closure.  Every state reaches some closed class, and a closed
+    class reaches nothing outside itself, so the states that every state
+    reaches form the closed class when there is one, and none are left when
+    there are two or more.
+    """
+    n = len(P)
+    reach = [sum(1 << j for j, p in enumerate(row) if p > 0.0) | 1 << i for i, row in enumerate(P)]
+    for k in range(n):
+        bit, through = 1 << k, reach[k]
+        for i in range(n):
+            if reach[i] & bit:
+                reach[i] |= through
+    common = reduce(and_, reach)
+    if not common:
+        raise ConvergenceError("chain has no unique stationary law (more than one closed class)")
+    return [i for i in range(n) if common >> i & 1]
+
+
+def _gth(A: list[list[float]]) -> list[float]:
+    """Stationary law, up to scale, of an irreducible nonnegative matrix with
+    unit row sums, by GTH state reduction (Grassmann, Taksar & Heyman, Oper.
+    Res. 33(5), 1985); A is overwritten.
+
+    State k is censored out by spreading its entry into each lower state over
+    k's exits to the states below it.  No step subtracts, so every entry keeps
+    its relative accuracy however nearly reducible the chain is.  The
+    back-substitution keeps the largest weight at 1, so a law spanning more
+    than the float range underflows in its light states instead of
+    overflowing in its heavy ones.
+    """
+    m = len(A)
+    exits = [0.0] * m
+    for k in range(m - 1, 0, -1):
+        row = A[k]
+        s = exits[k] = sum(row[:k])
+        if s > 0.0:  # zero only when the exits underflowed
+            spread = [v / s for v in row[:k]]
+            for r in A[:k]:
+                f = r[k]
+                if f:
+                    r[:k] = [a + f * w for a, w in zip(r, spread)]
+    x = [1.0] * m
+    for k in range(1, m):
+        t = sum(x[i] * A[i][k] for i in range(k))
+        s = exits[k]
+        if t > s:  # state k outweighs the states before it
+            x[:k] = [v * (s / t) for v in x[:k]]
+            x[k] = 1.0
+        else:
+            x[k] = t / s
+    return x
+
+
+def _solve(P: Matrix) -> tuple[float, ...]:
+    """Stationary law of a checked matrix: GTH on its one closed class, and
+    exactly 0 on the transient states."""
+    states = _closed_class(P)
+    # round-off negatives within ROW_SUM_TOL count as zeros, as in the support graph
+    x = _gth([[max(P[i][j], 0.0) for j in states] for i in states])
+    total = math.fsum(x)
+    pi = [0.0] * len(P)
+    for i, v in zip(states, x):
+        pi[i] = v / total
+    return tuple(pi)
+
+
+def stationary_distribution(transition) -> tuple[float, ...]:
+    """Stationary law of a row-stochastic matrix (any nested real sequence).
+
+    The closed classes come from the support graph; with exactly one, its law
+    is solved by GTH state reduction and the transient states get 0.
+    Periodic chains are solved like any other.  Chains with no unique
     stationary law (more than one closed class) raise ConvergenceError.
     """
-    P = _validate_transition(transition)
-    pi = _stationary_null_space(P)
-    if pi is None:
-        raise ConvergenceError("chain has no unique stationary law (more than one closed class)")
-    return pi
+    return _solve(_matrix(transition))
 
 
 @dataclass(frozen=True)
 class MarkovChain:
-    """Stationary first-order chain: row-stochastic transition + stationary law."""
+    """Stationary first-order chain: row-stochastic transition + stationary law.
+
+    The constructor takes any nested real sequences (lists, numpy arrays) and
+    stores them as tuples of floats, so a chain is immutable.
+    """
 
     alphabet_size: int
-    transition: np.ndarray
-    stationary: np.ndarray
+    transition: Matrix
+    stationary: tuple[float, ...]
 
     def __post_init__(self):
-        P = _validate_transition(self.transition)
-        if self.alphabet_size != P.shape[0]:
+        check_int("alphabet_size", self.alphabet_size, 1, ALPHABET_CAP)
+        P = _matrix(self.transition)
+        if self.alphabet_size != len(P):
             raise ValidationError(
-                f"alphabet_size {self.alphabet_size} does not match matrix of size {P.shape[0]}"
+                f"alphabet_size {self.alphabet_size} does not match matrix of size {len(P)}"
             )
-        pi = np.asarray(self.stationary, dtype=float)
-        if pi.shape != (self.alphabet_size,):
+        try:
+            pi = tuple(map(_real, self.stationary))
+        except TypeError as exc:
+            raise ValidationError(f"stationary vector must be a sequence of numbers: {exc}")
+        if len(pi) != len(P):
             raise ValidationError("stationary vector has wrong shape")
-        if abs(pi.sum() - 1.0) > STATIONARY_TOL or np.any(pi < -STATIONARY_TOL):
-            raise ValidationError("stationary vector must be a probability vector")
-        if np.max(np.abs(pi @ P - pi)) > STATIONARY_TOL:
-            raise ValidationError(f"stationary vector fails pi P = pi within {STATIONARY_TOL}")
-        P.setflags(write=False)
-        pi.setflags(write=False)
+        _check_law(P, pi)
         object.__setattr__(self, "transition", P)
         object.__setattr__(self, "stationary", pi)
 
     @classmethod
     def from_transition(cls, transition) -> "MarkovChain":
-        try:
-            P = np.asarray(transition, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"transition matrix must hold numbers: {exc}")
-        pi = stationary_distribution(P)  # validates P before its solve
-        return cls(alphabet_size=P.shape[0], transition=P, stationary=pi)
+        """The chain of a row-stochastic matrix, with its stationary law solved."""
+        P = _matrix(transition)
+        pi = _solve(P)
+        _check_law(P, pi)
+        # P is checked already, so skip the constructor's second pass over it
+        chain = object.__new__(cls)
+        for name, value in (("alphabet_size", len(P)), ("transition", P), ("stationary", pi)):
+            object.__setattr__(chain, name, value)
+        return chain
 
     @classmethod
     def from_json(cls, source) -> "MarkovChain":
         """Load {"alphabet_size": n, "transition": [[...], ...]} from a path,
         file object, or dict.  The stationary vector is always recomputed."""
-        if isinstance(source, dict):
-            doc = source
-        elif hasattr(source, "read"):
-            doc = json.load(source)
-        else:
-            with open(source, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
+        doc = read_json_object(source, "transition")
         chain = cls.from_transition(doc["transition"])
         if "alphabet_size" in doc:
             size = doc["alphabet_size"]
@@ -134,8 +219,7 @@ class MarkovChain:
 
 def binary_symmetric_chain(q: float) -> MarkovChain:
     """Binary chain that flips state with probability q each step."""
-    if not 0.0 <= q <= 1.0:
-        raise ValidationError("flip probability must lie in [0, 1]")
+    check_probability("flip probability q", q)
     return MarkovChain.from_transition([[1.0 - q, q], [q, 1.0 - q]])
 
 
@@ -163,14 +247,35 @@ class LosslessBounds:
             raise ValidationError("bounds must coincide at W = 0")
 
 
+def _entropy_bits(ps) -> float:
+    """Shannon entropy in bits of the positive entries of ps: zeros, and the
+    tiny negative entries the row-sum tolerance admits, are skipped, so
+    0*log(0) = 0."""
+    return -sum([p * math.log2(p) for p in ps if p > 0.0])
+
+
+def _matmul(A: Matrix, B: Matrix) -> Matrix:
+    cols = list(zip(*B))
+    return tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in A])
+
+
+def _matrix_power(P: Matrix, k: int) -> Matrix:
+    """P^k, k >= 1, by repeated squaring: the bits of k from the lowest, as
+    numpy.linalg.matrix_power takes them."""
+    result = None
+    while True:
+        if k & 1:
+            result = P if result is None else _matmul(result, P)
+        k >>= 1
+        if not k:
+            return result
+        P = _matmul(P, P)
+
+
 def _lag_entropy(chain: MarkovChain, lag: int) -> float:
-    """H(s_lag | s_0) in bits: the pi-weighted row entropies of P^lag, all rows
-    in one pass.  Entries that are not positive (zeros, and the tiny negative
-    entries the row-sum tolerance admits) are skipped, so 0*log(0) = 0."""
-    Pk = np.linalg.matrix_power(chain.transition, lag)
-    logs = np.zeros_like(Pk)
-    np.log2(Pk, out=logs, where=Pk > 0.0)
-    return float(-(chain.stationary @ (Pk * logs).sum(axis=1)))
+    """H(s_lag | s_0) in bits: the pi-weighted row entropies of P^lag."""
+    Pk = _matrix_power(chain.transition, lag)
+    return sum([pa * _entropy_bits(row) for pa, row in zip(chain.stationary, Pk)])
 
 
 def conditional_entropy_lag(chain: MarkovChain, lag: int) -> float:
@@ -235,9 +340,12 @@ def multiterminal_sum_rate(chain: MarkovChain) -> float:
     H(s1|s0,s2) comes from the joint pmf of (s0, s1, s2) and is cross-checked
     against its Markov form 2 H(s1|s0) - H(s2|s0), from lags 1 and 2."""
     P = chain.transition
-    pi = chain.stationary
-    joint3 = pi[:, None, None] * P[:, :, None] * P[None, :, :]
-    h_mid = _entropy_bits(joint3) - _entropy_bits(joint3.sum(axis=1))
+    h_joint = h_ends = 0.0  # H(s0, s1, s2) and H(s0, s2)
+    for pa, row in zip(chain.stationary, P):
+        triples = [[pa * pab * pbc for pbc in nxt] for pab, nxt in zip(row, P)]
+        h_joint += sum(map(_entropy_bits, triples))
+        h_ends += _entropy_bits(map(math.fsum, zip(*triples)))
+    h_mid = h_joint - h_ends
     h1, h2, h3 = (_lag_entropy(chain, k) for k in (1, 2, 3))
     if not abs(h_mid - (2.0 * h1 - h2)) <= 1e-10:
         raise NumericalError(
@@ -250,7 +358,7 @@ def multiterminal_sum_rate(chain: MarkovChain) -> float:
 def is_symmetric(chain: MarkovChain, tol: float) -> bool:
     """True iff the chain is reversible: pi(a) P(a,b) == pi(b) P(b,a) entrywise,
     so adjacent pairs can be exchanged without changing the joint law."""
-    if not (0.0 < tol < math.inf):
-        raise ValidationError("tolerance must be positive and finite")
-    flow = chain.stationary[:, None] * chain.transition
-    return bool(np.max(np.abs(flow - flow.T)) <= tol)
+    check_variance("tol", tol)
+    P, pi = chain.transition, chain.stationary
+    n = chain.alphabet_size
+    return all(abs(pi[a] * P[a][b] - pi[b] * P[b][a]) <= tol for a in range(n) for b in range(a + 1, n))

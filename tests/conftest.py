@@ -16,8 +16,9 @@ def joint_pmf(chain: MarkovChain, length: int) -> np.ndarray:
     """Exact pmf of (s_0, ..., s_length) as an array of that many axes."""
     n = chain.alphabet_size
     pmf = np.array(chain.stationary, dtype=float)
+    P = np.asarray(chain.transition)
     for _ in range(length):
-        pmf = pmf[..., None] * chain.transition[(None,) * (pmf.ndim - 1) + (slice(None), slice(None))]
+        pmf = pmf[..., None] * P[(None,) * (pmf.ndim - 1) + (slice(None), slice(None))]
     return pmf
 
 
@@ -54,7 +55,7 @@ def random_chain(rng: np.random.Generator, alphabet: int) -> MarkovChain:
 
 def oracle_lag_entropy(chain: MarkovChain, lag: int) -> float:
     """H(s_lag | s_0) in bits, one row of P^lag at a time."""
-    Pk = np.linalg.matrix_power(chain.transition, lag)
+    Pk = np.linalg.matrix_power(np.asarray(chain.transition), lag)
     return float(sum(chain.stationary[a] * entropy_bits(Pk[a]) for a in range(chain.alphabet_size)))
 
 

@@ -1,9 +1,10 @@
-"""Independent oracles for the Gauss-Markov bounds and the worst-case checks.
+"""Independent oracles for the Gauss-Markov bounds, the worst-case checks
+and the lossless bounds.
 
 The library computes these quantities another way (a closed form, a
-dynamic program); the tests compare the two.  The reference test-channel
-objectives and Brent loop are the plain forms of the library's per-solve
-kernels, which must match them bit for bit.
+dynamic program, GTH state reduction); the tests compare the two.  The
+reference test-channel objectives and Brent loop are the plain forms of the
+library's per-solve kernels, which must match them bit for bit.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 import math
 import sys
 from decimal import Decimal, localcontext
+
+import numpy as np
 
 from streamrate import (
     ConvergenceError,
@@ -192,3 +195,36 @@ def reference_bounds(cfg, solve) -> dict:
         "upper_multi": 0.5 * math.log2(_reference_multi_aged(cfg, multi) / cfg.D),
         "nwz": 0.5 * math.log2((v - r * r / v) / two),
     }
+
+
+def reference_stationary(P) -> np.ndarray | None:
+    """The unique probability vector in the null space of (P^T - I), by SVD,
+    or None when the rank test finds no unique one (more than one closed
+    class, or cross mass too small for the 1e-10 singular-value threshold)."""
+    P = np.asarray(P, dtype=float)
+    n = P.shape[0]
+    _, s, vt = np.linalg.svd(P.T - np.eye(n))
+    if int(np.sum(s < 1e-10 * max(1.0, s[0]))) != 1:
+        return None
+    v = vt[-1] / vt[-1].sum()
+    if np.any(v < -1e-9):
+        return None
+    v = np.clip(v, 0.0, None)
+    return v / v.sum()
+
+
+def reference_lag_entropy(P, pi, lag: int) -> float:
+    """H(s_lag | s_0) in bits from numpy's matrix power, all rows in one pass."""
+    Pk = np.linalg.matrix_power(np.asarray(P, dtype=float), lag)
+    logs = np.zeros_like(Pk)
+    np.log2(Pk, out=logs, where=Pk > 0.0)
+    return float(-(np.asarray(pi) @ (Pk * logs).sum(axis=1)))
+
+
+def reference_lossless(P, pi, B: int, W: int) -> tuple[float, float, float]:
+    """(predictive rate, lower, upper) of the lossless bounds from the numpy
+    lag entropies."""
+    h = {k: reference_lag_entropy(P, pi, k) for k in {1, B + 1, W + 1, B + W + 1}}
+    upper = h[1] + (h[B + 1] - h[1]) / (W + 1)
+    lower = h[1] + (h[B + W + 1] - h[W + 1]) / (W + 1) if B else h[1]
+    return h[1], max(lower, h[1]), upper

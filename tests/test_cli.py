@@ -410,7 +410,7 @@ class TestUsage:
             (["gm", "--rho", "0.9", "--D", "0.2"], {"streamrate"}),
             (["sliding", "--d", "0.1,0.25", "--B", "1", "--W", "1"], {"streamrate"}),
             (["figure", "--id", "fig4"], {"streamrate"}),
-            (["lossless", "--chain", "CHAIN", "--B", "1", "--W", "1"], {"numpy", "streamrate"}),
+            (["lossless", "--chain", "CHAIN", "--B", "1", "--W", "1"], {"streamrate"}),
             (["oracle", "--check", "single", "--rho", "0.9", "--sigma-z2", "0.1", "--tmax", "4"],
              {"streamrate"}),
             (GOLDEN_MULTI_ARGV, {"streamrate"}),
@@ -446,28 +446,39 @@ class TestUsage:
         assert loaded == third_party
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, needs_numpy",
         [
-            ["lossless", "--chain", "CHAIN", "--B", "1", "--W", "0"],
-            ["simulate", "--kind", "gm", "--sigma-z2", "0.3", "--T", "4", "--trials", "8"],
+            (["lossless", "--chain", "CHAIN", "--B", "2", "--W", "1"], False),
+            (["simulate", "--kind", "gm", "--sigma-z2", "0.3", "--T", "4", "--trials", "8"], True),
         ],
         ids=["lossless", "simulate"],
     )
-    def test_numpy_command_without_numpy_is_one_line(self, argv, chain_file):
-        # a None entry in sys.modules makes `import numpy` fail as if it were not installed
+    def test_numpy_command_without_numpy_is_one_line(self, argv, needs_numpy, chain_file):
+        # a None entry in sys.modules makes `import numpy` fail as if it were not installed;
+        # a command that runs on the standard library prints what it prints with numpy
         argv = [chain_file if a == "CHAIN" else a for a in argv]
-        code = (
-            "import sys\n"
-            "sys.modules['numpy'] = None\n"
-            "from streamrate import cli\n"
-            f"sys.exit(cli.main({argv!r}))\n"
-        )
         src = os.path.dirname(os.path.dirname(sr.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-        assert done.returncode == 1
-        assert done.stdout == ""
-        assert done.stderr == f"streamrate {argv[0]}: this command needs numpy, which is not installed\n"
+
+        def run_cli(block_numpy):
+            code = (
+                "import sys\n"
+                + ("sys.modules['numpy'] = None\n" if block_numpy else "")
+                + "from streamrate import cli\n"
+                f"sys.exit(cli.main({argv!r}))\n"
+            )
+            return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+
+        done = run_cli(block_numpy=True)
+        if needs_numpy:
+            assert done.returncode == 1
+            assert done.stdout == ""
+            assert done.stderr == f"streamrate {argv[0]}: this command needs numpy, which is not installed\n"
+        else:
+            normal = run_cli(block_numpy=False)
+            assert done.returncode == normal.returncode == 0
+            assert done.stderr == ""
+            assert done.stdout == normal.stdout and done.stdout.startswith("B,W,predictive_rate,lower,upper\n")
 
     def test_lazy_names_resolve_to_their_modules(self):
         assert sr.MarkovChain is sr.markov.MarkovChain

@@ -77,6 +77,10 @@ def _bin_cfg(**kw):
 
 _D = sr.DistortionVector((0.1, 0.3, 0.5))
 
+
+def _uniform(n):
+    return [[1.0 / n] * n for _ in range(n)]
+
 # Inputs that got through the gaps between the modules' copies of the rules
 # (a bare TypeError, OverflowError or ValueError, a hang, a silent
 # truncation, or a report with nothing checked), and the caps that keep
@@ -113,6 +117,13 @@ LIBRARY_ROWS = {
     "reduce-window-W-cap": lambda: sr.reduce_window(_D, 1, 10**30),
     "lossless-W-cap": lambda: sr.lossless_bounds(sr.binary_symmetric_chain(0.1), 1, sr.markov.LAG_CAP + 1),
     "entropy-lag-cap": lambda: sr.conditional_entropy_lag(sr.binary_symmetric_chain(0.1), 2**63),
+    "chain-alphabet-size-str": lambda: sr.MarkovChain("2", [[0.5, 0.5], [0.5, 0.5]], [0.5, 0.5]),
+    "chain-alphabet-size-True": lambda: sr.MarkovChain(True, [[1.0]], [1.0]),
+    "chain-entry-str": lambda: sr.MarkovChain.from_transition([["0.5", "0.5"], ["0.5", "0.5"]]),
+    "chain-entry-bool": lambda: sr.MarkovChain.from_transition([[False, True], [True, False]]),
+    "chain-alphabet-cap": lambda: sr.MarkovChain.from_transition(_uniform(sr.markov.ALPHABET_CAP + 1)),
+    "binary-chain-q-str": lambda: sr.binary_symmetric_chain("0.1"),
+    "symmetric-tol-True": lambda: sr.is_symmetric(sr.binary_symmetric_chain(0.1), True),
 }
 
 
@@ -144,6 +155,8 @@ CLI_ROWS = {
     "sliding-B-huge": (["sliding", "--d", "0.1,0.3", "--B", str(10**30), "--W", "1"], None),
     "lossless-W-huge": (["lossless", "--chain", "FILE", "--B", "1", "--W", str(2**65)],
                         {"transition": [[0.9, 0.1], [0.2, 0.8]]}),
+    "lossless-alphabet-cap": (["lossless", "--chain", "FILE", "--B", "1", "--W", "1"],
+                              {"transition": _uniform(sr.markov.ALPHABET_CAP + 1)}),
 }
 
 

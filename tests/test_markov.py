@@ -14,6 +14,7 @@ from conftest import (
     oracle_lossless_bounds,
     random_chain,
 )
+from oracles import reference_lossless, reference_stationary
 import streamrate.markov as markov
 from streamrate import (
     ConvergenceError,
@@ -81,6 +82,24 @@ class TestStationaryDistribution:
         pi = stationary_distribution(np.array([[1.0, 0.0], [0.5, 0.5]]))
         assert np.allclose(pi, [1.0, 0.0], rtol=0, atol=1e-12)
 
+    def test_two_blocks_with_tiny_cross_mass(self):
+        # cross mass far below any singular-value threshold: still one closed class
+        eps = 1e-200
+        P = [[0.7, 0.3 - eps, eps, 0.0], [0.4, 0.6 - eps, 0.0, eps],
+             [eps, 0.0, 0.5 - eps, 0.5], [0.0, eps, 0.2, 0.8 - eps]]
+        chain = MarkovChain.from_transition(P)
+        # each block keeps its own law, at half the mass (the cross flows balance)
+        assert chain.stationary == pytest.approx((4 / 14, 3 / 14, 2 / 14, 5 / 14), rel=1e-12)
+        _assert_law_and_ordered_bounds(P)
+
+    def test_law_wider_than_the_float_range(self):
+        # state 2 outweighs state 1 by 1e200 and state 1 outweighs state 0 by
+        # 1e200: state 0's mass underflows to 0 instead of the others overflowing
+        P = [[0.0, 1.0, 0.0], [1e-200, 0.0, 1.0 - 1e-200], [0.0, 1e-200, 1.0 - 1e-200]]
+        pi = stationary_distribution(P)
+        assert pi[0] == 0.0 and pi[2] == 1.0
+        assert pi[1] == pytest.approx(1e-200, rel=1e-12)
+
 
 class TestMarkovChainType:
     def test_from_json_roundtrip(self, tmp_path):
@@ -109,14 +128,32 @@ class TestMarkovChainType:
         with pytest.raises(ValidationError):
             MarkovChain.from_json(doc)
 
+    @pytest.mark.parametrize(
+        "source",
+        [{"alphabet_size": 2}, "[[0.5, 0.5], [0.5, 0.5]]", "{bad", "MISSING"],
+        ids=["no-transition", "not-an-object", "malformed", "missing-file"],
+    )
+    def test_from_json_unreadable_is_validation_error(self, source, tmp_path):
+        path = tmp_path / "chain.json"
+        if isinstance(source, str) and source != "MISSING":
+            path.write_text(source)
+        with pytest.raises(ValidationError):
+            MarkovChain.from_json(source if isinstance(source, dict) else path)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_stationary_rejected(self, bad):
+        # every tolerance comparison is False on NaN
+        with pytest.raises(ValidationError, match="finite"):
+            MarkovChain(2, [[0.5, 0.5], [0.5, 0.5]], [bad, 1.0])
+
     def test_bad_stationary_rejected(self):
         with pytest.raises(ValidationError):
             MarkovChain(2, np.array([[0.7, 0.3], [0.2, 0.8]]), np.array([0.5, 0.5]))
 
     def test_immutability(self):
         chain = binary_symmetric_chain(0.2)
-        with pytest.raises(ValueError):
-            chain.transition[0, 0] = 0.0
+        with pytest.raises(TypeError):
+            chain.transition[0][0] = 0.0
 
 
 class TestConditionalEntropyLag:
@@ -263,7 +300,7 @@ class TestIsSymmetric:
         rng = np.random.default_rng(5)
         for _ in range(10):
             chain = random_chain(rng, 3)
-            pmf2 = chain.stationary[:, None] * chain.transition
+            pmf2 = np.asarray(chain.stationary)[:, None] * np.asarray(chain.transition)
             exchangeable = bool(np.max(np.abs(pmf2 - pmf2.T)) <= 1e-10)
             assert is_symmetric(chain, 1e-10) == exchangeable
 
@@ -368,10 +405,10 @@ def _assert_law_and_ordered_bounds(P: np.ndarray) -> None:
         chain = MarkovChain.from_transition(P)
     except (ValidationError, ConvergenceError):
         return
-    pi = chain.stationary
+    pi = np.asarray(chain.stationary)
     assert np.all(pi >= 0.0)
     assert abs(pi.sum() - 1.0) <= 1e-12
-    assert np.max(np.abs(pi @ chain.transition - pi)) <= 1e-12
+    assert np.max(np.abs(pi @ np.asarray(chain.transition) - pi)) <= 1e-12
     for B in range(4):
         for W in range(4):
             b = lossless_bounds(chain, B, W)
@@ -391,7 +428,7 @@ class TestStationaryProperties:
     @_chain_settings
     @given(bipartite_periodic())
     def test_bipartite_periodic(self, P):
-        pi = stationary_distribution(P)
+        pi = np.asarray(stationary_distribution(P))
         a = int(np.count_nonzero(P[0] == 0.0))  # the first part is where row 0 puts no mass
         assert pi[:a].sum() == pytest.approx(0.5, abs=1e-12)
         _assert_law_and_ordered_bounds(P)
@@ -406,6 +443,46 @@ class TestStationaryProperties:
     def test_block_diagonal_has_no_unique_law(self, P):
         with pytest.raises(ConvergenceError):
             stationary_distribution(P)
+
+
+def _assert_matches_reference(P: np.ndarray) -> None:
+    """Wherever the SVD reference solves, the chain has its law and bounds.
+
+    They agree within 1e-12 plus a hundred times the reference's own error:
+    its null vector is good to about 1e-16 / sigma, sigma the second-smallest
+    singular value of P^T - I, which nearly reducible chains make small."""
+    ref = reference_stationary(P)
+    if ref is None:
+        return
+    chain = MarkovChain.from_transition(P)
+    s = np.linalg.svd(P.T - np.eye(len(P)), compute_uv=False)
+    tol = 1e-12 + (1e-14 / s[-2] if len(s) > 1 else 0.0)
+    assert np.max(np.abs(np.asarray(chain.stationary) - ref)) <= tol
+    for B in range(4):
+        for W in range(4):
+            b = lossless_bounds(chain, B, W)
+            want = reference_lossless(P, ref, B, W)
+            assert np.max(np.abs(np.subtract((b.predictive_rate, b.lower, b.upper), want))) <= tol
+
+
+class TestAgainstReference:
+    """GTH and the stdlib lag entropies against the SVD null space and numpy's
+    matrix power."""
+
+    @_chain_settings
+    @given(random_stochastic())
+    def test_random_stochastic(self, P):
+        _assert_matches_reference(P)
+
+    @_chain_settings
+    @given(bipartite_periodic())
+    def test_bipartite_periodic(self, P):
+        _assert_matches_reference(P)
+
+    @_chain_settings
+    @given(nearly_reducible())
+    def test_nearly_reducible(self, P):
+        _assert_matches_reference(P)
 
 
 def _outcome(fn, *args):
@@ -442,8 +519,8 @@ class TestEntropyKernel:
     def test_each_lag_powered_once(self, monkeypatch, B, W, powers):
         chain = binary_symmetric_chain(0.1)
         lags = []
-        matrix_power = np.linalg.matrix_power
-        monkeypatch.setattr(np.linalg, "matrix_power", lambda M, k: lags.append(k) or matrix_power(M, k))
+        matrix_power = markov._matrix_power
+        monkeypatch.setattr(markov, "_matrix_power", lambda M, k: lags.append(k) or matrix_power(M, k))
         lossless_bounds(chain, B, W)
         assert len(lags) == len(set(lags)) == powers
 
@@ -452,8 +529,8 @@ class TestEntropyKernel:
         chain = random_chain(np.random.default_rng(5), 4)
         expected = multiterminal_sum_rate(chain)
         lags = []
-        matrix_power = np.linalg.matrix_power
-        monkeypatch.setattr(np.linalg, "matrix_power", lambda M, k: lags.append(k) or matrix_power(M, k))
+        matrix_power = markov._matrix_power
+        monkeypatch.setattr(markov, "_matrix_power", lambda M, k: lags.append(k) or matrix_power(M, k))
         assert multiterminal_sum_rate(chain) == expected
         assert sorted(lags) == [1, 2, 3]
 
