@@ -35,9 +35,10 @@ STATIONARY_TOL = 1e-10
 # about 1e-17 k, so at 2**40 the lag entropies are wrong in the 5th digit
 LAG_CAP = 10**6
 # symbols: the costliest legal call is lossless_bounds with lags of many set
-# bits, such as B = 983038, W = 786430 (111 matrix products); on a 2 vCPU
-# Xeon sandbox with Python 3.11 it took 0.43-0.68 s at 48 symbols and
-# 1.3-1.5 s at 64 (the work grows like n**3)
+# bits, such as B = 983038, W = 786430 (73 matrix products: 20 squarings
+# shared by the lags, then 53 to combine them); on a 2 vCPU Xeon sandbox with
+# Python 3.11 it took 0.43-0.57 s at 48 symbols and 1.05-1.22 s at 64 (the
+# work grows like n**3)
 ALPHABET_CAP = 48
 
 Matrix = tuple[tuple[float, ...], ...]
@@ -259,29 +260,37 @@ def _matmul(A: Matrix, B: Matrix) -> Matrix:
     return tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in A])
 
 
-def _matrix_power(P: Matrix, k: int) -> Matrix:
-    """P^k, k >= 1, by repeated squaring: the bits of k from the lowest, as
-    numpy.linalg.matrix_power takes them."""
-    result = None
-    while True:
-        if k & 1:
-            result = P if result is None else _matmul(result, P)
-        k >>= 1
-        if not k:
-            return result
-        P = _matmul(P, P)
+def _powers(P: Matrix, lags) -> dict[int, Matrix]:
+    """P^k for each lag k >= 1 from one squaring ladder P, P^2, P^4, ...
+    shared by the lags: each power multiplies the rungs of k's set bits from
+    the lowest, as numpy.linalg.matrix_power takes them, so it is bit for bit
+    the power that repeated squaring for k alone would make."""
+    ladder = [P]
+    while 1 << len(ladder) <= max(lags):
+        ladder.append(_matmul(ladder[-1], ladder[-1]))
+    powers = {}
+    for k in lags:
+        result = None
+        for i, rung in enumerate(ladder):
+            if k >> i & 1:
+                result = rung if result is None else _matmul(result, rung)
+        powers[k] = result
+    return powers
 
 
-def _lag_entropy(chain: MarkovChain, lag: int) -> float:
-    """H(s_lag | s_0) in bits: the pi-weighted row entropies of P^lag."""
-    Pk = _matrix_power(chain.transition, lag)
-    return sum([pa * _entropy_bits(row) for pa, row in zip(chain.stationary, Pk)])
+def _lag_entropies(chain: MarkovChain, lags) -> dict[int, float]:
+    """H(s_k | s_0) in bits for each lag k: the pi-weighted row entropies of P^k."""
+    return {
+        k: sum([pa * _entropy_bits(row) for pa, row in zip(chain.stationary, Pk)])
+        for k, Pk in _powers(chain.transition, lags).items()
+    }
 
 
 def conditional_entropy_lag(chain: MarkovChain, lag: int) -> float:
     """H(s_lag | s_0) in bits for the stationary chain; lag >= 1."""
     check_int("lag", lag, 1, LAG_CAP)
-    return _lag_entropy(chain, int(lag))
+    lag = int(lag)
+    return _lag_entropies(chain, (lag,))[lag]
 
 
 def window_conditional_entropy(chain: MarkovChain, B: int, W: int) -> float:
@@ -308,14 +317,15 @@ def lossless_bounds(chain: MarkovChain, B: int, W: int) -> LosslessBounds:
     bounds equal the predictive rate.
 
     Each distinct lag entropy is computed once: lag 1 alone when B = 0,
-    otherwise lags 1, B+1, W+1 and B+W+1.  The cross-check against the joint
-    window entropy H(s_{B+1}|s_0) + W * H(s_1|s_0) reads those same values,
-    which are exactly what `window_conditional_entropy` returns.
+    otherwise lags 1, B+1, W+1 and B+W+1, all powered from one squaring
+    ladder.  The cross-check against the joint window entropy
+    H(s_{B+1}|s_0) + W * H(s_1|s_0) reads those same values, which are
+    exactly what `window_conditional_entropy` returns.
     """
     check_int("B", B, 0, LAG_CAP)
     check_int("W", W, 0, LAG_CAP)
     lags = {1} if B == 0 else {1, B + 1, W + 1, B + W + 1}
-    h = {k: _lag_entropy(chain, k) for k in lags}
+    h = _lag_entropies(chain, lags)
     h1 = h[1]
     if B == 0:
         mi_upper = mi_lower = 0.0
@@ -346,7 +356,7 @@ def multiterminal_sum_rate(chain: MarkovChain) -> float:
         h_joint += sum(map(_entropy_bits, triples))
         h_ends += _entropy_bits(map(math.fsum, zip(*triples)))
     h_mid = h_joint - h_ends
-    h1, h2, h3 = (_lag_entropy(chain, k) for k in (1, 2, 3))
+    h1, h2, h3 = _lag_entropies(chain, (1, 2, 3)).values()
     if not abs(h_mid - (2.0 * h1 - h2)) <= 1e-10:
         raise NumericalError(
             f"H(s1|s0,s2) = {h_mid:.12f} from the joint pmf disagrees with "

@@ -15,6 +15,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 
+import streamrate.markov as markov
 from streamrate import (
     ConvergenceError,
     ErasurePattern,
@@ -211,6 +212,20 @@ def reference_stationary(P) -> np.ndarray | None:
         return None
     v = np.clip(v, 0.0, None)
     return v / v.sum()
+
+
+def reference_matrix_power(P, k: int):
+    """P^k, k >= 1, by repeated squaring for k alone: the bits of k from the
+    lowest, as numpy.linalg.matrix_power takes them.  The shared squaring
+    ladder of `markov._powers` must give these powers bit for bit."""
+    result = None
+    while True:
+        if k & 1:
+            result = P if result is None else markov._matmul(result, P)
+        k >>= 1
+        if not k:
+            return result
+        P = markov._matmul(P, P)
 
 
 def reference_lag_entropy(P, pi, lag: int) -> float:

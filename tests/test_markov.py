@@ -14,7 +14,7 @@ from conftest import (
     oracle_lossless_bounds,
     random_chain,
 )
-from oracles import reference_lossless, reference_stationary
+from oracles import reference_lossless, reference_matrix_power, reference_stationary
 import streamrate.markov as markov
 from streamrate import (
     ConvergenceError,
@@ -517,28 +517,45 @@ class TestEntropyKernel:
         "B, W, powers", [(0, 3, 1), (1, 0, 2), (1, 1, 3), (2, 1, 4), (3, 4, 4)]
     )
     def test_each_lag_powered_once(self, monkeypatch, B, W, powers):
+        # one squaring ladder up to the largest lag, shared by every lag: at
+        # (3, 4) the lags 1, 4, 5, 8 take the squarings to P^8 and P^4 P
+        products = {(0, 3): 0, (1, 0): 1, (1, 1): 2, (2, 1): 3, (3, 4): 4}[B, W]
         chain = binary_symmetric_chain(0.1)
-        lags = []
-        matrix_power = markov._matrix_power
-        monkeypatch.setattr(markov, "_matrix_power", lambda M, k: lags.append(k) or matrix_power(M, k))
+        lags, calls = [], []
+        powers_of, matmul = markov._powers, markov._matmul
+        monkeypatch.setattr(markov, "_powers", lambda P, ks: lags.extend(ks) or powers_of(P, ks))
+        monkeypatch.setattr(markov, "_matmul", lambda A, M: calls.append(1) or matmul(A, M))
         lossless_bounds(chain, B, W)
         assert len(lags) == len(set(lags)) == powers
+        assert len(calls) == products
 
     def test_sum_rate_powers_each_lag_once(self, monkeypatch):
-        # H(s3|s0) was computed twice: once for the sum, once in its cross-check
+        # H(s3|s0) was computed twice: once for the sum, once in its cross-check;
+        # now lags 1, 2, 3 take one squaring and one product, P^2 P
         chain = random_chain(np.random.default_rng(5), 4)
         expected = multiterminal_sum_rate(chain)
-        lags = []
-        matrix_power = markov._matrix_power
-        monkeypatch.setattr(markov, "_matrix_power", lambda M, k: lags.append(k) or matrix_power(M, k))
+        calls = []
+        matmul = markov._matmul
+        monkeypatch.setattr(markov, "_matmul", lambda A, M: calls.append(1) or matmul(A, M))
         assert multiterminal_sum_rate(chain) == expected
-        assert sorted(lags) == [1, 2, 3]
+        assert len(calls) == 2
+
+    @settings(max_examples=30, deadline=None)
+    @given(random_stochastic(), st.sets(st.integers(1, 70), min_size=1, max_size=4))
+    def test_ladder_powers_are_the_per_lag_powers(self, P, lags):
+        # bit for bit: sharing the squarings changes no rounding
+        P = markov._matrix(P)
+        powers = markov._powers(P, tuple(lags))
+        assert powers == {k: reference_matrix_power(P, k) for k in lags}
 
     def test_sum_rate_cross_check_fires(self, monkeypatch):
         # the joint-pmf H(s1|s0,s2) against 2 H(s1|s0) - H(s2|s0), from a wrong lag entropy
         chain = binary_symmetric_chain(0.1)
-        lag_entropy = markov._lag_entropy
-        monkeypatch.setattr(markov, "_lag_entropy", lambda c, k: lag_entropy(c, k) + (1e-9 if k == 2 else 0.0))
+        lag_entropies = markov._lag_entropies
+        monkeypatch.setattr(
+            markov, "_lag_entropies",
+            lambda c, ks: {k: h + (1e-9 if k == 2 else 0.0) for k, h in lag_entropies(c, ks).items()},
+        )
         with pytest.raises(NumericalError, match="joint pmf"):
             multiterminal_sum_rate(chain)
 

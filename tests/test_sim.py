@@ -82,6 +82,18 @@ class TestGmStream:
         res = simulate_gm_stream(cfg)
         assert abs(res.mse[49] - 0.2) <= 3 * res.stderr[49]
 
+    @pytest.mark.parametrize("chunk", [1, 5, 64])
+    def test_update_chunk_does_not_change_results(self, monkeypatch, chunk):
+        # the filter update is elementwise, so its scratch length is free
+        cfg = SimConfig(rho=0.9, sigma_z2=0.2, horizon=30, trials=64, seed=9, bursts=((20, 3),))
+        whole = simulate_gm_stream(cfg)
+        sweep = sweep_burst_position(cfg, B=2)
+        monkeypatch.setattr(sim, "UPDATE_CHUNK", chunk)
+        chunked = simulate_gm_stream(cfg)
+        for field in ("mse", "stderr", "exact_mmse"):
+            assert np.array_equal(getattr(chunked, field), getattr(whole, field))
+        assert sweep_burst_position(cfg, B=2) == sweep
+
     def test_never_statistically_below_exact(self):
         # estimator optimality: empirical error cannot undershoot the MMSE
         for bursts in ((), ((12, 2),)):
@@ -90,6 +102,20 @@ class TestGmStream:
             )
             res = simulate_gm_stream(cfg)
             assert np.all(res.mse >= res.exact_mmse - 4 * res.stderr)
+
+
+class TestStreamStats:
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 4097, 100000])
+    def test_equals_mean_and_std(self, n):
+        # the reduction made in place in the observation lane is numpy's own, bit for bit
+        rng = np.random.default_rng(n)
+        stream = sim._Stream(SimConfig(rho=0.9, sigma_z2=0.2, horizon=1, trials=n, seed=0))
+        stream.s[...] = rng.standard_normal(n)
+        mean = rng.standard_normal(n) * 0.3 + stream.s
+        sq = (stream.s - mean) ** 2
+        mse, stderr = stream.stats(mean)
+        assert mse == float(sq.mean())
+        assert stderr == (float(sq.std(ddof=1)) / math.sqrt(n) if n > 1 else 0.0)
 
 
 class TestBurstPositionSweep:
@@ -115,6 +141,14 @@ class TestBurstPositionSweep:
             (7, 4, 12, (8, 1, 3)),
             (64, 5, 20, None),
             (64, 5, 9, (4, 0, 2)),
+            # groups of SWEEP_LANES starts: 2, 4 and 7 distinct offsets leave
+            # a partial group
+            (5, 2, None, (1, 0, 1)),
+            (5, 2, None, (3, 0, 1, 2)),
+            (5, 1, 18, tuple(range(7))),
+            (9, 2, 21, (0, 5, 9)),  # one group of starts 4 and 5 slots apart
+            (9, 6, 21, (0, 2, 4, 1)),  # each burst outlasts the gap to the next start
+            (1, 4, 21, (0, 3, 6, 9, 12)),
         ],
     )
     def test_equals_per_offset_runs(self, trials, B, decode_time, offsets):
@@ -134,6 +168,29 @@ class TestBurstPositionSweep:
             assert rep.empirical[i] == float(res.mse[t])
             assert rep.stderr[i] == float(res.stderr[t])
             assert rep.exact[i] == float(res.exact_mmse[t])
+
+    def test_replays_share_the_source_draws(self, monkeypatch):
+        # at decode time 49 with B = 2, the 11 starts 37..47 take three
+        # replays of three lanes and one of two: 37 slots to the first start
+        # and 13 + 10 + 7 + 4 replayed, 71 slot steps of two draws each after
+        # the pre-stream state (one replay per start took 135)
+        calls = []
+
+        class CountingGenerator:
+            def __init__(self, rng):
+                self.rng = rng
+                self.bit_generator = rng.bit_generator
+
+            def standard_normal(self, *args, **kwargs):
+                calls.append(1)
+                return self.rng.standard_normal(*args, **kwargs)
+
+        philox = sim._philox
+        monkeypatch.setattr(sim, "_philox", lambda seed: CountingGenerator(philox(seed)))
+        cfg = SimConfig(rho=0.9, sigma_z2=0.2, horizon=50, trials=4, seed=5)
+        rep = sweep_burst_position(cfg, B=2, decode_time=49)
+        assert rep.offsets == tuple(range(11))
+        assert len(calls) == 1 + 2 * 71
 
     def test_config_bursts_ignored(self):
         cfg = SimConfig(rho=0.9, sigma_z2=0.2, horizon=20, trials=50, seed=3)
