@@ -141,8 +141,6 @@ def _cmd_gm(args) -> int:
 def _cmd_sliding(args) -> int:
     values = _parse_floats(args.d)
     d = sliding.DistortionVector(tuple(values))
-    if args.K is not None and args.K != d.K:
-        raise ValidationError(f"--K={args.K} disagrees with the {d.K + 1}-entry distortion list")
     rate = sliding.rate_recovery(d, args.B, args.W)
     base = sliding.baseline_rates(d, args.B, args.W)
     plan = sliding.layer_plan(d, args.B, args.W)
@@ -361,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", required=True, help="comma-separated distortion vector")
     p.add_argument("--B", type=int, required=True)
     p.add_argument("--W", type=int, required=True)
-    p.add_argument("--K", type=int, default=None)
     p.add_argument("--nats", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_sliding)

@@ -2,12 +2,15 @@
 source s_i = rho * s_{i-1} + n_i streamed over burst-erasure channels with
 immediate recovery (no grace window) and mean-square distortion target D.
 
-Rates are in bits.  The achievable (upper) bounds come from an additive
-Gaussian test channel u = s + z: the noise variance sigma_z2 is solved so the
-decoder's steady-state MMSE hits D, and the rate is the corresponding
-conditional mutual information.  The converse (lower) bound is the positive
-root of a quadratic in 2^(2R).  Every steady-state limit is evaluated in
-closed form; the brute-force Gaussian conditioning in `streamrate.oracle`
+Rates are in bits.  Each achievable (upper) bound is one burst channel over
+an additive Gaussian test channel u = s + z: the error of the last state
+estimated before a loss (the steady-state filter error for a single burst, the
+estimate after the guard interval for repeated bursts, u_{t-B-1} alone for the
+two-point reference), aged over the lost slots and joined by the fresh u_t.
+One solve serves all three: sigma_z2 is solved so that MMSE hits D, and the
+rate is the conditional mutual information.  The converse (lower) bound is the
+positive root of a quadratic in 2^(2R).  Every steady-state limit is evaluated
+in closed form; the brute-force Gaussian conditioning in `streamrate.oracle`
 provides the independent finite-horizon check.
 """
 
@@ -77,11 +80,11 @@ class GmBounds:
     def __post_init__(self):
         tol = 1e-9
         if min(self.lower, self.upper_single, self.high_res) < -tol:
-            raise ValidationError("rates must be nonnegative")
+            raise NumericalError("rates must be nonnegative")
         if self.lower > self.upper_single + tol:
-            raise ValidationError("lower bound exceeds single-burst upper bound")
+            raise NumericalError("lower bound exceeds single-burst upper bound")
         if self.upper_multi is not None and self.upper_single > self.upper_multi + tol:
-            raise ValidationError("single-burst upper bound exceeds multi-burst upper bound")
+            raise NumericalError("single-burst upper bound exceeds multi-burst upper bound")
 
 
 def lower_bound_closed_form(rho: float, B: int, D: float) -> float:
@@ -137,7 +140,7 @@ def _eta(a: float, q: float, p: float, steps: int, s: float) -> float:
     return p
 
 
-def _burst_kernels(pre, c: float):
+def _burst(pre, c: float):
     """(pre, aged, mmse) of the noise s alone: the pre-burst error pre(s) aged by
     c = rho^(2n) over n lost slots, and the MMSE with the fresh observation."""
     def aged(s: float) -> float:
@@ -149,20 +152,25 @@ def _burst_kernels(pre, c: float):
     return pre, aged, mmse
 
 
-def _single_kernels(cfg: GmConfig):
-    return _burst_kernels(partial(_steady_sigma, 1.0 - cfg.rho**2), cfg.rho ** (2 * cfg.B))
+def _single_channel(cfg: GmConfig):
+    return _burst(partial(_steady_sigma, 1.0 - cfg.rho**2), cfg.rho ** (2 * cfg.B))
+
+
+def _multi_channel(cfg: GmConfig):
+    a = cfg.rho * cfg.rho
+    return _burst(partial(_eta, a, 1.0 - a, cfg.D, cfg.L - 1), cfg.rho ** (2 * (cfg.B + 1)))
+
+
+def _two_point_channel(cfg: GmConfig):
+    # s / (1 + s): the error of s_{t-B-1} given u_{t-B-1} alone
+    return _burst(lambda s: s / (1.0 + s), cfg.rho ** (2 * (cfg.B + 1)))
 
 
 def gamma_single(cfg: GmConfig, tc: TestChannel) -> float:
     """Steady-state decoder MMSE for the single-burst worst case: harmonic sum
     of the fresh observation and the aged pre-burst estimate.  Strictly
     increasing in the test-channel noise."""
-    return _single_kernels(cfg)[2](tc.sigma_z2)
-
-
-def _single_aged(cfg: GmConfig, sigma_z2: float) -> float:
-    """1 - rho^(2B) (1 - Sigma): the steady-state error aged across the burst."""
-    return _single_kernels(cfg)[1](sigma_z2)
+    return _single_channel(cfg)[2](tc.sigma_z2)
 
 
 def _brentq(f, xpre: float, xcur: float, fpre: float, fcur: float) -> tuple[float, float]:
@@ -256,16 +264,22 @@ def _solve_increasing(fn, target: float, what: str) -> float:
     return math.exp(y)
 
 
+def _rate(channel, D: float, s: float) -> float:
+    """I(s_t; u_t | the past) = (1/2) log2((aged + s) / s), at a root of mmse(s) = D."""
+    return 0.5 * math.log2(channel[1](s) / D)  # there (aged + s) / s = aged / D
+
+
+def _solve(channel, D: float, what: str) -> tuple[float, float]:
+    """(rate, sigma_z2) of the burst channel whose MMSE is D."""
+    s = _solve_increasing(channel[2], D, what)
+    return _rate(channel, D, s), s
+
+
 def solve_test_channel_single(cfg: GmConfig) -> TestChannel:
     """Noise variance whose steady-state single-burst MMSE equals D."""
     if cfg.D >= 1.0:
         raise ValidationError("D >= 1 needs no test channel (rate is zero)")
-    gamma = _single_kernels(cfg)[2]
-    return TestChannel(_solve_increasing(gamma, cfg.D, "single-burst test channel"))
-
-
-def _single_rate(cfg: GmConfig, tc: TestChannel) -> float:
-    return 0.5 * math.log2(_single_aged(cfg, tc.sigma_z2) / cfg.D)
+    return TestChannel(_solve_increasing(_single_channel(cfg)[2], cfg.D, "single-burst test channel"))
 
 
 def rate_upper_single(cfg: GmConfig) -> float:
@@ -273,7 +287,7 @@ def rate_upper_single(cfg: GmConfig) -> float:
     (1/2) log2((1 - rho^(2B) (1 - Sigma)) / D) at the solved test channel."""
     if cfg.D >= 1.0:
         return 0.0
-    return _single_rate(cfg, solve_test_channel_single(cfg))
+    return _rate(_single_channel(cfg), cfg.D, solve_test_channel_single(cfg).sigma_z2)
 
 
 def eta_multi(cfg: GmConfig, tc: TestChannel) -> float:
@@ -286,21 +300,7 @@ def eta_multi(cfg: GmConfig, tc: TestChannel) -> float:
     """
     if cfg.D >= 1.0:
         raise ValidationError("eta is defined for D < 1")
-    return _multi_kernels(cfg)[0](tc.sigma_z2)
-
-
-def _multi_kernels(cfg: GmConfig):
-    a = cfg.rho * cfg.rho
-    return _burst_kernels(partial(_eta, a, 1.0 - a, cfg.D, cfg.L - 1), cfg.rho ** (2 * (cfg.B + 1)))
-
-
-def _multi_aged(cfg: GmConfig, sigma_z2: float) -> float:
-    """1 - rho^(2(B+1)) (1 - eta): the pre-burst error aged across the burst."""
-    return _multi_kernels(cfg)[1](sigma_z2)
-
-
-def _multi_distortion(cfg: GmConfig, sigma_z2: float) -> float:
-    return _multi_kernels(cfg)[2](sigma_z2)
+    return _multi_channel(cfg)[0](tc.sigma_z2)
 
 
 def rate_upper_multi(cfg: GmConfig) -> tuple[float, TestChannel | None]:
@@ -318,8 +318,8 @@ def rate_upper_multi(cfg: GmConfig) -> tuple[float, TestChannel | None]:
     """
     if cfg.D >= 1.0:
         return 0.0, None
-    sigma = _solve_increasing(_multi_kernels(cfg)[2], cfg.D, "multi-burst test channel")
-    return 0.5 * math.log2(_multi_aged(cfg, sigma) / cfg.D), TestChannel(sigma)
+    rate, sigma = _solve(_multi_channel(cfg), cfg.D, "multi-burst test channel")
+    return rate, TestChannel(sigma)
 
 
 def high_res_rate(cfg: GmConfig) -> float:
@@ -328,22 +328,12 @@ def high_res_rate(cfg: GmConfig) -> float:
     return max(0.0, 0.5 * math.log2((1.0 - cfg.rho ** (2 * (cfg.B + 1))) / cfg.D))
 
 
-def _two_point_mmse(r: float, s: float) -> float:
-    """MMSE of s_t from the stale u_{t-B-1} and the fresh u_t at noise s; r = rho^(B+1)."""
-    v = 1.0 + s
-    return 1.0 - (v * (1.0 + r * r) - 2.0 * r * r) / (v * v - r * r)
-
-
 def naive_wz_rate(cfg: GmConfig) -> float:
     """Rate of coding against the most recent pre-burst observation only:
     I(s_t; u_t | u_{t-B-1}) with sigma_z2 matched so the two-point MMSE is D."""
     if cfg.D >= 1.0:
         return 0.0
-    r = cfg.rho ** (cfg.B + 1)
-    sigma = _solve_increasing(partial(_two_point_mmse, r), cfg.D, "two-point test channel")
-    v = 1.0 + sigma
-    var_u_given_old = v - r * r / v
-    return 0.5 * math.log2(var_u_given_old / sigma)
+    return _solve(_two_point_channel(cfg), cfg.D, "two-point test channel")[0]
 
 
 def finite_t_lower(cfg: GmConfig, t: int) -> float:
@@ -388,7 +378,7 @@ def compute_bounds(cfg: GmConfig) -> GmBounds:
     multi, tc_multi = rate_upper_multi(cfg)
     return GmBounds(
         lower=lower,
-        upper_single=_single_rate(cfg, tc),
+        upper_single=_rate(_single_channel(cfg), cfg.D, tc.sigma_z2),
         high_res=high_res_rate(cfg),
         sigma_z2_single=tc.sigma_z2,
         upper_multi=multi,

@@ -241,11 +241,11 @@ class LosslessBounds:
     def __post_init__(self):
         tol = 1e-12
         if self.lower > self.upper + tol:
-            raise ValidationError("lower bound exceeds upper bound")
+            raise NumericalError("lower bound exceeds upper bound")
         if self.upper < self.predictive_rate - tol or self.lower < self.predictive_rate - tol:
-            raise ValidationError("bounds fell below the predictive-coding rate")
+            raise NumericalError("bounds fell below the predictive-coding rate")
         if self.W == 0 and abs(self.upper - self.lower) > tol:
-            raise ValidationError("bounds must coincide at W = 0")
+            raise NumericalError("bounds must coincide at W = 0")
 
 
 def _entropy_bits(ps) -> float:
@@ -318,9 +318,10 @@ def lossless_bounds(chain: MarkovChain, B: int, W: int) -> LosslessBounds:
 
     Each distinct lag entropy is computed once: lag 1 alone when B = 0,
     otherwise lags 1, B+1, W+1 and B+W+1, all powered from one squaring
-    ladder.  The cross-check against the joint window entropy
-    H(s_{B+1}|s_0) + W * H(s_1|s_0) reads those same values, which are
-    exactly what `window_conditional_entropy` returns.
+    ladder.  Against rounding, both mutual informations are floored at 0 and
+    the lower bound is capped at the upper one (the data-processing
+    inequality orders them), so predictive <= lower <= upper holds exactly;
+    a non-finite bound raises NumericalError.
     """
     check_int("B", B, 0, LAG_CAP)
     check_int("W", W, 0, LAG_CAP)
@@ -330,17 +331,13 @@ def lossless_bounds(chain: MarkovChain, B: int, W: int) -> LosslessBounds:
     if B == 0:
         mi_upper = mi_lower = 0.0
     else:
-        mi_upper = h[B + 1] - h1
-        mi_lower = h[B + W + 1] - h[W + 1]
+        mi_upper = max(h[B + 1] - h1, 0.0)
+        mi_lower = max(h[B + W + 1] - h[W + 1], 0.0)
     upper = h1 + mi_upper / (W + 1)
-    lower = h1 + mi_lower / (W + 1)
-    window = h[B + 1] + W * h1
-    if not abs(upper * (W + 1) - window) <= 1e-10:  # NaN fails too
-        raise NumericalError(
-            f"amortized upper bound {upper * (W + 1):.12f} disagrees with the joint "
-            f"window entropy {window:.12f}"
-        )
-    return LosslessBounds(upper=upper, lower=max(lower, h1), predictive_rate=h1, B=int(B), W=int(W))
+    lower = min(h1 + mi_lower / (W + 1), upper)
+    if not all(map(math.isfinite, (h1, upper, lower))):
+        raise NumericalError(f"lossless bounds are not finite: {h1!r}, {lower!r}, {upper!r}")
+    return LosslessBounds(upper=upper, lower=lower, predictive_rate=h1, B=int(B), W=int(W))
 
 
 def multiterminal_sum_rate(chain: MarkovChain) -> float:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from streamrate import LosslessBounds, MarkovChain, NumericalError
+from streamrate import LosslessBounds, MarkovChain
 
 
 def joint_pmf(chain: MarkovChain, length: int) -> np.ndarray:
@@ -60,8 +60,7 @@ def oracle_lag_entropy(chain: MarkovChain, lag: int) -> float:
 
 
 def oracle_lossless_bounds(chain: MarkovChain, B: int, W: int) -> LosslessBounds:
-    """The lossless bounds with every lag entropy recomputed where it is used,
-    and the window cross-check on its own evaluations."""
+    """The lossless bounds with every lag entropy recomputed where it is used."""
     h1 = oracle_lag_entropy(chain, 1)
     if B == 0:
         mi_upper = mi_lower = 0.0
@@ -70,7 +69,4 @@ def oracle_lossless_bounds(chain: MarkovChain, B: int, W: int) -> LosslessBounds
         mi_lower = oracle_lag_entropy(chain, B + W + 1) - oracle_lag_entropy(chain, W + 1)
     upper = h1 + mi_upper / (W + 1)
     lower = h1 + mi_lower / (W + 1)
-    window = oracle_lag_entropy(chain, B + 1) + W * oracle_lag_entropy(chain, 1)
-    if abs(upper * (W + 1) - window) > 1e-10:
-        raise NumericalError("amortized upper bound disagrees with the joint window entropy")
     return LosslessBounds(upper=upper, lower=max(lower, h1), predictive_rate=h1, B=B, W=W)

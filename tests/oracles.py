@@ -164,10 +164,34 @@ def _reference_multi_aged(cfg, sigma_z2: float) -> float:
     return 1.0 - cfg.rho ** (2 * (cfg.B + 1)) * (1.0 - eta)
 
 
-def _reference_two_point_mmse(rho: float, B: int, sigma_z2: float) -> float:
-    r = rho ** (B + 1)
-    v = 1.0 + sigma_z2
-    return 1.0 - (v * (1.0 + r * r) - 2.0 * r * r) / (v * v - r * r)
+def _reference_two_point_aged(cfg, tc: TestChannel) -> float:
+    pre = tc.sigma_z2 / (1.0 + tc.sigma_z2)  # error of s_{t-B-1} given u_{t-B-1}
+    return 1.0 - cfg.rho ** (2 * (cfg.B + 1)) * (1.0 - pre)
+
+
+def _reference_two_point_mmse(r2: Decimal, sigma_z2: Decimal) -> Decimal:
+    """The two-point MMSE in closed form, with r2 = rho^(2(B+1)) and v = 1 + sigma_z2:
+    1 - (v (1 + r2) - 2 r2) / (v^2 - r2)."""
+    v = 1 + sigma_z2
+    return 1 - (v * (1 + r2) - 2 * r2) / (v * v - r2)
+
+
+def two_point_rate_decimal(rho: float, B: int, D: float, digits: int = 50) -> float:
+    """`naive_wz_rate` in `digits`-digit decimal arithmetic on the exact values
+    of the float inputs: the closed-form MMSE bisected to its root sigma_z2,
+    then I(s_t; u_t | u_{t-B-1}) = (1/2) log2((v - r^2 / v) / sigma_z2)."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        d, r2 = Decimal(D), Decimal(rho) ** (2 * (B + 1))
+        lo = hi = d  # the MMSE is below sigma_z2 / (1 + sigma_z2) < sigma_z2
+        while _reference_two_point_mmse(r2, hi) < d:
+            lo, hi = hi, 2 * hi
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if _reference_two_point_mmse(r2, mid) < d else (lo, mid)
+        s = (lo + hi) / 2
+        v = 1 + s
+        return float(((v - r2 / v) / s).ln() / (2 * Decimal(2).ln()))
 
 
 def reference_objectives(cfg) -> dict:
@@ -175,7 +199,7 @@ def reference_objectives(cfg) -> dict:
     return {
         "single": lambda s: reference_gamma_single(cfg, TestChannel(s)),
         "multi": lambda s: 1.0 / (1.0 / s + 1.0 / _reference_multi_aged(cfg, s)),
-        "two-point": lambda s: _reference_two_point_mmse(cfg.rho, cfg.B, s),
+        "two-point": lambda s: 1.0 / (1.0 / s + 1.0 / _reference_two_point_aged(cfg, TestChannel(s))),
     }
 
 
@@ -186,15 +210,13 @@ def reference_bounds(cfg, solve) -> dict:
     single = solve(fns["single"], cfg.D, "single-burst test channel")
     multi = solve(fns["multi"], cfg.D, "multi-burst test channel")
     two = solve(fns["two-point"], cfg.D, "two-point test channel")
-    r = cfg.rho ** (cfg.B + 1)
-    v = 1.0 + two
     return {
         "sigma_single": single,
         "sigma_multi": multi,
         "sigma_two_point": two,
         "upper_single": 0.5 * math.log2(_reference_single_aged(cfg, single) / cfg.D),
         "upper_multi": 0.5 * math.log2(_reference_multi_aged(cfg, multi) / cfg.D),
-        "nwz": 0.5 * math.log2((v - r * r / v) / two),
+        "nwz": 0.5 * math.log2(_reference_two_point_aged(cfg, TestChannel(two)) / cfg.D),
     }
 
 

@@ -133,9 +133,6 @@ class TestSlidingCommand:
         base = sr.baseline_rates(d, 2, 1)
         assert doc["baselines"]["wyner_ziv"] == pytest.approx(base.wyner_ziv, abs=1e-12)
 
-    def test_k_mismatch_rejected(self):
-        assert run(["sliding", "--d", "0.1,0.2", "--B", "1", "--W", "0", "--K", "3"]) == 1
-
 
 def _without_numpy_matches(argv, capsys):
     """Run argv in-process, then in a fresh interpreter where numpy cannot be

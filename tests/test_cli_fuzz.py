@@ -34,7 +34,7 @@ def chain_path(tmp_path_factory):
 BASELINES = [
     ["lossless", "--chain", "CHAIN", "--B", "1", "--W", "1"],
     ["gm", "--rho", "0.9", "--D", "0.2", "--B", "1", "--L", "2"],
-    ["sliding", "--d", "0.1,0.3,0.5", "--B", "1", "--W", "1", "--K", "2"],
+    ["sliding", "--d", "0.1,0.3,0.5", "--B", "1", "--W", "1"],
     ["oracle", "--check", "single", "--rho", "0.9", "--sigma-z2", "0.1", "--B", "1", "--tmax", "6"],
     ["oracle", "--check", "multi", "--rho", "0.9", "--sigma-z2", "0.1", "--B", "1", "--L", "2", "--tmax", "8"],
     ["oracle", "--check", "exchange", "--rho", "0.9", "--sigma-z2", "0.1", "--tmax", "10", "--samples", "20"],

@@ -34,11 +34,12 @@ from oracles import (
     reference_brentq,
     reference_objectives,
     riccati_prediction_error,
+    two_point_rate_decimal,
 )
 from streamrate.gauss_markov import (
     SIGMA_BRACKET,
     _brentq,
-    _multi_distortion,
+    _multi_channel,
     _solve_increasing,
     lower_bound_closed_form,
 )
@@ -236,28 +237,30 @@ class TestSingleBurstChannel:
         assert math.isfinite(up) and up >= lo
 
     # (rho, B, D, sigma_z2, naive_wz_rate) as produced by the reference
-    # root finder the solver replaces; every float must match to the last bit
+    # root finder the solver replaces; every float must match to the last bit.
+    # The nwz column is the two-point burst channel's, which
+    # TestNaiveTwoPoint holds to the 50-digit closed form
     FROZEN = [
-        (0.9, 1, 0.2, 0.3562408963956724, 0.6707475220758582),
-        (0.9, 2, 0.2, 0.3134962823805917, 0.7826183022253371),
-        (0.9, 3, 0.05, 0.05464279416603563, 1.782585175201758),
-        (0.5, 1, 0.2, 0.2533675178932573, 1.1240644373617035),
+        (0.9, 1, 0.2, 0.3562408963956724, 0.6707475220758581),
+        (0.9, 2, 0.2, 0.3134962823805917, 0.782618302225337),
+        (0.9, 3, 0.05, 0.05464279416603563, 1.78258517520176),
+        (0.5, 1, 0.2, 0.2533675178932573, 1.124064437361703),
         (0.5, 4, 0.6, 1.5009709827442304, 0.3682010647869399),
-        (0.7, 2, 0.1, 0.11260450307687409, 1.5803444960728752),
-        (0.99, 1, 0.01, 0.012644394282968355, 1.1780046792567487),
-        (0.99, 3, 0.3, 4.951618744893738, 0.34523292285905577),
-        (0.999, 1, 1e-06, 1.0002503755786189e-06, 5.981989940632894),
-        (0.05, 1, 0.9999, 9999.062644103484, 7.213790818302331e-05),
+        (0.7, 2, 0.1, 0.11260450307687409, 1.5803444960728756),
+        (0.99, 1, 0.01, 0.012644394282968355, 1.1780046792567924),
+        (0.99, 3, 0.3, 4.951618744893738, 0.3452329228590556),
+        (0.999, 1, 1e-06, 1.0002503755786189e-06, 5.981989939657705),
+        (0.05, 1, 0.9999, 9999.062644103484, 7.213790818318346e-05),
         (1e-06, 1, 0.25, 0.3333333333333333, 1.0),
         (0.3, 2, 0.5, 1.0003733045543297, 0.49973706885209623),
-        (0.8, 2, 0.3, 0.4788643718261222, 0.7270568006008222),
-        (0.95, 1, 0.001, 0.0010053965268309911, 3.7707877324012977),
+        (0.8, 2, 0.3, 0.4788643718261222, 0.7270568006008215),
+        (0.95, 1, 0.001, 0.0010053965268309911, 3.770787732401089),
         (0.6, 3, 0.75, 3.0482778561673505, 0.20451208041802257),
-        (0.9, 1, 1e-08, 1.0000000290782212e-08, 12.517742857082535),
-        (0.999999, 1, 0.2, 24999.76250711077, 0.36848568248039837),
-        (0.2, 4, 0.05, 0.052631579216870096, 2.1609639772709914),
+        (0.9, 1, 1e-08, 1.0000000290782212e-08, 12.517742903800148),
+        (0.999999, 1, 0.2, 24999.76250711077, 0.3684856824803984),
+        (0.2, 4, 0.05, 0.052631579216870096, 2.160963977270991),
         (0.85, 2, 0.37, 0.7455112469930412, 0.536849325424835),
-        (0.9, 1, 0.9999, 44522.41692045149, 4.355867611275188e-05),
+        (0.9, 1, 0.9999, 44522.41692045149, 4.3558676112912034e-05),
     ]
 
     @pytest.mark.parametrize("rho, B, D, sigma_z2, nwz", FROZEN)
@@ -411,28 +414,28 @@ class TestKernelParity:
     # the plain Brent loop give them; (0.9, 1, 1, 0.2) is the config of the
     # golden `simulate --D` output
     FROZEN_HEX = [
-        (0.9, 1, 1, 0.2, "0x1.6cca69de118c7p-2", "0x1.61ae347ec9605p-2", "0x1.524b902a7db5cp-2",
-         "0x1.30679d0a57899p-1", "0x1.3f900f78732cep-1", "0x1.576c381e60b0dp-1"),
-        (0.9, 1, 8, 0.2, "0x1.6cca69de118c7p-2", "0x1.6cca5984f3042p-2", "0x1.524b902a7db5cp-2",
-         "0x1.30679d0a57899p-1", "0x1.3067b23a46908p-1", "0x1.576c381e60b0dp-1"),
-        (0.05, 2, 3, 0.3, "0x1.b6db6dd960c80p-2", "0x1.b6db6dd960c7fp-2", "0x1.b6db6dd95eca4p-2",
-         "0x1.bca9c6b16ef6fp-1", "0x1.bca9c6b16ef6fp-1", "0x1.bca9c6b172dfbp-1"),
-        (0.99, 3, 4, 0.5, "0x1.58bbc96e0fd54p+4", "0x1.c0b97d56d07e6p+3", "0x1.e2ede1f409cafp+0",
+        (0.9, 1, 1, 0.2, "0x1.6cca69de118c7p-2", "0x1.61ae347ec9605p-2", "0x1.524b902a7db62p-2",
+         "0x1.30679d0a57899p-1", "0x1.3f900f78732cep-1", "0x1.576c381e60b0cp-1"),
+        (0.9, 1, 8, 0.2, "0x1.6cca69de118c7p-2", "0x1.6cca5984f3042p-2", "0x1.524b902a7db62p-2",
+         "0x1.30679d0a57899p-1", "0x1.3067b23a46908p-1", "0x1.576c381e60b0cp-1"),
+        (0.05, 2, 3, 0.3, "0x1.b6db6dd960c80p-2", "0x1.b6db6dd960c7fp-2", "0x1.b6db6dd95eca3p-2",
+         "0x1.bca9c6b16ef6fp-1", "0x1.bca9c6b16ef6fp-1", "0x1.bca9c6b172dfcp-1"),
+        (0.99, 3, 4, 0.5, "0x1.58bbc96e0fd54p+4", "0x1.c0b97d56d07e6p+3", "0x1.e2ede1f409cb0p+0",
          "0x1.157f6f57aa1b6p-6", "0x1.ad1b37b04c988p-6", "0x1.c6f170b9fd44dp-3"),
-        (0.7, 2, 2, 0.001, "0x1.0670ff3cc8f34p-10", "0x1.0670ff3cc8f34p-10", "0x1.0670ff3c25603p-10",
-         "0x1.392201657f31ep+2", "0x1.392201657f3c5p+2", "0x1.392201c871f66p+2"),
-        (0.5, 4, 5, 0.95, "0x1.305d45e9eb3a0p+4", "0x1.305d37e5edf03p+4", "0x1.304834f55fc2cp+4",
+        (0.7, 2, 2, 0.001, "0x1.0670ff3cc8f34p-10", "0x1.0670ff3cc8f34p-10", "0x1.0670ff3c2596dp-10",
+         "0x1.392201657f31ep+2", "0x1.392201657f3c5p+2", "0x1.392201c871eccp+2"),
+        (0.5, 4, 5, 0.95, "0x1.305d45e9eb3a0p+4", "0x1.305d37e5edf03p+4", "0x1.304834f55fc30p+4",
          "0x1.2ebbecf2f0b11p-5", "0x1.2ebbfb40b5b45p-5", "0x1.2ed16e52e0b32p-5"),
-        (0.99, 1, 8, 0.001, "0x1.0cce9be96a08cp-10", "0x1.0cce9be96a08cp-10", "0x1.0ccca7b3f61c0p-10",
-         "0x1.5564342eb8b88p+1", "0x1.5564342eb8b88p+1", "0x1.557e9fe86c425p+1"),
-        (0.05, 1, 1, 0.95, "0x1.3000768f5fc65p+4", "0x1.3000764b106b8p+4", "0x1.3000764ae4b0cp+4",
+        (0.99, 1, 8, 0.001, "0x1.0cce9be96a08cp-10", "0x1.0cce9be96a08cp-10", "0x1.0ccca7b3f5a77p-10",
+         "0x1.5564342eb8b88p+1", "0x1.5564342eb8b88p+1", "0x1.557e9fe86c68dp+1"),
+        (0.05, 1, 1, 0.95, "0x1.3000768f5fc65p+4", "0x1.3000764b106b8p+4", "0x1.3000764ae4b13p+4",
          "0x1.2f1ac28772210p-5", "0x1.2f1ac2cd54c7ep-5", "0x1.2f1ac2cd81844p-5"),
-        (0.8, 3, 6, 0.1, "0x1.d06b4ccea8c59p-4", "0x1.d06b4cce9cb0bp-4", "0x1.d04385e463974p-4",
-         "0x1.8a951efd1e4f9p+0", "0x1.8a951efd42349p+0", "0x1.8b0b7c6ba2df0p+0"),
+        (0.8, 3, 6, 0.1, "0x1.d06b4ccea8c59p-4", "0x1.d06b4cce9cb0bp-4", "0x1.d04385e463965p-4",
+         "0x1.8a951efd1e4f9p+0", "0x1.8a951efd42349p+0", "0x1.8b0b7c6ba2df5p+0"),
         (0.6, 2, 1, 0.4, "0x1.5c78054cb8ed6p-1", "0x1.5c03e2e3b6e49p-1", "0x1.5bf6101524a40p-1",
          "0x1.473d85e71d7a0p-1", "0x1.47ed60223e0dap-1", "0x1.48025c0e29a88p-1"),
-        (0.95, 4, 2, 0.05, "0x1.d033cec11a08ep-5", "0x1.d02275e959893p-5", "0x1.cf080f614351bp-5",
-         "0x1.8b3a5aaa9bcbep+0", "0x1.8b6e2827e63b4p+0", "0x1.8ec3bb8c1a7fcp+0"),
+        (0.95, 4, 2, 0.05, "0x1.d033cec11a08ep-5", "0x1.d02275e959893p-5", "0x1.cf080f614350cp-5",
+         "0x1.8b3a5aaa9bcbep+0", "0x1.8b6e2827e63b4p+0", "0x1.8ec3bb8c1a7ffp+0"),
         (0.3, 1, 7, 0.7, "0x1.2c72671b45515p+1", "0x1.2c72671b42b92p+1", "0x1.2c5dfa7b1fbc8p+1",
          "0x1.05968d9fb848cp-2", "0x1.05968d9fbafeep-2", "0x1.05abe60e40084p-2"),
     ]
@@ -548,7 +551,8 @@ class TestMultiBurstChannel:
                 L=int(rng.integers(1, 7)),
             )
             grid = np.exp(np.linspace(math.log(1e-8), math.log(1e8), 40))
-            vals = [_multi_distortion(cfg, s) for s in grid]
+            mmse = _multi_channel(cfg)[2]
+            vals = [mmse(s) for s in grid]
             assert all(b > a for a, b in zip(vals, vals[1:]))
 
     @settings(max_examples=200, deadline=None)
@@ -563,7 +567,8 @@ class TestMultiBurstChannel:
         # is in rate_upper_multi's docstring
         cfg = GmConfig(rho=rho, B=B, D=D, L=L)
         probe = np.exp(np.linspace(math.log(SIGMA_BRACKET[0]), math.log(SIGMA_BRACKET[1]), 9))
-        vals = [_multi_distortion(cfg, float(s)) for s in probe]
+        mmse = _multi_channel(cfg)[2]
+        vals = [mmse(float(s)) for s in probe]
         assert all(b - a >= -1e-12 for a, b in zip(vals, vals[1:]))
 
 
@@ -610,6 +615,27 @@ class TestNaiveTwoPoint:
         assert gaps[0] > gaps[1] > gaps[2] > 0
         assert gaps[2] < 2e-4
 
+    PINNED = sorted({row[:3] for row in TestSingleBurstChannel.FROZEN}
+                    | {(rho, B, D) for rho, B, _, D, *_ in TestKernelParity.FROZEN_HEX})
+
+    @pytest.mark.parametrize("rho, B, D", PINNED)
+    def test_matches_decimal_closed_form(self, rho, B, D):
+        # the closed-form MMSE, solved and evaluated in 50-digit decimal; in
+        # floats that form cancels when the MMSE is small (a rate 4.7e-8 low
+        # at (0.9, 1, 1e-8), 9.8e-10 high at (0.999, 1, 1e-6))
+        got = naive_wz_rate(GmConfig(rho=rho, B=B, D=D))
+        assert abs(got - two_point_rate_decimal(rho, B, D)) <= 1e-13
+
+    @settings(max_examples=300, deadline=None)
+    @given(rho=st.floats(0.05, 0.99), B=st.integers(1, 5), log_d=st.floats(-10.0, -0.02))
+    def test_ordered_above_asymptote_and_converse(self, rho, B, log_d):
+        # an achievable rate: at least the converse, and at least the
+        # asymptote, since the aged error 1 - c (1 - pre) is at least 1 - c
+        cfg = GmConfig(rho=rho, B=B, D=10.0**log_d)
+        nwz = naive_wz_rate(cfg)
+        assert nwz >= high_res_rate(cfg)
+        assert nwz >= lower_bound_single(cfg) - 1e-14
+
 
 class TestFiniteHorizon:
     def test_first_decodable_time(self):
@@ -649,7 +675,8 @@ class TestBoundChain:
             count += 1
 
     def test_invariant_enforced(self):
-        with pytest.raises(ValidationError):
+        # misordered output on legal input is a numerical failure, exit 2
+        with pytest.raises(NumericalError):
             GmBounds(lower=0.9, upper_single=0.5, high_res=0.1, sigma_z2_single=0.1)
 
     def test_unit_distortion_row(self):

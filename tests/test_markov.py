@@ -251,8 +251,17 @@ class TestLosslessBounds:
                     assert grid[(B + 1, W)].lower >= grid[(B, W)].lower - 1e-12
 
     def test_invariant_enforced(self):
-        with pytest.raises(ValidationError):
+        # misordered output on legal input is a numerical failure, exit 2
+        with pytest.raises(NumericalError):
             LosslessBounds(upper=0.4, lower=0.5, predictive_rate=0.3, B=1, W=1)
+
+    def test_long_window_ordered(self):
+        # upper (W + 1) and H(s_{B+1}|s_0) + W H(s_1|s_0) are equal in exact
+        # arithmetic; compared in floats, their rounding alone failed this call
+        chain = MarkovChain.from_transition([[0.8, 0.2], [0.4, 0.6]])
+        b = lossless_bounds(chain, 1, 10**6)
+        assert all(map(math.isfinite, (b.predictive_rate, b.lower, b.upper)))
+        assert b.predictive_rate <= b.lower <= b.upper
 
 
 class TestMultiterminalSumRate:
