@@ -17,13 +17,13 @@ provides the independent finite-horizon check.
 from __future__ import annotations
 
 import math
+import struct
 import sys
 from dataclasses import dataclass
 from functools import partial
 
 from .errors import (
     ConvergenceError,
-    InfeasibleDistortionError,
     NumericalError,
     PrecisionError,
     ValidationError,
@@ -32,7 +32,8 @@ from .errors import (
     check_variance,
 )
 
-SIGMA_BRACKET = (1e-12, 1e12)
+_SEARCH_STEPS = 64  # steps of each bracket search in `_bracket`
+_FLOAT, _BITS = struct.Struct("<d"), struct.Struct("<q")
 GUARD_CAP = 10**4  # eta_multi steps through the guard, once per objective evaluation
 
 
@@ -128,8 +129,18 @@ def kalman_steady_sigma(rho: float, sigma_z2: float) -> float:
 
 
 def _steady_sigma(q: float, s: float) -> float:
-    """`kalman_steady_sigma` at noise s, with q = 1 - rho^2; unchecked."""
-    return 0.5 * math.sqrt((1.0 - s) ** 2 * q**2 + 4.0 * s * q) + 0.5 * q * (1.0 - s)
+    """`kalman_steady_sigma` at noise s, with q = 1 - rho^2; unchecked.
+
+    The positive root of P^2 - q (1 - s) P - q s = 0, (d + q (1 - s)) / 2
+    with d = sqrt(q^2 (1 - s)^2 + 4 q s).  For s > 1 those two terms cancel,
+    so there it is the product of the roots over the negative one,
+    2 q s / (d - q (1 - s)), with d taken by hypot so that no square
+    overflows.
+    """
+    if s <= 1.0:
+        return 0.5 * math.sqrt((1.0 - s) ** 2 * q**2 + 4.0 * s * q) + 0.5 * q * (1.0 - s)
+    r = q * (s - 1.0)
+    return 2.0 * q * s / (math.hypot(r, 2.0 * math.sqrt(q * s)) + r)
 
 
 def _eta(a: float, q: float, p: float, steps: int, s: float) -> float:
@@ -173,24 +184,27 @@ def gamma_single(cfg: GmConfig, tc: TestChannel) -> float:
     return _single_channel(cfg)[2](tc.sigma_z2)
 
 
-def _brentq(f, xpre: float, xcur: float, fpre: float, fcur: float) -> tuple[float, float]:
-    """Root of f between xpre and xcur, where f changes sign, by Brent's method,
-    with the value of f there; fpre and fcur are the values of f at the two
-    ends.
+def _brentq(f, xpre: float, xcur: float, fpre: float, fcur: float):
+    """Brent's method on f between xpre and xcur, where f changes sign; fpre
+    and fcur are the values of f at the two ends.  Returns (x, f(x), y, f(y)):
+    x the best estimate of the root, and y the last point evaluated on the
+    other side of the sign change, so that the root lies between them.
 
     A step-for-step port of SciPy's brentq.c (Brent 1973, ch. 4) with xtol =
-    1e-14, rtol = 4 eps and 100 steps, so it returns the same float after the
-    same evaluations.  Raises NumericalError on a NaN value or no sign change,
+    0, rtol = 2 eps and 100 steps: it stops on an exact zero or with x and y
+    less than four ulps apart, and no step is shorter than one ulp.  A zero
+    counts as positive where SciPy's sign test skips it, so f(y) < 0 when
+    f(x) = 0.  Raises NumericalError on a NaN value or no sign change,
     ConvergenceError when the steps run out.
 
     The objective contract: a plain float in, a float out, no validation per
     evaluation, and the configuration's constants computed once per solve.
     """
-    xtol, rtol = 1e-14, 4 * sys.float_info.epsilon
+    xtol, rtol = 0.0, 2 * sys.float_info.epsilon
     if math.isnan(fpre) or math.isnan(fcur):
         raise NumericalError(f"objective is NaN at an end of [{xpre!r}, {xcur!r}]")
     if fpre == 0.0 or fcur == 0.0:
-        return (xpre, fpre) if fpre == 0.0 else (xcur, fcur)
+        return (xpre, fpre, xcur, fcur) if fpre == 0.0 else (xcur, fcur, xpre, fpre)
     if (fpre < 0.0) == (fcur < 0.0):
         raise NumericalError("objective has the same sign at both ends of the bracket")
     # each |f| travels with its f; fpre is never 0 here, a zero fcur returns first
@@ -208,7 +222,7 @@ def _brentq(f, xpre: float, xcur: float, fpre: float, fcur: float) -> tuple[floa
         sbis = (xblk - xcur) / 2
         abis = abs(sbis)
         if fcur == 0.0 or abis < delta:
-            return xcur, fcur
+            return xcur, fcur, xblk, fblk
         aspre = abs(spre)
         if aspre > delta and afcur < afpre:
             if xpre == xblk:  # interpolate
@@ -233,35 +247,86 @@ def _brentq(f, xpre: float, xcur: float, fpre: float, fcur: float) -> tuple[floa
     raise ConvergenceError(f"Brent's method did not converge in 100 steps (at {xcur!r})")
 
 
-def _solve_increasing(fn, target: float, what: str) -> float:
-    """Root of fn(sigma_z2) = target for fn increasing in sigma_z2, solved by
-    Brent's method in log space over SIGMA_BRACKET; the residual at the root,
-    which Brent's last step evaluated, must be at most 1e-10.  fn keeps
-    `_brentq`'s objective contract: a plain float in, a float out, no
-    validation per evaluation, the configuration's constants computed once.
+def _bracket(aged, D: float, what: str) -> tuple[float, float, float, float]:
+    """(a, b, f(a), f(b)) with f(a) < 0 <= f(b), for f(s) = mmse(s) - D, the
+    burst-channel MMSE 1 / (1/s + 1/aged(s)), aged increasing in s with values
+    in (0, 1].
+
+    The bracket is analytic.  aged <= 1 puts the root at or above
+    a = D / (1 - D).  Where aged(a) > D the root is at most
+    1 / (1/D - 1/aged(a)), because aged only grows from a to the root;
+    aged(a) >= 1 - c makes that no wider than 1 / (1/D - 1/(1 - c)).  Where
+    aged(a) <= D (D near 1) a bounded search steps upward, by factors 2, 4,
+    8, ..., to a point where aged exceeds D or the MMSE reaches it.  Either
+    end that rounding puts on the wrong side moves out by 1, 2, 4, ... ulps.
     """
-    lo, hi = SIGMA_BRACKET
+    a, step = D / (1.0 - D), sys.float_info.epsilon
+    for _ in range(_SEARCH_STEPS):
+        a_aged = aged(a)
+        f_a = 1.0 / (1.0 / a + 1.0 / a_aged) - D
+        if f_a < 0.0:
+            break
+        if f_a != f_a:
+            raise NumericalError(f"objective is NaN at {a!r}")
+        a, step = a - a * step, min(2.0 * step, 0.5)
+    else:
+        raise PrecisionError(f"{what}: the MMSE reaches target {D:.3e} at every noise tried")
+    grow, step = 2.0, sys.float_info.epsilon
+    for _ in range(_SEARCH_STEPS):
+        if a_aged > D:
+            b, step = max(1.0 / (1.0 / D - 1.0 / a_aged), a + a * step), 2.0 * step
+        else:
+            b, grow = a * grow, 2.0 * grow
+        b_aged = aged(b)
+        f_b = 1.0 / (1.0 / b + 1.0 / b_aged) - D
+        if f_b >= 0.0:
+            return a, b, f_a, f_b
+        if f_b != f_b:
+            raise NumericalError(f"objective is NaN at {b!r}")
+        a, f_a, a_aged = b, f_b, b_aged
+    raise ConvergenceError(f"{what}: no upper end for target {D!r} in {_SEARCH_STEPS} steps")
 
-    def f(y: float) -> float:
-        return fn(math.exp(y)) - target
 
-    # checked where Brent starts: exp(log(lo)) != lo and exp(log(hi)) != hi
-    y_lo, y_hi = math.log(lo), math.log(hi)
-    f_lo, f_hi = f(y_lo), f(y_hi)
-    if f_lo > 0.0:
+def _solve_increasing(aged, D: float, what: str) -> float:
+    """The least float sigma_z2 whose burst-channel MMSE 1 / (1/s + 1/aged(s))
+    reaches D: one canonical root, whatever path the search takes to it.
+
+    `_bracket` gives the analytic bracket, Brent's method on s itself
+    narrows it to a few ulps, and a search on the float bit patterns ends at
+    the least float whose MMSE reaches D.  aged keeps `_brentq`'s objective
+    contract: a plain float in, a float out, no validation per evaluation,
+    the configuration's constants computed once.  A D below the normal float
+    range raises PrecisionError: there 1/D overflows.
+    """
+    if not D >= sys.float_info.min:
         raise PrecisionError(
-            f"{what}: target {target:.3e} below resolution at sigma_z2 = {lo:.0e} "
-            f"(residual {f_lo:.3e}); the required noise would underflow"
+            f"{what}: target {D:.3e} is below the normal float range; "
+            "the required noise would underflow"
         )
-    if f_hi < 0.0:
-        raise InfeasibleDistortionError(
-            f"{what}: no root in bracket [{lo:.0e}, {hi:.0e}] (residual at top {f_hi:.3e})"
-        )
-    y, f_y = _brentq(f, y_lo, y_hi, f_lo, f_hi)
-    residual = abs(f_y)
-    if not residual <= 1e-10:
-        raise NumericalError(f"{what}: solver residual {residual:.3e} exceeds 1e-10")
-    return math.exp(y)
+
+    def f(s: float) -> float:
+        return 1.0 / (1.0 / s + 1.0 / aged(s)) - D
+
+    x, f_x, y, f_y = _brentq(f, *_bracket(aged, D, what))
+    lo, hi, f_hi = (y, x, f_x) if f_x >= 0.0 else (x, y, f_y)
+    i, j = _BITS.unpack(_FLOAT.pack(lo))[0], _BITS.unpack(_FLOAT.pack(hi))[0]
+    # Brent stops early on an exact zero, which may lie inside a run of floats
+    # whose MMSE rounds to D exactly: probe 1, 2, 4, ... ulps below it, never
+    # below the midpoint.  Otherwise the gap is a few ulps: bisect it.
+    gap = 1 if f_hi == 0.0 else j - i
+    while j - i > 1:
+        mid, gap = max((i + j) // 2, j - gap), 2 * gap
+        s = _FLOAT.unpack(_BITS.pack(mid))[0]
+        f_s = f(s)
+        if f_s != f_s:
+            raise NumericalError(f"objective is NaN at {s!r}")
+        if f_s < 0.0:
+            i = mid
+        else:
+            j, hi, f_hi = mid, s, f_s
+    if not f_hi <= 1e-10:
+        raise NumericalError(f"{what}: solver residual {f_hi:.3e} exceeds 1e-10")
+    return hi
 
 
 def _rate(channel, D: float, s: float) -> float:
@@ -271,7 +336,7 @@ def _rate(channel, D: float, s: float) -> float:
 
 def _solve(channel, D: float, what: str) -> tuple[float, float]:
     """(rate, sigma_z2) of the burst channel whose MMSE is D."""
-    s = _solve_increasing(channel[2], D, what)
+    s = _solve_increasing(channel[1], D, what)
     return _rate(channel, D, s), s
 
 
@@ -279,7 +344,7 @@ def solve_test_channel_single(cfg: GmConfig) -> TestChannel:
     """Noise variance whose steady-state single-burst MMSE equals D."""
     if cfg.D >= 1.0:
         raise ValidationError("D >= 1 needs no test channel (rate is zero)")
-    return TestChannel(_solve_increasing(_single_channel(cfg)[2], cfg.D, "single-burst test channel"))
+    return TestChannel(_solve_increasing(_single_channel(cfg)[1], cfg.D, "single-burst test channel"))
 
 
 def rate_upper_single(cfg: GmConfig) -> float:

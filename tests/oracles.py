@@ -78,11 +78,13 @@ def converse_rate_decimal(rho: float, B: int, D: float, digits: int = 50) -> flo
         return float(((b + delta.sqrt()) / (2 * d)).ln() / (2 * Decimal(2).ln()))
 
 
-def reference_brentq(f, xpre: float, xcur: float, fpre: float, fcur: float) -> tuple[float, float]:
-    """SciPy's brentq.c step for step, in its plain form (a NaN-checking call
-    wrapper, abs and min at each use): `gauss_markov._brentq` must evaluate
-    the same points in the same order."""
-    xtol, rtol = 1e-14, 4 * sys.float_info.epsilon
+def reference_brentq(f, xpre: float, xcur: float, fpre: float, fcur: float):
+    """SciPy's brentq.c step for step, with xtol = 0 and rtol = 2 eps, in its
+    plain form (a NaN-checking call wrapper, abs and min at each use), and
+    returning the final bracket (x, f(x), y, f(y)), in which a zero counts as
+    positive: `gauss_markov._brentq` must evaluate the same points in the
+    same order."""
+    xtol, rtol = 0.0, 2 * sys.float_info.epsilon
 
     def call(x: float) -> float:
         fx = f(x)
@@ -92,13 +94,15 @@ def reference_brentq(f, xpre: float, xcur: float, fpre: float, fcur: float) -> t
 
     if math.isnan(fpre) or math.isnan(fcur):
         raise NumericalError(f"objective is NaN at an end of [{xpre!r}, {xcur!r}]")
-    if fpre == 0.0 or fcur == 0.0:
-        return (xpre, fpre) if fpre == 0.0 else (xcur, fcur)
+    if fpre == 0.0:
+        return xpre, fpre, xcur, fcur
+    if fcur == 0.0:
+        return xcur, fcur, xpre, fpre
     if (fpre < 0.0) == (fcur < 0.0):
         raise NumericalError("objective has the same sign at both ends of the bracket")
     xblk = fblk = spre = scur = 0.0
     for _ in range(100):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+        if (fpre < 0.0) != (fcur < 0.0):  # a zero counts as positive
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
         if abs(fblk) < abs(fcur):
@@ -107,7 +111,7 @@ def reference_brentq(f, xpre: float, xcur: float, fpre: float, fcur: float) -> t
         delta = (xtol + rtol * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0.0 or abs(sbis) < delta:
-            return xcur, fcur
+            return xcur, fcur, xblk, fblk
         stry = math.inf  # bisect unless interpolation gives a short step
         if abs(spre) > delta and abs(fcur) < abs(fpre):
             if xpre == xblk:  # interpolate
@@ -133,17 +137,18 @@ def reference_brentq(f, xpre: float, xcur: float, fpre: float, fcur: float) -> t
 
 def _reference_steady_sigma(rho: float, sigma_z2: float) -> float:
     one_m_r2 = 1.0 - rho**2
-    return 0.5 * math.sqrt(
-        (1.0 - sigma_z2) ** 2 * one_m_r2**2 + 4.0 * sigma_z2 * one_m_r2
-    ) + 0.5 * one_m_r2 * (1.0 - sigma_z2)
+    if sigma_z2 <= 1.0:
+        return 0.5 * math.sqrt(
+            (1.0 - sigma_z2) ** 2 * one_m_r2**2 + 4.0 * sigma_z2 * one_m_r2
+        ) + 0.5 * one_m_r2 * (1.0 - sigma_z2)
+    # above 1 the sum cancels: the product of the roots over the negative one
+    lin = one_m_r2 * (sigma_z2 - 1.0)
+    root = math.hypot(lin, 2.0 * math.sqrt(one_m_r2 * sigma_z2))
+    return 2.0 * one_m_r2 * sigma_z2 / (root + lin)
 
 
 def _reference_single_aged(cfg, sigma_z2: float) -> float:
     return 1.0 - cfg.rho ** (2 * cfg.B) * (1.0 - _reference_steady_sigma(cfg.rho, sigma_z2))
-
-
-def reference_gamma_single(cfg, tc: TestChannel) -> float:
-    return 1.0 / (1.0 / tc.sigma_z2 + 1.0 / _reference_single_aged(cfg, tc.sigma_z2))
 
 
 def reference_eta_multi(cfg, tc: TestChannel) -> float:
@@ -194,19 +199,25 @@ def two_point_rate_decimal(rho: float, B: int, D: float, digits: int = 50) -> fl
         return float(((v - r2 / v) / s).ln() / (2 * Decimal(2).ln()))
 
 
-def reference_objectives(cfg) -> dict:
-    """The three test-channel objectives of `cfg`, each a function of sigma_z2."""
+def reference_aged(cfg) -> dict:
+    """The aged pre-burst errors of `cfg`'s three burst channels, each a
+    function of sigma_z2: what the test-channel solver takes."""
     return {
-        "single": lambda s: reference_gamma_single(cfg, TestChannel(s)),
-        "multi": lambda s: 1.0 / (1.0 / s + 1.0 / _reference_multi_aged(cfg, s)),
-        "two-point": lambda s: 1.0 / (1.0 / s + 1.0 / _reference_two_point_aged(cfg, TestChannel(s))),
+        "single": lambda s: _reference_single_aged(cfg, s),
+        "multi": lambda s: _reference_multi_aged(cfg, s),
+        "two-point": lambda s: _reference_two_point_aged(cfg, TestChannel(s)),
     }
+
+
+def reference_mmse(aged, D: float):
+    """The solver's objective mmse(s) - D for an aged error `aged`."""
+    return lambda s: 1.0 / (1.0 / s + 1.0 / aged(s)) - D
 
 
 def reference_bounds(cfg, solve) -> dict:
     """The three solved noise variances and the rates they give, from the
-    reference objectives; `solve(fn, target, what)` is the root finder."""
-    fns = reference_objectives(cfg)
+    reference aged errors; `solve(aged, target, what)` is the root finder."""
+    fns = reference_aged(cfg)
     single = solve(fns["single"], cfg.D, "single-burst test channel")
     multi = solve(fns["multi"], cfg.D, "multi-burst test channel")
     two = solve(fns["two-point"], cfg.D, "two-point test channel")

@@ -114,8 +114,11 @@ class TestGmCommands:
     def test_missing_flags_usage_error(self):
         assert run(["gm"]) == 1
 
-    def test_numerical_error_exit_code(self):
-        assert run(["gm", "--rho", "0.9", "--B", "1", "--D", "1e-13"]) == 2
+    def test_numerical_error_exit_code(self, capsys):
+        # a D below the normal float range is hopeless; D = 1e-13 solves
+        assert run(["gm", "--rho", "0.9", "--B", "1", "--D", "1e-310"]) == 2
+        assert capsys.readouterr().err.startswith("numerical error:")
+        assert run(["gm", "--rho", "0.9", "--B", "1", "--D", "1e-13"]) == 0
 
     def test_validation_error_exit_code(self):
         assert run(["gm", "--rho", "1.5", "--B", "1", "--D", "0.2"]) == 1

@@ -1,4 +1,6 @@
 import math
+import sys
+from decimal import Decimal, localcontext
 from unittest import mock
 
 import numpy as np
@@ -11,11 +13,11 @@ from streamrate import (
     ConvergenceError,
     GmBounds,
     GmConfig,
-    InfeasibleDistortionError,
     NumericalError,
     PrecisionError,
     TestChannel,
     ValidationError,
+    cli,
     compute_bounds,
     eta_multi,
     finite_t_lower,
@@ -30,14 +32,15 @@ from streamrate import (
 )
 from oracles import (
     converse_rate_decimal,
+    reference_aged,
     reference_bounds,
     reference_brentq,
-    reference_objectives,
+    reference_mmse,
     riccati_prediction_error,
     two_point_rate_decimal,
 )
 from streamrate.gauss_markov import (
-    SIGMA_BRACKET,
+    _bracket,
     _brentq,
     _multi_channel,
     _solve_increasing,
@@ -160,6 +163,18 @@ class TestSteadyStateFilter:
         assert kalman_steady_sigma(0.9, 0.1) == pytest.approx(0.24770434642758493, abs=1e-12)
         assert riccati_prediction_error(0.9, 0.1) == pytest.approx(0.24770434642758493, abs=1e-11)
 
+    @pytest.mark.parametrize("rho", [0.05, 0.5, 0.9, 0.999])
+    @pytest.mark.parametrize("sigma_z2", [1.5, 1e3, 1e6, 1e9, 1e12])
+    def test_large_noise_matches_decimal(self, rho, sigma_z2):
+        # above s = 1 the usual root form cancels: its error was 3.1e-5 at 1e12
+        q = 1.0 - rho**2
+        with localcontext() as ctx:
+            ctx.prec = 50
+            dq, ds = Decimal(q), Decimal(sigma_z2)
+            b = dq * (1 - ds)
+            want = float((b + (b * b + 4 * dq * ds).sqrt()) / 2)
+        assert kalman_steady_sigma(rho, sigma_z2) == pytest.approx(want, rel=4e-16)
+
     def test_riccati_agreement_random(self):
         rng = np.random.default_rng(11)
         for _ in range(100):
@@ -205,8 +220,12 @@ class TestSingleBurstChannel:
         assert rate_upper_single(cfg) < 1e-3
 
     def test_tiny_distortion_precision_error(self):
+        # below the normal float range 1 / D overflows; D = 1e-13 solves
         with pytest.raises(PrecisionError):
-            solve_test_channel_single(GmConfig(rho=0.9, B=1, D=1e-13))
+            solve_test_channel_single(GmConfig(rho=0.9, B=1, D=1e-310))
+        bounds = compute_bounds(GmConfig(rho=0.9, B=1, D=1e-13))
+        assert bounds.upper_single == 20.822563127256664
+        assert bounds.lower <= bounds.upper_single <= bounds.upper_multi
 
     def test_rate_reference(self):
         target = gamma_single(GmConfig(rho=0.9, B=1, D=0.2), TestChannel(0.1))
@@ -236,31 +255,31 @@ class TestSingleBurstChannel:
         assert 0 <= lo < 1e-4
         assert math.isfinite(up) and up >= lo
 
-    # (rho, B, D, sigma_z2, naive_wz_rate) as produced by the reference
-    # root finder the solver replaces; every float must match to the last bit.
+    # (rho, B, D, sigma_z2, naive_wz_rate): sigma_z2 is the least float whose
+    # single-burst MMSE reaches D, and every float must match to the last bit.
     # The nwz column is the two-point burst channel's, which
     # TestNaiveTwoPoint holds to the 50-digit closed form
     FROZEN = [
         (0.9, 1, 0.2, 0.3562408963956724, 0.6707475220758581),
-        (0.9, 2, 0.2, 0.3134962823805917, 0.782618302225337),
+        (0.9, 2, 0.2, 0.31349628238059163, 0.782618302225337),
         (0.9, 3, 0.05, 0.05464279416603563, 1.78258517520176),
         (0.5, 1, 0.2, 0.2533675178932573, 1.124064437361703),
-        (0.5, 4, 0.6, 1.5009709827442304, 0.3682010647869399),
-        (0.7, 2, 0.1, 0.11260450307687409, 1.5803444960728756),
-        (0.99, 1, 0.01, 0.012644394282968355, 1.1780046792567924),
-        (0.99, 3, 0.3, 4.951618744893738, 0.3452329228590556),
-        (0.999, 1, 1e-06, 1.0002503755786189e-06, 5.981989939657705),
-        (0.05, 1, 0.9999, 9999.062644103484, 7.213790818318346e-05),
+        (0.5, 4, 0.6, 1.5009709827442306, 0.3682010647869399),
+        (0.7, 2, 0.1, 0.1126045030768741, 1.5803444960728756),
+        (0.99, 1, 0.01, 0.012644394282968348, 1.178004679256794),
+        (0.99, 3, 0.3, 4.951618744893741, 0.3452329228590556),
+        (0.999, 1, 1e-06, 1.0002503755786178e-06, 5.981989939657705),
+        (0.05, 1, 0.9999, 9999.062644072588, 7.213790818318346e-05),
         (1e-06, 1, 0.25, 0.3333333333333333, 1.0),
-        (0.3, 2, 0.5, 1.0003733045543297, 0.49973706885209623),
-        (0.8, 2, 0.3, 0.4788643718261222, 0.7270568006008215),
-        (0.95, 1, 0.001, 0.0010053965268309911, 3.770787732401089),
-        (0.6, 3, 0.75, 3.0482778561673505, 0.20451208041802257),
-        (0.9, 1, 1e-08, 1.0000000290782212e-08, 12.517742903800148),
-        (0.999999, 1, 0.2, 24999.76250711077, 0.3684856824803984),
-        (0.2, 4, 0.05, 0.052631579216870096, 2.160963977270991),
-        (0.85, 2, 0.37, 0.7455112469930412, 0.536849325424835),
-        (0.9, 1, 0.9999, 44522.41692045149, 4.3558676112912034e-05),
+        (0.3, 2, 0.5, 1.0003733045543295, 0.49973706885209623),
+        (0.8, 2, 0.3, 0.4788643718261233, 0.7270568006008216),
+        (0.95, 1, 0.001, 0.0010053965268309914, 3.770787732401089),
+        (0.6, 3, 0.75, 3.04827785616735, 0.20451208041802257),
+        (0.9, 1, 1e-08, 1.0000000290782207e-08, 12.517742903800148),
+        (0.999999, 1, 0.2, 24999.762507110787, 0.3684856824803984),
+        (0.2, 4, 0.05, 0.05263157921687009, 2.160963977270991),
+        (0.85, 2, 0.37, 0.7455112469930409, 0.536849325424835),
+        (0.9, 1, 0.9999, 44522.41695331185, 4.3558676112912034e-05),
     ]
 
     @pytest.mark.parametrize("rho, B, D, sigma_z2, nwz", FROZEN)
@@ -276,41 +295,76 @@ class TestSingleBurstChannel:
 
 
 def brentq(f, a, b):
-    """The root alone, after checking that the value returned with it is f there."""
-    root, value = _brentq(f, a, b, f(a), f(b))
-    assert value == f(root)
+    """The root alone, after checking that the bracket returned with it holds
+    the values of f at its two ends."""
+    root, value, other, f_other = _brentq(f, a, b, f(a), f(b))
+    assert value == f(root) and f_other == f(other)
     return root
 
 
-class TestRootFinder:
-    LOG_BRACKET = (math.log(SIGMA_BRACKET[0]), math.log(SIGMA_BRACKET[1]))
+def burst_aged(s):
+    """The aged error of a burst channel with c = 0.5 and pre(s) = s / (1 + s)."""
+    return 1.0 - 0.5 / (1.0 + s)
 
+
+def analytic_bracket(aged, D):
+    """The solver's first two points where aged(D / (1 - D)) > D: D / (1 - D),
+    and the root were aged flat from there."""
+    lo = D / (1.0 - D)
+    return lo, 1.0 / (1.0 / D - 1.0 / aged(lo))
+
+
+class TestRootFinder:
     def test_nan_objective(self):
         with pytest.raises(NumericalError):
-            brentq(lambda x: math.nan, *self.LOG_BRACKET)
+            brentq(lambda x: math.nan, -27.6, 27.6)
         # NaN inside the bracket only, where the solve first lands
         with pytest.raises(NumericalError):
-            brentq(lambda x: -1.0 if x < -20 else (1.0 if x > 20 else math.nan), *self.LOG_BRACKET)
+            brentq(lambda x: -1.0 if x < -20 else (1.0 if x > 20 else math.nan), -27.6, 27.6)
 
     def test_nan_inside_bracket_through_solver(self):
-        def fn(s):
-            return s if s in SIGMA_BRACKET or s < 1e-9 or s > 1e9 else math.nan
+        lo, hi = analytic_bracket(burst_aged, 0.3)
+
+        def aged(s):
+            return math.nan if lo < s < hi else burst_aged(s)
 
         with pytest.raises(NumericalError, match="NaN"):
-            _solve_increasing(fn, 1.0, "nan objective")
+            _solve_increasing(aged, 0.3, "nan objective")
 
     def test_bracket_ends_evaluated_once(self):
         seen = []
-        _solve_increasing(lambda s: seen.append(s) or s, 1.0, "identity")
-        ends = [math.exp(math.log(x)) for x in SIGMA_BRACKET]
+        _solve_increasing(lambda s: seen.append(s) or burst_aged(s), 0.3, "burst")
+        ends = list(analytic_bracket(burst_aged, 0.3))
         assert seen[:2] == ends
-        assert not set(ends + list(SIGMA_BRACKET)) & set(seen[2:])
+        assert not set(ends) & set(seen[2:])
 
     def test_root_evaluated_once(self):
         seen = []
-        root = _solve_increasing(lambda s: seen.append(s) or s * s, 2.0, "square")
+        root = _solve_increasing(lambda s: seen.append(s) or burst_aged(s), 0.3, "burst")
         assert seen.count(root) == 1
         assert len(seen) == len(set(seen))
+
+    def test_upward_search(self):
+        # aged(D / (1 - D)) <= D: no analytic upper end, so the search steps up
+        def aged(s):
+            return 1.0 - 0.9 / (1.0 + 0.01 * s)
+
+        root = _solve_increasing(aged, 0.9, "slow channel")
+        assert aged(0.9 / 0.1) <= 0.9
+        assert 1.0 / (1.0 / root + 1.0 / aged(root)) >= 0.9
+        below = math.nextafter(root, 0.0)
+        assert 1.0 / (1.0 / below + 1.0 / aged(below)) < 0.9
+
+    def test_residual_checked(self):
+        # an aged error that jumps at s = 0.5: the MMSE passes D = 0.3 there
+        # by 0.02, so the least float reaching D is no root
+        with pytest.raises(NumericalError, match="residual 2.1"):
+            _solve_increasing(lambda s: 0.5 if s < 0.5 else 0.9, 0.3, "jump")
+
+    def test_upward_search_runs_out(self):
+        # an aged error that never exceeds D: no noise reaches it
+        with pytest.raises(ConvergenceError, match="no upper end"):
+            _solve_increasing(lambda s: 0.5, 0.6, "flat channel")
 
     def test_no_sign_change(self):
         with pytest.raises(NumericalError):
@@ -378,16 +432,18 @@ class TestKernelParity:
         D=st.floats(1e-3, 0.95),
     )
     def test_brent_iterates_match_reference(self, rho, B, L, D):
-        # the same points evaluated in the same order, and the same root
-        lo, hi = (math.log(x) for x in SIGMA_BRACKET)
-        for fn in reference_objectives(GmConfig(rho=rho, B=B, D=D, L=L)).values():
+        # the same points evaluated in the same order, and the same bracket,
+        # on the solver's analytic bracket
+        for aged in reference_aged(GmConfig(rho=rho, B=B, D=D, L=L)).values():
+            fn = reference_mmse(aged, D)
+            lo, hi, _, _ = _bracket(aged, D, "reference chain")
             runs = []
             for brent in (_brentq, reference_brentq):
                 seen = []
 
-                def f(y, seen=seen, fn=fn):
-                    seen.append(y)
-                    return fn(math.exp(y)) - D
+                def f(s, seen=seen):
+                    seen.append(s)
+                    return fn(s)
 
                 runs.append((brent(f, lo, hi, f(lo), f(hi)), seen))
             assert runs[0] == runs[1]
@@ -409,34 +465,34 @@ class TestKernelParity:
                 outcomes.append((type(exc), str(exc)))
         assert outcomes[0] == outcomes[1]
 
-    # (rho, B, L, D) and float.hex of sigma single, multi and two-point, then
-    # upper_single, upper_multi and nwz, as the reference objective chain and
-    # the plain Brent loop give them; (0.9, 1, 1, 0.2) is the config of the
-    # golden `simulate --D` output
+    # (rho, B, L, D) and float.hex of sigma single, multi and two-point (each
+    # the least float whose MMSE reaches D), then upper_single, upper_multi
+    # and nwz; (0.9, 1, 1, 0.2) is the config of the golden `simulate --D`
+    # output
     FROZEN_HEX = [
-        (0.9, 1, 1, 0.2, "0x1.6cca69de118c7p-2", "0x1.61ae347ec9605p-2", "0x1.524b902a7db62p-2",
+        (0.9, 1, 1, 0.2, "0x1.6cca69de118c7p-2", "0x1.61ae347ec9603p-2", "0x1.524b902a7db60p-2",
          "0x1.30679d0a57899p-1", "0x1.3f900f78732cep-1", "0x1.576c381e60b0cp-1"),
-        (0.9, 1, 8, 0.2, "0x1.6cca69de118c7p-2", "0x1.6cca5984f3042p-2", "0x1.524b902a7db62p-2",
-         "0x1.30679d0a57899p-1", "0x1.3067b23a46908p-1", "0x1.576c381e60b0cp-1"),
-        (0.05, 2, 3, 0.3, "0x1.b6db6dd960c80p-2", "0x1.b6db6dd960c7fp-2", "0x1.b6db6dd95eca3p-2",
+        (0.9, 1, 8, 0.2, "0x1.6cca69de118c7p-2", "0x1.6cca5984f3044p-2", "0x1.524b902a7db60p-2",
+         "0x1.30679d0a57899p-1", "0x1.3067b23a46909p-1", "0x1.576c381e60b0cp-1"),
+        (0.05, 2, 3, 0.3, "0x1.b6db6dd960c7fp-2", "0x1.b6db6dd960c7fp-2", "0x1.b6db6dd95eca4p-2",
          "0x1.bca9c6b16ef6fp-1", "0x1.bca9c6b16ef6fp-1", "0x1.bca9c6b172dfcp-1"),
-        (0.99, 3, 4, 0.5, "0x1.58bbc96e0fd54p+4", "0x1.c0b97d56d07e6p+3", "0x1.e2ede1f409cb0p+0",
+        (0.99, 3, 4, 0.5, "0x1.58bbc96e0fd53p+4", "0x1.c0b97d56d07e6p+3", "0x1.e2ede1f409cadp+0",
          "0x1.157f6f57aa1b6p-6", "0x1.ad1b37b04c988p-6", "0x1.c6f170b9fd44dp-3"),
-        (0.7, 2, 2, 0.001, "0x1.0670ff3cc8f34p-10", "0x1.0670ff3cc8f34p-10", "0x1.0670ff3c2596dp-10",
+        (0.7, 2, 2, 0.001, "0x1.0670ff3cc8f33p-10", "0x1.0670ff3cc8f32p-10", "0x1.0670ff3c2596cp-10",
          "0x1.392201657f31ep+2", "0x1.392201657f3c5p+2", "0x1.392201c871eccp+2"),
-        (0.5, 4, 5, 0.95, "0x1.305d45e9eb3a0p+4", "0x1.305d37e5edf03p+4", "0x1.304834f55fc30p+4",
+        (0.5, 4, 5, 0.95, "0x1.305d45e9eb38dp+4", "0x1.305d37e5edefap+4", "0x1.304834f55fc2cp+4",
          "0x1.2ebbecf2f0b11p-5", "0x1.2ebbfb40b5b45p-5", "0x1.2ed16e52e0b32p-5"),
-        (0.99, 1, 8, 0.001, "0x1.0cce9be96a08cp-10", "0x1.0cce9be96a08cp-10", "0x1.0ccca7b3f5a77p-10",
+        (0.99, 1, 8, 0.001, "0x1.0cce9be96a08cp-10", "0x1.0cce9be96a08cp-10", "0x1.0ccca7b3f5a78p-10",
          "0x1.5564342eb8b88p+1", "0x1.5564342eb8b88p+1", "0x1.557e9fe86c68dp+1"),
-        (0.05, 1, 1, 0.95, "0x1.3000768f5fc65p+4", "0x1.3000764b106b8p+4", "0x1.3000764ae4b13p+4",
+        (0.05, 1, 1, 0.95, "0x1.3000768f5fc6cp+4", "0x1.3000764b106b5p+4", "0x1.3000764ae4b15p+4",
          "0x1.2f1ac28772210p-5", "0x1.2f1ac2cd54c7ep-5", "0x1.2f1ac2cd81844p-5"),
-        (0.8, 3, 6, 0.1, "0x1.d06b4ccea8c59p-4", "0x1.d06b4cce9cb0bp-4", "0x1.d04385e463965p-4",
+        (0.8, 3, 6, 0.1, "0x1.d06b4ccea8c59p-4", "0x1.d06b4cce9cb0ap-4", "0x1.d04385e463964p-4",
          "0x1.8a951efd1e4f9p+0", "0x1.8a951efd42349p+0", "0x1.8b0b7c6ba2df5p+0"),
-        (0.6, 2, 1, 0.4, "0x1.5c78054cb8ed6p-1", "0x1.5c03e2e3b6e49p-1", "0x1.5bf6101524a40p-1",
+        (0.6, 2, 1, 0.4, "0x1.5c78054cb8ed5p-1", "0x1.5c03e2e3b6e4cp-1", "0x1.5bf6101524a3fp-1",
          "0x1.473d85e71d7a0p-1", "0x1.47ed60223e0dap-1", "0x1.48025c0e29a88p-1"),
-        (0.95, 4, 2, 0.05, "0x1.d033cec11a08ep-5", "0x1.d02275e959893p-5", "0x1.cf080f614350cp-5",
-         "0x1.8b3a5aaa9bcbep+0", "0x1.8b6e2827e63b4p+0", "0x1.8ec3bb8c1a7ffp+0"),
-        (0.3, 1, 7, 0.7, "0x1.2c72671b45515p+1", "0x1.2c72671b42b92p+1", "0x1.2c5dfa7b1fbc8p+1",
+        (0.95, 4, 2, 0.05, "0x1.d033cec11a08dp-5", "0x1.d02275e959894p-5", "0x1.cf080f614350bp-5",
+         "0x1.8b3a5aaa9bcbep+0", "0x1.8b6e2827e63b5p+0", "0x1.8ec3bb8c1a7ffp+0"),
+        (0.3, 1, 7, 0.7, "0x1.2c72671b45516p+1", "0x1.2c72671b42b92p+1", "0x1.2c5dfa7b1fbc8p+1",
          "0x1.05968d9fb848cp-2", "0x1.05968d9fbafeep-2", "0x1.05abe60e40084p-2"),
     ]
 
@@ -453,26 +509,78 @@ class TestKernelParity:
     ])
     def test_error_classes_and_messages(self, solve, what):
         with pytest.raises(PrecisionError) as exc:
-            solve(GmConfig(rho=0.9, B=3, D=1e-300, L=4))
+            solve(GmConfig(rho=0.9, B=3, D=1e-310, L=4))
         assert str(exc.value) == (
-            f"{what}: target 1.000e-300 below resolution at sigma_z2 = 1e-12 "
-            "(residual 1.000e-12); the required noise would underflow"
+            f"{what}: target 1.000e-310 is below the normal float range; "
+            "the required noise would underflow"
         )
-        top = {"single-burst test channel": "-1.000e-12", "multi-burst test channel": "-1.020e-12",
-               "two-point test channel": "-1.016e-12"}[what]
-        with pytest.raises(InfeasibleDistortionError) as exc:
-            solve(GmConfig(rho=0.5, B=2, D=1 - 1e-16, L=3))
-        assert type(exc.value) is InfeasibleDistortionError
-        assert str(exc.value) == f"{what}: no root in bracket [1e-12, 1e+12] (residual at top {top})"
+        # every D < 1 is feasible: the old bracket [1e-12, 1e12] missed these
+        for D in (1e-300, 1 - 1e-16, sys.float_info.min):
+            solve(GmConfig(rho=0.5, B=2, D=D, L=3))
 
     def test_nan_objective_message(self):
-        def fn(s):
-            return s if s in SIGMA_BRACKET or s < 1e-9 or s > 1e9 else math.nan
+        lo, hi = analytic_bracket(burst_aged, 0.3)
+
+        def aged(s):
+            return math.nan if lo < s < hi else burst_aged(s)
 
         with pytest.raises(NumericalError) as exc:
-            _solve_increasing(fn, 1.0, "nan objective")
+            _solve_increasing(aged, 0.3, "nan objective")
         assert type(exc.value) is NumericalError
-        assert str(exc.value) == "objective is NaN at 2.7629454280031496e-11"
+        assert str(exc.value) == "objective is NaN at 0.5409492916721832"
+
+
+CHANNELS = {
+    "sigma_single": gm._single_channel,
+    "sigma_multi": gm._multi_channel,
+    "sigma_two_point": gm._two_point_channel,
+}
+
+
+class TestRootContract:
+    """Every solve returns the least float whose MMSE reaches D, so the
+    solved noise does not depend on the path the search takes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rho=st.floats(1e-9, 1 - 1e-6),
+        B=st.integers(1, 6),
+        L=st.integers(1, 10),
+        D=st.floats(1e-9, 1 - 1e-9),
+    )
+    def test_least_float_reaching_target(self, rho, B, L, D):
+        cfg = GmConfig(rho=rho, B=B, D=D, L=L)
+        got = production_bounds(cfg)
+        for key, channel in CHANNELS.items():
+            mmse, s = channel(cfg)[2], got[key]
+            assert mmse(s) >= D > mmse(math.nextafter(s, 0.0)), key
+
+    def test_golden_stream_root(self):
+        # `simulate --rho 0.9 --B 1 --D 0.2` solves this noise; its neighbouring
+        # floats change the golden stream
+        tc = solve_test_channel_single(GmConfig(rho=0.9, B=1, D=0.2))
+        assert tc.sigma_z2.hex() == "0x1.6cca69de118c7p-2"
+
+    def test_figure_evaluations_per_solve(self):
+        # fig2 to fig5: 13.5 MMSE evaluations per solve on the old fixed
+        # bracket [1e-12, 1e12], 8.1 on the analytic one
+        counts = {"solves": 0, "evals": 0}
+        solve = gm._solve_increasing
+
+        def counted(aged, D, what):
+            counts["solves"] += 1
+
+            def fn(s):
+                counts["evals"] += 1
+                return aged(s)
+
+            return solve(fn, D, what)
+
+        with mock.patch.object(gm, "_solve_increasing", counted):
+            for fig in ("fig2", "fig3", "fig4", "fig5"):
+                cli._figure_rows(fig)
+        assert counts["solves"] == 1536
+        assert counts["evals"] / counts["solves"] <= 10.0
 
 
 def direct_pre_burst_mmse(rho: float, L: int, D: float, sigma_z2: float) -> float:
@@ -563,10 +671,10 @@ class TestMultiBurstChannel:
         D=st.floats(1e-8, 1.0, exclude_max=True),
     )
     def test_distortion_map_monotone_on_bracket(self, rho, B, L, D):
-        # nine log-spaced points across the whole solver bracket; the argument
-        # is in rate_upper_multi's docstring
+        # nine log-spaced points across 24 decades of noise; the argument is
+        # in rate_upper_multi's docstring
         cfg = GmConfig(rho=rho, B=B, D=D, L=L)
-        probe = np.exp(np.linspace(math.log(SIGMA_BRACKET[0]), math.log(SIGMA_BRACKET[1]), 9))
+        probe = np.exp(np.linspace(math.log(1e-12), math.log(1e12), 9))
         mmse = _multi_channel(cfg)[2]
         vals = [mmse(float(s)) for s in probe]
         assert all(b - a >= -1e-12 for a, b in zip(vals, vals[1:]))
@@ -673,6 +781,21 @@ class TestBoundChain:
             assert bounds.lower <= bounds.upper_single + 1e-9
             assert bounds.upper_single <= bounds.upper_multi + 1e-9
             count += 1
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        rho=st.floats(1e-9, 1 - 1e-6),
+        B=st.integers(1, 6),
+        L=st.integers(1, 10),
+        D=st.floats(1e-9, 1 - 1e-9),
+    )
+    def test_every_legal_row_solves(self, rho, B, L, D):
+        # near D = 1 the old fixed bracket [1e-12, 1e12] failed: 3280 of 20,000
+        # rows with 1 - D log-uniform in [1e-9, 0.1]
+        cfg = GmConfig(rho=rho, B=B, D=D, L=L)
+        bounds = compute_bounds(cfg)
+        rates = (bounds.lower, bounds.upper_single, bounds.upper_multi, naive_wz_rate(cfg))
+        assert all(math.isfinite(r) for r in rates)
 
     def test_invariant_enforced(self):
         # misordered output on legal input is a numerical failure, exit 2
