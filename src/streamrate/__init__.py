@@ -5,7 +5,6 @@ import importlib
 
 from .errors import (
     ConvergenceError,
-    InfeasibleDistortionError,
     NumericalError,
     PrecisionError,
     ValidationError,

@@ -32,10 +32,6 @@ class PrecisionError(NumericalError):
     """The requested target sits below attainable floating-point resolution."""
 
 
-class InfeasibleDistortionError(NumericalError):
-    """No test-channel noise in the search bracket attains the target distortion."""
-
-
 def check_int(name: str, value, lo: int = 0, hi: int | None = None) -> None:
     """An integer, not a bool, with lo <= value (<= hi unless hi is None)."""
     # `type is int` first: the ABC check costs about 0.4 us

@@ -69,7 +69,7 @@ class TestChannel:
 
 @dataclass(frozen=True)
 class GmBounds:
-    """Bound chain for one configuration: lower <= upper_single <= upper_multi."""
+    """Bound chain for one configuration: lower <= upper_single <= upper_multi, exactly."""
 
     lower: float
     upper_single: float
@@ -79,13 +79,18 @@ class GmBounds:
     sigma_z2_multi: float | None = None
 
     def __post_init__(self):
-        tol = 1e-9
-        if min(self.lower, self.upper_single, self.high_res) < -tol:
+        if min(self.lower, self.upper_single, self.high_res) < 0.0:
             raise NumericalError("rates must be nonnegative")
-        if self.lower > self.upper_single + tol:
-            raise NumericalError("lower bound exceeds single-burst upper bound")
-        if self.upper_multi is not None and self.upper_single > self.upper_multi + tol:
-            raise NumericalError("single-burst upper bound exceeds multi-burst upper bound")
+        _check_order(self.lower, self.upper_single, "lower bound exceeds single-burst upper bound")
+        if self.upper_multi is not None:
+            _check_order(self.upper_single, self.upper_multi,
+                         "single-burst upper bound exceeds multi-burst upper bound")
+
+
+def _check_order(low: float, high: float, what: str, rounding: float = 0.0) -> None:
+    """Raise NumericalError where low exceeds high by more than rounding * max(1, high)."""
+    if low - high > rounding * max(1.0, high):
+        raise NumericalError(f"{what} by {low - high:.3e}")
 
 
 def lower_bound_closed_form(rho: float, B: int, D: float) -> float:
@@ -184,69 +189,6 @@ def gamma_single(cfg: GmConfig, tc: TestChannel) -> float:
     return _single_channel(cfg)[2](tc.sigma_z2)
 
 
-def _brentq(f, xpre: float, xcur: float, fpre: float, fcur: float):
-    """Brent's method on f between xpre and xcur, where f changes sign; fpre
-    and fcur are the values of f at the two ends.  Returns (x, f(x), y, f(y)):
-    x the best estimate of the root, and y the last point evaluated on the
-    other side of the sign change, so that the root lies between them.
-
-    A step-for-step port of SciPy's brentq.c (Brent 1973, ch. 4) with xtol =
-    0, rtol = 2 eps and 100 steps: it stops on an exact zero or with x and y
-    less than four ulps apart, and no step is shorter than one ulp.  A zero
-    counts as positive where SciPy's sign test skips it, so f(y) < 0 when
-    f(x) = 0.  Raises NumericalError on a NaN value or no sign change,
-    ConvergenceError when the steps run out.
-
-    The objective contract: a plain float in, a float out, no validation per
-    evaluation, and the configuration's constants computed once per solve.
-    """
-    xtol, rtol = 0.0, 2 * sys.float_info.epsilon
-    if math.isnan(fpre) or math.isnan(fcur):
-        raise NumericalError(f"objective is NaN at an end of [{xpre!r}, {xcur!r}]")
-    if fpre == 0.0 or fcur == 0.0:
-        return (xpre, fpre, xcur, fcur) if fpre == 0.0 else (xcur, fcur, xpre, fpre)
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise NumericalError("objective has the same sign at both ends of the bracket")
-    # each |f| travels with its f; fpre is never 0 here, a zero fcur returns first
-    afpre, afcur = abs(fpre), abs(fcur)
-    xblk = fblk = afblk = spre = scur = 0.0
-    for _ in range(100):
-        if (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk, afblk = xpre, fpre, afpre
-            spre = scur = xcur - xpre
-        if afblk < afcur:
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-            afpre, afcur, afblk = afcur, afblk, afcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        abis = abs(sbis)
-        if fcur == 0.0 or abis < delta:
-            return xcur, fcur, xblk, fblk
-        aspre = abs(spre)
-        if aspre > delta and afcur < afpre:
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            bound = 3 * abis - delta
-            if 2 * abs(stry) < (bound if bound < aspre else aspre):  # min(aspre, bound)
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre, afpre = xcur, fcur, afcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
-        if fcur != fcur:
-            raise NumericalError(f"objective is NaN at {xcur!r}")
-        afcur = abs(fcur)
-    raise ConvergenceError(f"Brent's method did not converge in 100 steps (at {xcur!r})")
-
-
 def _bracket(aged, D: float, what: str) -> tuple[float, float, float, float]:
     """(a, b, f(a), f(b)) with f(a) < 0 <= f(b), for f(s) = mmse(s) - D, the
     burst-channel MMSE 1 / (1/s + 1/aged(s)), aged increasing in s with values
@@ -256,7 +198,7 @@ def _bracket(aged, D: float, what: str) -> tuple[float, float, float, float]:
     a = D / (1 - D).  Where aged(a) > D the root is at most
     1 / (1/D - 1/aged(a)), because aged only grows from a to the root;
     aged(a) >= 1 - c makes that no wider than 1 / (1/D - 1/(1 - c)).  Where
-    aged(a) <= D (D near 1) a bounded search steps upward, by factors 2, 4,
+    1/aged(a) >= 1/D (D near 1) a bounded search steps upward, by factors 2, 4,
     8, ..., to a point where aged exceeds D or the MMSE reaches it.  Either
     end that rounding puts on the wrong side moves out by 1, 2, 4, ... ulps.
     """
@@ -273,7 +215,7 @@ def _bracket(aged, D: float, what: str) -> tuple[float, float, float, float]:
         raise PrecisionError(f"{what}: the MMSE reaches target {D:.3e} at every noise tried")
     grow, step = 2.0, sys.float_info.epsilon
     for _ in range(_SEARCH_STEPS):
-        if a_aged > D:
+        if 1.0 / a_aged < 1.0 / D:  # a_aged > D may round to equal reciprocals
             b, step = max(1.0 / (1.0 / D - 1.0 / a_aged), a + a * step), 2.0 * step
         else:
             b, grow = a * grow, 2.0 * grow
@@ -288,15 +230,18 @@ def _bracket(aged, D: float, what: str) -> tuple[float, float, float, float]:
 
 
 def _solve_increasing(aged, D: float, what: str) -> float:
-    """The least float sigma_z2 whose burst-channel MMSE 1 / (1/s + 1/aged(s))
-    reaches D: one canonical root, whatever path the search takes to it.
+    """A float sigma_z2 where the burst-channel MMSE 1 / (1/s + 1/aged(s))
+    crosses D: mmse(s) >= D > mmse(the float below s).
 
-    `_bracket` gives the analytic bracket, Brent's method on s itself
-    narrows it to a few ulps, and a search on the float bit patterns ends at
-    the least float whose MMSE reaches D.  aged keeps `_brentq`'s objective
-    contract: a plain float in, a float out, no validation per evaluation,
-    the configuration's constants computed once.  A D below the normal float
-    range raises PrecisionError: there 1/D overflows.
+    The float MMSE is not monotone to the last ulp, and near D = 1 it equals D
+    over thousands of consecutive floats, so more than one float can meet
+    that contract; the search path chooses among them.  `_bracket` gives the
+    analytic bracket, the Anderson-Bjorck regula falsi (BIT 13, 1973) narrows
+    it to a few ulps, and a search on the float bit patterns ends on a
+    crossing.  aged is a plain-float kernel: a float in, a float out, no
+    validation per evaluation, the configuration's constants computed once.
+    A D below the normal float range raises PrecisionError: there 1/D
+    overflows.
     """
     if not D >= sys.float_info.min:
         raise PrecisionError(
@@ -305,21 +250,44 @@ def _solve_increasing(aged, D: float, what: str) -> float:
         )
 
     def f(s: float) -> float:
-        return 1.0 / (1.0 / s + 1.0 / aged(s)) - D
+        f_s = 1.0 / (1.0 / s + 1.0 / aged(s)) - D
+        if f_s != f_s:
+            raise NumericalError(f"objective is NaN at {s!r}")
+        return f_s
 
-    x, f_x, y, f_y = _brentq(f, *_bracket(aged, D, what))
-    lo, hi, f_hi = (y, x, f_x) if f_x >= 0.0 else (x, y, f_y)
+    lo, hi, w_lo, f_hi = _bracket(aged, D, what)
+    # the secant through (lo, w_lo) and (hi, w_hi): the weights start as f(lo)
+    # and f(hi); when one end moves twice in a row, the other end's weight
+    # shrinks, so that end moves next.  The end that just moved holds its own
+    # f as its weight.  Where the rounded MMSE jumps (rho near 1) the steps
+    # can stall; after 100 the bisection below ends in at most 64 more.
+    w_hi, moved = f_hi, 0
+    for _ in range(100):
+        if f_hi == 0.0 or hi - lo <= 4.0 * sys.float_info.epsilon * hi:
+            break
+        s = hi - w_hi * (hi - lo) / (w_hi - w_lo)
+        if not lo < s < hi:
+            s = 0.5 * (lo + hi)
+        f_s = f(s)
+        if f_s < 0.0:
+            if moved < 0:
+                m = 1.0 - f_s / w_lo
+                w_hi *= m if m > 0.0 else 0.5
+            lo, w_lo, moved = s, f_s, -1
+        else:
+            if moved > 0:
+                m = 1.0 - f_s / w_hi
+                w_lo *= m if m > 0.0 else 0.5
+            hi, f_hi, w_hi, moved = s, f_s, f_s, 1
     i, j = _BITS.unpack(_FLOAT.pack(lo))[0], _BITS.unpack(_FLOAT.pack(hi))[0]
-    # Brent stops early on an exact zero, which may lie inside a run of floats
-    # whose MMSE rounds to D exactly: probe 1, 2, 4, ... ulps below it, never
-    # below the midpoint.  Otherwise the gap is a few ulps: bisect it.
+    # an exact zero may lie inside a run of floats whose MMSE rounds to D
+    # exactly: probe 1, 2, 4, ... ulps below it, never below the midpoint.
+    # Otherwise bisect the gap, a few ulps after a converged regula falsi.
     gap = 1 if f_hi == 0.0 else j - i
     while j - i > 1:
         mid, gap = max((i + j) // 2, j - gap), 2 * gap
         s = _FLOAT.unpack(_BITS.pack(mid))[0]
         f_s = f(s)
-        if f_s != f_s:
-            raise NumericalError(f"objective is NaN at {s!r}")
         if f_s < 0.0:
             i = mid
         else:
@@ -432,20 +400,26 @@ def finite_t_lower(cfg: GmConfig, t: int) -> float:
 
 
 def compute_bounds(cfg: GmConfig) -> GmBounds:
-    """Assemble the full bound chain for one configuration."""
-    lower = lower_bound_single(cfg)
+    """Assemble the full bound chain for one configuration.  A misorder of at
+    most 1e-12 max(1, rate) is rounding: lower falls to upper_single and
+    upper_multi rises to it, which leaves both valid bounds.  A larger gap
+    raises NumericalError."""
     if cfg.D >= 1.0:
         return GmBounds(
             lower=0.0, upper_single=0.0, high_res=high_res_rate(cfg), sigma_z2_single=None,
             upper_multi=0.0, sigma_z2_multi=None,
         )
+    lower = lower_bound_single(cfg)
     tc = solve_test_channel_single(cfg)
+    single = _rate(_single_channel(cfg), cfg.D, tc.sigma_z2)
     multi, tc_multi = rate_upper_multi(cfg)
+    _check_order(lower, single, "lower bound exceeds single-burst upper bound", 1e-12)
+    _check_order(single, multi, "single-burst upper bound exceeds multi-burst upper bound", 1e-12)
     return GmBounds(
-        lower=lower,
-        upper_single=_rate(_single_channel(cfg), cfg.D, tc.sigma_z2),
+        lower=min(lower, single),
+        upper_single=single,
         high_res=high_res_rate(cfg),
         sigma_z2_single=tc.sigma_z2,
-        upper_multi=multi,
+        upper_multi=max(multi, single),
         sigma_z2_multi=tc_multi.sigma_z2,
     )

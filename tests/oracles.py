@@ -3,13 +3,16 @@ and the lossless bounds.
 
 The library computes these quantities another way (a closed form, a
 dynamic program, GTH state reduction); the tests compare the two.  The
-reference test-channel objectives and Brent loop are the plain forms of the
-library's per-solve kernels, which must match them bit for bit.
+reference test-channel objectives are the plain forms of the library's
+per-solve kernels, which must match them bit for bit.  `reference_solve` is
+the Brent-based test-channel solve that the library's regula falsi
+replaced; the two must agree to rounding.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 import sys
 from decimal import Decimal, localcontext
 
@@ -20,10 +23,12 @@ from streamrate import (
     ConvergenceError,
     ErasurePattern,
     NumericalError,
+    PrecisionError,
     TestChannel,
     ValidationError,
 )
 from streamrate.errors import check_int, check_open_unit, check_variance
+from streamrate.gauss_markov import _bracket
 
 
 def riccati_prediction_error(
@@ -79,11 +84,12 @@ def converse_rate_decimal(rho: float, B: int, D: float, digits: int = 50) -> flo
 
 
 def reference_brentq(f, xpre: float, xcur: float, fpre: float, fcur: float):
-    """SciPy's brentq.c step for step, with xtol = 0 and rtol = 2 eps, in its
-    plain form (a NaN-checking call wrapper, abs and min at each use), and
-    returning the final bracket (x, f(x), y, f(y)), in which a zero counts as
-    positive: `gauss_markov._brentq` must evaluate the same points in the
-    same order."""
+    """SciPy's brentq.c step for step (Brent 1973, ch. 4), with xtol = 0 and
+    rtol = 2 eps, in its plain form (a NaN-checking call wrapper, abs and min
+    at each use), and returning the final bracket (x, f(x), y, f(y)), in
+    which a zero counts as positive where SciPy's sign test skips it.  It
+    evaluates the same points in the same order as the port the library's
+    test-channel solve ran before its regula falsi."""
     xtol, rtol = 0.0, 2 * sys.float_info.epsilon
 
     def call(x: float) -> float:
@@ -128,6 +134,41 @@ def reference_brentq(f, xpre: float, xcur: float, fpre: float, fcur: float):
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
         fcur = call(xcur)
     raise ConvergenceError(f"Brent's method did not converge in 100 steps (at {xcur!r})")
+
+
+_FLOAT, _BITS = struct.Struct("<d"), struct.Struct("<q")
+
+
+def reference_solve(aged, D: float, what: str) -> float:
+    """The library's former test-channel solve: Brent's method on the
+    analytic bracket of `gauss_markov._bracket`, then the same search on the
+    float bit patterns and the same 1e-10 residual check as the library."""
+    if not D >= sys.float_info.min:
+        raise PrecisionError(
+            f"{what}: target {D:.3e} is below the normal float range; "
+            "the required noise would underflow"
+        )
+
+    def f(s: float) -> float:
+        return 1.0 / (1.0 / s + 1.0 / aged(s)) - D
+
+    x, f_x, y, f_y = reference_brentq(f, *_bracket(aged, D, what))
+    lo, hi, f_hi = (y, x, f_x) if f_x >= 0.0 else (x, y, f_y)
+    i, j = _BITS.unpack(_FLOAT.pack(lo))[0], _BITS.unpack(_FLOAT.pack(hi))[0]
+    gap = 1 if f_hi == 0.0 else j - i
+    while j - i > 1:
+        mid, gap = max((i + j) // 2, j - gap), 2 * gap
+        s = _FLOAT.unpack(_BITS.pack(mid))[0]
+        f_s = f(s)
+        if f_s != f_s:
+            raise NumericalError(f"objective is NaN at {s!r}")
+        if f_s < 0.0:
+            i = mid
+        else:
+            j, hi, f_hi = mid, s, f_s
+    if not f_hi <= 1e-10:
+        raise NumericalError(f"{what}: solver residual {f_hi:.3e} exceeds 1e-10")
+    return hi
 
 
 # Reference test-channel objectives, written as a chain of checked calls:
