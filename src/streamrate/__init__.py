@@ -9,41 +9,19 @@ from .errors import (
     PrecisionError,
     ValidationError,
 )
-from .gauss_markov import (
-    GmBounds,
-    GmConfig,
-    TestChannel,
-    compute_bounds,
-    eta_multi,
-    finite_t_lower,
-    gamma_single,
-    high_res_rate,
-    kalman_steady_sigma,
-    lower_bound_single,
-    naive_wz_rate,
-    rate_upper_multi,
-    rate_upper_single,
-    solve_test_channel_single,
-)
-from .sliding import (
-    BaselineRates,
-    DecodeReport,
-    DistortionVector,
-    LayerPlan,
-    baseline_rates,
-    decodability_check,
-    layer_plan,
-    rate_recovery,
-    reduce_window,
-)
 
 __version__ = "0.1.0"
 
-# modules imported on first use (PEP 562), so a command loads only what it
-# runs: sim imports numpy, and oracle only for its dense Schur API; markov
-# runs on the standard library; module -> the names the package re-exports
-# from it
+# every submodule is imported on first use (PEP 562), so `import streamrate`
+# loads only `errors` and a command loads only the modules it runs; sim
+# imports numpy, and oracle only for its dense Schur API.  module -> the
+# names the package re-exports from it
 _LAZY = {
+    "gauss_markov": (
+        "GmBounds", "GmConfig", "TestChannel", "compute_bounds", "eta_multi", "finite_t_lower",
+        "gamma_single", "high_res_rate", "kalman_steady_sigma", "lower_bound_single", "naive_wz_rate",
+        "rate_upper_multi", "rate_upper_single", "solve_test_channel_single",
+    ),
     "markov": (
         "LosslessBounds", "MarkovChain", "binary_symmetric_chain", "conditional_entropy_lag",
         "is_symmetric", "lossless_bounds", "multiterminal_sum_rate", "stationary_distribution",
@@ -58,8 +36,13 @@ _LAZY = {
         "BinningConfig", "BinningResult", "BurstSweepReport", "SimConfig", "StreamResult",
         "simulate_binning", "simulate_gm_stream", "sweep_burst_position",
     ),
+    "sliding": (
+        "BaselineRates", "DecodeReport", "DistortionVector", "LayerPlan", "baseline_rates",
+        "decodability_check", "layer_plan", "rate_recovery", "reduce_window",
+    ),
 }
 _OWNER = {name: module for module, names in _LAZY.items() for name in names}
+__all__ = ["ConvergenceError", "NumericalError", "PrecisionError", "ValidationError", *_OWNER]
 
 
 def __getattr__(name: str):

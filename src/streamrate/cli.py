@@ -13,13 +13,10 @@ import argparse
 import contextlib
 import csv
 import functools
-import json
 import math
 import os
 import sys
 
-from . import gauss_markov as gm
-from . import sliding
 from .errors import ConvergenceError, NumericalError, ValidationError, read_json_object
 
 LN2 = math.log(2.0)
@@ -72,6 +69,8 @@ def _write_csv(path: str | None, header: list[str], rows) -> None:
 
 
 def _write_json(path: str | None, doc) -> None:
+    import json
+
     text = json.dumps(doc, indent=2)
     with _output(path) as fh:
         fh.write(text + "\n")
@@ -98,7 +97,7 @@ def _cmd_lossless(args) -> int:
     return EXIT_OK
 
 
-def _gm_row(rho: float, B: int, L: int, D: float) -> list[float]:
+def _gm_row(gm, rho: float, B: int, L: int, D: float) -> list[float]:
     cfg = gm.GmConfig(rho=rho, B=B, D=D, L=L)
     bounds = gm.compute_bounds(cfg)
     return [
@@ -118,6 +117,8 @@ _GM_HEADER = ["rho", "B", "L", "D", "lower", "upper_single", "upper_multi", "hig
 
 
 def _cmd_gm(args) -> int:
+    from . import gauss_markov as gm
+
     if args.sweep:
         doc = read_json_object(args.sweep, "rho", "B", "D")
         rhos = doc["rho"] if isinstance(doc["rho"], list) else [doc["rho"]]
@@ -127,11 +128,11 @@ def _cmd_gm(args) -> int:
         except (TypeError, ValueError):
             raise ValidationError(f"{args.sweep!r}: rho and D must be numbers")
         # GmConfig rejects a B or L that is not an integer
-        rows = [_gm_row(r, doc["B"], doc.get("L", 1), d) for r, d in cells]
+        rows = [_gm_row(gm, r, doc["B"], doc.get("L", 1), d) for r, d in cells]
     else:
         if args.rho is None or args.D is None:
             raise ValidationError("gm needs --rho and --D (or --sweep file.json)")
-        rows = [_gm_row(args.rho, args.B, args.L, args.D)]
+        rows = [_gm_row(gm, args.rho, args.B, args.L, args.D)]
     k = _unit_scale(args.nats)
     rows = [r[:4] + [v * k for v in r[4:]] for r in rows]
     _write_csv(args.out, _GM_HEADER, rows)
@@ -139,6 +140,8 @@ def _cmd_gm(args) -> int:
 
 
 def _cmd_sliding(args) -> int:
+    from . import sliding
+
     values = _parse_floats(args.d)
     d = sliding.DistortionVector(tuple(values))
     rate = sliding.rate_recovery(d, args.B, args.W)
@@ -229,6 +232,8 @@ def _cmd_simulate(args) -> int:
         if sigma_z2 is None:
             if args.D is None:
                 raise ValidationError("simulate gm needs --sigma-z2 or --D")
+            from . import gauss_markov as gm
+
             cfg0 = gm.GmConfig(rho=args.rho, B=args.B, D=args.D)
             sigma_z2 = gm.solve_test_channel_single(cfg0).sigma_z2
         bursts = [_burst(spec) for spec in args.burst or []]
@@ -263,6 +268,28 @@ def _cmd_simulate(args) -> int:
 
 
 def _figure_rows(fig: str):
+    if fig == "fig9":
+        from . import sliding
+
+        d = sliding.DistortionVector((0.1, 0.25, 0.4, 0.55, 0.7, 0.85))
+        B = 2
+        rows = []
+        for W in range(0, 6):
+            base = sliding.baseline_rates(d, B, W)
+            rows.append(
+                [
+                    W,
+                    sliding.rate_recovery(d, B, W),
+                    base.still_image,
+                    base.wyner_ziv,
+                    base.predictive_fec,
+                    base.gop,
+                ]
+            )
+        return ["W", "optimal", "still_image", "wyner_ziv", "fec", "gop"], rows
+
+    from . import gauss_markov as gm
+
     if fig in ("fig2", "fig3"):
         if fig == "fig2":
             cells = [(rho, B, D) for B in (1, 2) for D in (0.2, 0.3) for rho in _FIG2_RHO]
@@ -305,24 +332,6 @@ def _figure_rows(fig: str):
             ]
 
         return ["rho", "B", "L", "D", "lower", "upper_multi", "nwz", "high_res"], [row(c) for c in cells]
-
-    if fig == "fig9":
-        d = sliding.DistortionVector((0.1, 0.25, 0.4, 0.55, 0.7, 0.85))
-        B = 2
-        rows = []
-        for W in range(0, 6):
-            base = sliding.baseline_rates(d, B, W)
-            rows.append(
-                [
-                    W,
-                    sliding.rate_recovery(d, B, W),
-                    base.still_image,
-                    base.wyner_ziv,
-                    base.predictive_fec,
-                    base.gop,
-                ]
-            )
-        return ["W", "optimal", "still_image", "wyner_ziv", "fec", "gop"], rows
 
     raise ValidationError(f"unknown figure id {fig!r}")
 

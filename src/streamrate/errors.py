@@ -1,7 +1,7 @@
-"""Exception types shared across the library, and the input rules that
-every module checks its parameters with: integers in a range, numbers
-strictly inside (0, 1), probabilities, finite variances, seeds and JSON
-input documents.
+"""Exception types and the `Record` base shared across the library, and the
+input rules that every module checks its parameters with: integers in a
+range, numbers strictly inside (0, 1), probabilities, finite variances, seeds
+and JSON input documents.
 
 The CLI maps validation failures to exit 1 and numerical failures (including
 convergence and precision problems) to exit 2.  Each rule raises
@@ -10,7 +10,6 @@ belong at the public boundary: inner loops, such as the root finders'
 objectives, run on values already checked.
 """
 
-import json
 import math
 import numbers
 import os
@@ -30,6 +29,40 @@ class NumericalError(RuntimeError):
 
 class PrecisionError(NumericalError):
     """The requested target sits below attainable floating-point resolution."""
+
+
+class Record:
+    """Base of the library's records.  A subclass names its fields in `_fields`,
+    keeps them in `__slots__` and sets them in `__init__` by `object.__setattr__`.
+    A record prints as `Name(field=value, ...)`, compares and hashes by its
+    fields, refuses assignment, and pickles and copies through its constructor."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+    def __reduce__(self):
+        return type(self), self._values()
 
 
 def check_int(name: str, value, lo: int = 0, hi: int | None = None) -> None:
@@ -86,6 +119,8 @@ def read_json_object(source, *keys: str) -> dict:
     A file that cannot be read or parsed, a document that is not an object and
     a missing key each raise ValidationError.
     """
+    import json
+
     if isinstance(source, (str, bytes, os.PathLike)) or hasattr(source, "read"):
         name = repr(getattr(source, "name", source))
         try:

@@ -19,13 +19,13 @@ from __future__ import annotations
 import math
 import struct
 import sys
-from dataclasses import dataclass
 from functools import partial
 
 from .errors import (
     ConvergenceError,
     NumericalError,
     PrecisionError,
+    Record,
     ValidationError,
     check_int,
     check_open_unit,
@@ -37,54 +37,56 @@ _FLOAT, _BITS = struct.Struct("<d"), struct.Struct("<q")
 GUARD_CAP = 10**4  # eta_multi steps through the guard, once per objective evaluation
 
 
-@dataclass(frozen=True)
-class GmConfig:
+class GmConfig(Record):
     """Problem instance: correlation rho, max burst B, guard interval L
     (multi-burst model only), distortion target D.  Source variance is 1."""
 
-    rho: float
-    B: int
-    D: float
-    L: int = 1
+    __slots__ = _fields = ("rho", "B", "D", "L")
 
-    def __post_init__(self):
-        check_open_unit("rho", self.rho)
-        if not 0.0 < self.D <= 1.0:
+    def __init__(self, rho: float, B: int, D: float, L: int = 1):
+        check_open_unit("rho", rho)
+        if not 0.0 < D <= 1.0:
             raise ValidationError("D must lie in (0, 1] for a unit-variance source")
-        check_int("B", self.B, 1)
-        check_int("L", self.L, 1, GUARD_CAP)
+        check_int("B", B, 1)
+        check_int("L", L, 1, GUARD_CAP)
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "B", B)
+        object.__setattr__(self, "D", D)
+        object.__setattr__(self, "L", L)
 
 
-@dataclass(frozen=True)
-class TestChannel:
+class TestChannel(Record):
     """Additive Gaussian test channel u = s + z with noise variance sigma_z2."""
 
     __test__ = False  # not a test case, despite the rate-distortion name
+    __slots__ = _fields = ("sigma_z2",)
 
-    sigma_z2: float
+    def __init__(self, sigma_z2: float):
+        check_variance("sigma_z2", sigma_z2)
+        object.__setattr__(self, "sigma_z2", sigma_z2)
 
-    def __post_init__(self):
-        check_variance("sigma_z2", self.sigma_z2)
 
-
-@dataclass(frozen=True)
-class GmBounds:
+class GmBounds(Record):
     """Bound chain for one configuration: lower <= upper_single <= upper_multi, exactly."""
 
-    lower: float
-    upper_single: float
-    high_res: float
-    sigma_z2_single: float | None
-    upper_multi: float | None = None
-    sigma_z2_multi: float | None = None
+    __slots__ = _fields = (
+        "lower", "upper_single", "high_res", "sigma_z2_single", "upper_multi", "sigma_z2_multi",
+    )
 
-    def __post_init__(self):
-        if min(self.lower, self.upper_single, self.high_res) < 0.0:
+    def __init__(self, lower: float, upper_single: float, high_res: float, sigma_z2_single: float | None,
+                 upper_multi: float | None = None, sigma_z2_multi: float | None = None):
+        if min(lower, upper_single, high_res) < 0.0:
             raise NumericalError("rates must be nonnegative")
-        _check_order(self.lower, self.upper_single, "lower bound exceeds single-burst upper bound")
-        if self.upper_multi is not None:
-            _check_order(self.upper_single, self.upper_multi,
+        _check_order(lower, upper_single, "lower bound exceeds single-burst upper bound")
+        if upper_multi is not None:
+            _check_order(upper_single, upper_multi,
                          "single-burst upper bound exceeds multi-burst upper bound")
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper_single", upper_single)
+        object.__setattr__(self, "high_res", high_res)
+        object.__setattr__(self, "sigma_z2_single", sigma_z2_single)
+        object.__setattr__(self, "upper_multi", upper_multi)
+        object.__setattr__(self, "sigma_z2_multi", sigma_z2_multi)
 
 
 def _check_order(low: float, high: float, what: str, rounding: float = 0.0) -> None:
@@ -199,8 +201,10 @@ def _bracket(aged, D: float, what: str) -> tuple[float, float, float, float]:
     1 / (1/D - 1/aged(a)), because aged only grows from a to the root;
     aged(a) >= 1 - c makes that no wider than 1 / (1/D - 1/(1 - c)).  Where
     1/aged(a) >= 1/D (D near 1) a bounded search steps upward, by factors 2, 4,
-    8, ..., to a point where aged exceeds D or the MMSE reaches it.  Either
-    end that rounding puts on the wrong side moves out by 1, 2, 4, ... ulps.
+    8, ..., to a point where aged exceeds D or the MMSE reaches it; where in
+    floats aged never exceeds D, the search overflows and raises
+    PrecisionError.  Either end that rounding puts on the wrong side moves out
+    by 1, 2, 4, ... ulps.
     """
     a, step = D / (1.0 - D), sys.float_info.epsilon
     for _ in range(_SEARCH_STEPS):
@@ -219,6 +223,9 @@ def _bracket(aged, D: float, what: str) -> tuple[float, float, float, float]:
             b, step = max(1.0 / (1.0 / D - 1.0 / a_aged), a + a * step), 2.0 * step
         else:
             b, grow = a * grow, 2.0 * grow
+        if b == math.inf:
+            raise PrecisionError(f"{what}: the MMSE stays below target {D!r} up to the largest "
+                                 "float noise; in floats the aged error never exceeds D")
         b_aged = aged(b)
         f_b = 1.0 / (1.0 / b + 1.0 / b_aged) - D
         if f_b >= 0.0:

@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from functools import reduce
 from operator import and_, mul
 
 from .errors import (
     ConvergenceError,
     NumericalError,
+    Record,
     ValidationError,
     check_int,
     check_probability,
@@ -163,32 +163,28 @@ def stationary_distribution(transition) -> tuple[float, ...]:
     return _solve(_matrix(transition))
 
 
-@dataclass(frozen=True)
-class MarkovChain:
+class MarkovChain(Record):
     """Stationary first-order chain: row-stochastic transition + stationary law.
 
     The constructor takes any nested real sequences (lists, numpy arrays) and
     stores them as tuples of floats, so a chain is immutable.
     """
 
-    alphabet_size: int
-    transition: Matrix
-    stationary: tuple[float, ...]
+    __slots__ = _fields = ("alphabet_size", "transition", "stationary")
 
-    def __post_init__(self):
-        check_int("alphabet_size", self.alphabet_size, 1, ALPHABET_CAP)
-        P = _matrix(self.transition)
-        if self.alphabet_size != len(P):
-            raise ValidationError(
-                f"alphabet_size {self.alphabet_size} does not match matrix of size {len(P)}"
-            )
+    def __init__(self, alphabet_size: int, transition: Matrix, stationary: tuple[float, ...]):
+        check_int("alphabet_size", alphabet_size, 1, ALPHABET_CAP)
+        P = _matrix(transition)
+        if alphabet_size != len(P):
+            raise ValidationError(f"alphabet_size {alphabet_size} does not match matrix of size {len(P)}")
         try:
-            pi = tuple(map(_real, self.stationary))
+            pi = tuple(map(_real, stationary))
         except TypeError as exc:
             raise ValidationError(f"stationary vector must be a sequence of numbers: {exc}")
         if len(pi) != len(P):
             raise ValidationError("stationary vector has wrong shape")
         _check_law(P, pi)
+        object.__setattr__(self, "alphabet_size", alphabet_size)
         object.__setattr__(self, "transition", P)
         object.__setattr__(self, "stationary", pi)
 
@@ -224,28 +220,28 @@ def binary_symmetric_chain(q: float) -> MarkovChain:
     return MarkovChain.from_transition([[1.0 - q, q], [q, 1.0 - q]])
 
 
-@dataclass(frozen=True)
-class LosslessBounds:
+class LosslessBounds(Record):
     """Upper/lower bounds on the lossless streaming rate, in bits per symbol.
 
     Both bounds dominate the predictive-coding rate H(s1|s0) and coincide when
     W = 0.
     """
 
-    upper: float
-    lower: float
-    predictive_rate: float
-    B: int
-    W: int
+    __slots__ = _fields = ("upper", "lower", "predictive_rate", "B", "W")
 
-    def __post_init__(self):
+    def __init__(self, upper: float, lower: float, predictive_rate: float, B: int, W: int):
         tol = 1e-12
-        if self.lower > self.upper + tol:
+        if lower > upper + tol:
             raise NumericalError("lower bound exceeds upper bound")
-        if self.upper < self.predictive_rate - tol or self.lower < self.predictive_rate - tol:
+        if upper < predictive_rate - tol or lower < predictive_rate - tol:
             raise NumericalError("bounds fell below the predictive-coding rate")
-        if self.W == 0 and abs(self.upper - self.lower) > tol:
+        if W == 0 and abs(upper - lower) > tol:
             raise NumericalError("bounds must coincide at W = 0")
+        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "predictive_rate", predictive_rate)
+        object.__setattr__(self, "B", B)
+        object.__setattr__(self, "W", W)
 
 
 def _entropy_bits(ps) -> float:

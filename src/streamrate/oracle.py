@@ -41,7 +41,7 @@ A fuzz of the DP against full enumeration (t <= 15, B <= 6, L <= 5) saw
 this in 7 of about 860,000 random configurations, by one ulp each time:
 far inside the 1e-12 slack tolerance.
 
-Reports are plain dataclasses serializable to JSON: pass/fail, instance
+Reports are plain records serializable to JSON: pass/fail, instance
 counts, the minimum slack observed, and the worst instance.
 
 Every check runs on the standard library alone, so `streamrate oracle`
@@ -50,13 +50,13 @@ starts without loading numpy; only the dense API imports it.
 
 from __future__ import annotations
 
-import json
 import math
 import random
-from dataclasses import dataclass, field
 from operator import itemgetter
 
-from .errors import NumericalError, ValidationError, check_int, check_open_unit, check_seed, check_variance
+from .errors import (
+    NumericalError, Record, ValidationError, check_int, check_open_unit, check_seed, check_variance,
+)
 
 RIDGE = 1e-12
 SLACK_TOL = 1e-12
@@ -81,22 +81,21 @@ def _runs(indices: tuple[int, ...]) -> list[tuple[int, int]]:
     return runs
 
 
-@dataclass(frozen=True)
-class ErasurePattern:
+class ErasurePattern(Record):
     """Non-erased packet indices up to (not including) the decoding time t.
 
     Index t itself is never erased: decoding happens when the time-t packet
     arrives.
     """
 
-    t: int
-    received: tuple[int, ...]
+    __slots__ = _fields = ("t", "received")
 
-    def __post_init__(self):
-        check_int("decoding time t", self.t)
-        rec = tuple(sorted(set(int(i) for i in self.received)))
-        if rec and (rec[0] < 0 or rec[-1] >= self.t):
+    def __init__(self, t: int, received: tuple[int, ...]):
+        check_int("decoding time t", t)
+        rec = tuple(sorted(set(int(i) for i in received)))
+        if rec and (rec[0] < 0 or rec[-1] >= t):
             raise ValidationError("received indices must lie in [0, t)")
+        object.__setattr__(self, "t", t)
         object.__setattr__(self, "received", rec)
 
     @property
@@ -155,17 +154,21 @@ def enumerate_multi_burst(t: int, B: int, L: int) -> list[ErasurePattern]:
     return out
 
 
-@dataclass(frozen=True)
-class GaussianSystem:
+class GaussianSystem(Record):
     """Joint covariance of (s_{-1}, s_0..s_t, u_0..u_t) with u_i = s_i + z_i.
 
     Cov(s_i, s_j) = rho^|i-j|, Cov(u_i, u_j) adds sigma_z2 on the diagonal,
     and Cov(s_i, u_j) = rho^|i-j|.
     """
 
-    rho: float
-    sigma_z2: float
-    t: int
+    _fields = ("rho", "sigma_z2", "t")
+    __slots__ = _fields + ("_cov",)
+
+    def __init__(self, rho: float, sigma_z2: float, t: int):
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "sigma_z2", sigma_z2)
+        object.__setattr__(self, "t", t)
+        self.__post_init__()  # looked up on the class, so a wrapper installed there sees every system
 
     def __post_init__(self):
         check_open_unit("rho", self.rho)
@@ -175,12 +178,10 @@ class GaussianSystem:
 
         times = np.concatenate([np.arange(-1, self.t + 1), np.arange(0, self.t + 1)])
         cov = self.rho ** np.abs(times[:, None] - times[None, :])
-        n_s = self.t + 2
-        u_diag = np.arange(n_s, n_s + self.t + 1)
+        u_diag = np.arange(self.t + 2, 2 * self.t + 3)
         cov[u_diag, u_diag] += self.sigma_z2
         cov.setflags(write=False)
         object.__setattr__(self, "_cov", cov)
-        object.__setattr__(self, "_n_s", n_s)
 
     @property
     def covariance(self) -> np.ndarray:
@@ -195,7 +196,7 @@ class GaussianSystem:
         if name == "u":
             if not 0 <= i <= self.t:
                 raise ValidationError(f"u index {i} outside [0, {self.t}]")
-            return self._n_s + i
+            return self.t + 2 + i
         raise ValidationError(f"unknown variable kind {name!r}")
 
     def min_eigenvalue(self) -> float:
@@ -255,32 +256,28 @@ def decode_mmse(sys: GaussianSystem, pattern: ErasurePattern) -> float:
     return conditional_variance(sys, ("s", sys.t), given)
 
 
-@dataclass
-class VerificationReport:
-    """Outcome of one exhaustive inequality check."""
+class VerificationReport(Record):
+    """Outcome of one exhaustive inequality check; unlike the other records,
+    assignable and unhashable."""
 
-    name: str
-    passed: bool
-    checks: int
-    violations: int
-    min_slack: float
-    worst: dict | None
-    notes: list[str] = field(default_factory=list)
-    details: dict = field(default_factory=dict)
+    __slots__ = _fields = (
+        "name", "passed", "checks", "violations", "min_slack", "worst", "notes", "details",
+    )
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, name: str, passed: bool, checks: int, violations: int, min_slack: float,
+                 worst: dict | None, notes: list[str] | None = None, details: dict | None = None):
+        self.name, self.passed, self.checks, self.violations = name, passed, checks, violations
+        self.min_slack, self.worst = min_slack, worst
+        self.notes = [] if notes is None else notes
+        self.details = {} if details is None else details
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "checks": self.checks,
-            "violations": self.violations,
-            "min_slack": self.min_slack,
-            "worst": self.worst,
-            "notes": self.notes,
-            "details": self.details,
-        }
+        return {name: getattr(self, name) for name in self._fields}
 
     def to_json(self, indent: int = 2) -> str:
+        import json
+
         return json.dumps(self.to_dict(), indent=indent)
 
 

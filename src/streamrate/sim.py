@@ -41,11 +41,10 @@ sweep places its own burst and ignores ``cfg.bursts``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, check_int, check_open_unit, check_seed, check_variance
+from .errors import Record, ValidationError, check_int, check_open_unit, check_seed, check_variance
 
 HORIZON_CAP = 10**4
 BLOCK_CAP = 16
@@ -66,34 +65,35 @@ def _philox(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(Record):
     """Streaming experiment: source/channel parameters plus erased bursts
     given as (start, length) pairs."""
 
-    rho: float
-    sigma_z2: float
-    horizon: int
-    trials: int
-    seed: int
-    bursts: tuple[tuple[int, int], ...] = ()
+    __slots__ = _fields = ("rho", "sigma_z2", "horizon", "trials", "seed", "bursts")
 
-    def __post_init__(self):
-        check_open_unit("rho", self.rho)
-        check_variance("sigma_z2", self.sigma_z2)
-        check_int("horizon", self.horizon, 1, HORIZON_CAP)
-        check_int("trials", self.trials, 1, TRIALS_CAP)
-        check_seed(self.seed)
+    def __init__(self, rho: float, sigma_z2: float, horizon: int, trials: int, seed: int,
+                 bursts: tuple[tuple[int, int], ...] = ()):
+        check_open_unit("rho", rho)
+        check_variance("sigma_z2", sigma_z2)
+        check_int("horizon", horizon, 1, HORIZON_CAP)
+        check_int("trials", trials, 1, TRIALS_CAP)
+        check_seed(seed)
         spans = []
-        for start, length in self.bursts:
+        for start, length in bursts:
             check_int("burst start", start)
             check_int("burst length", length)
-            if start + length > self.horizon:
+            if start + length > horizon:
                 raise ValidationError(f"burst ({start}, {length}) outside the horizon")
             spans.append((start, start + length))
         for (a0, a1), (b0, b1) in zip(sorted(spans), sorted(spans)[1:]):
             if b0 < a1:
                 raise ValidationError("bursts must not overlap")
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "sigma_z2", sigma_z2)
+        object.__setattr__(self, "horizon", horizon)
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "bursts", bursts)
 
     def erased_mask(self) -> np.ndarray:
         mask = np.zeros(self.horizon, dtype=bool)
@@ -102,16 +102,19 @@ class SimConfig:
         return mask
 
 
-@dataclass(frozen=True)
-class StreamResult:
+class StreamResult(Record):
     """Per-time empirical mean-square error with its standard error, next to
     the exact filter MMSE for the same erasure schedule."""
 
-    times: np.ndarray
-    mse: np.ndarray
-    stderr: np.ndarray
-    exact_mmse: np.ndarray
-    erased: np.ndarray
+    __slots__ = _fields = ("times", "mse", "stderr", "exact_mmse", "erased")
+
+    def __init__(self, times: np.ndarray, mse: np.ndarray, stderr: np.ndarray, exact_mmse: np.ndarray,
+                 erased: np.ndarray):
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "mse", mse)
+        object.__setattr__(self, "stderr", stderr)
+        object.__setattr__(self, "exact_mmse", exact_mmse)
+        object.__setattr__(self, "erased", erased)
 
     def rows(self):
         for t in range(len(self.times)):
@@ -218,18 +221,25 @@ def simulate_gm_stream(cfg: SimConfig) -> StreamResult:
     )
 
 
-@dataclass(frozen=True)
-class BurstSweepReport:
+class BurstSweepReport(Record):
     """Empirical and exact MMSE at a fixed decode time as one burst slides
     away from it; the hardest position is offset zero."""
 
-    offsets: tuple[int, ...]
-    empirical: tuple[float, ...]
-    stderr: tuple[float, ...]
-    exact: tuple[float, ...]
-    decode_time: int
-    exact_nonincreasing: bool
-    empirical_tracks_exact: bool
+    __slots__ = _fields = (
+        "offsets", "empirical", "stderr", "exact", "decode_time", "exact_nonincreasing",
+        "empirical_tracks_exact",
+    )
+
+    def __init__(self, offsets: tuple[int, ...], empirical: tuple[float, ...], stderr: tuple[float, ...],
+                 exact: tuple[float, ...], decode_time: int, exact_nonincreasing: bool,
+                 empirical_tracks_exact: bool):
+        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "empirical", empirical)
+        object.__setattr__(self, "stderr", stderr)
+        object.__setattr__(self, "exact", exact)
+        object.__setattr__(self, "decode_time", decode_time)
+        object.__setattr__(self, "exact_nonincreasing", exact_nonincreasing)
+        object.__setattr__(self, "empirical_tracks_exact", empirical_tracks_exact)
 
     @property
     def passed(self) -> bool:
@@ -300,24 +310,24 @@ def sweep_burst_position(
     )
 
 
-@dataclass(frozen=True)
-class BinningConfig:
+class BinningConfig(Record):
     """Toy binning experiment: block length n <= 16, flip probability q,
     rate in bits per symbol, at most 1 (bin count round(2^(n*rate)))."""
 
-    n: int
-    q: float
-    rate: float
-    trials: int
-    seed: int
+    __slots__ = _fields = ("n", "q", "rate", "trials", "seed")
 
-    def __post_init__(self):
-        check_int("block length n", self.n, 1, BLOCK_CAP)
-        check_open_unit("flip probability q", self.q)
-        check_int("trials", self.trials, 1, TRIALS_CAP)
-        check_seed(self.seed)
-        if not -math.inf < self.rate <= 1.0:
+    def __init__(self, n: int, q: float, rate: float, trials: int, seed: int):
+        check_int("block length n", n, 1, BLOCK_CAP)
+        check_open_unit("flip probability q", q)
+        check_int("trials", trials, 1, TRIALS_CAP)
+        check_seed(seed)
+        if not -math.inf < rate <= 1.0:
             raise ValidationError("rate must be finite and at most 1 bit per symbol")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "rate", rate)
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "seed", seed)
         if self.bin_count < 1:
             raise ValidationError("rate yields fewer than one bin")
 
@@ -326,16 +336,18 @@ class BinningConfig:
         return int(round(2.0 ** (self.n * self.rate)))
 
 
-@dataclass(frozen=True)
-class BinningResult:
+class BinningResult(Record):
     """Block error estimate with a normal-approximation binomial interval."""
 
-    errors: int
-    trials: int
-    p_hat: float
-    stderr: float
-    ci_low: float
-    ci_high: float
+    __slots__ = _fields = ("errors", "trials", "p_hat", "stderr", "ci_low", "ci_high")
+
+    def __init__(self, errors: int, trials: int, p_hat: float, stderr: float, ci_low: float, ci_high: float):
+        object.__setattr__(self, "errors", errors)
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "p_hat", p_hat)
+        object.__setattr__(self, "stderr", stderr)
+        object.__setattr__(self, "ci_low", ci_low)
+        object.__setattr__(self, "ci_high", ci_high)
 
 
 def simulate_binning(cfg: BinningConfig) -> BinningResult:

@@ -11,21 +11,19 @@ decodability checker for the packing, and four baseline schemes live here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import ValidationError, check_int
+from .errors import Record, ValidationError, check_int
 
 WINDOW_CAP = 10**4  # B and W: the layer plan and the reduced window hold B + W + 1 entries
 
 
-@dataclass(frozen=True)
-class DistortionVector:
+class DistortionVector(Record):
     """Non-decreasing per-lag distortion targets in (0, 1]."""
 
-    values: tuple[float, ...]
+    __slots__ = _fields = ("values",)
 
-    def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
+    def __init__(self, values: tuple[float, ...]):
+        vals = tuple(float(v) for v in values)
         if len(vals) < 1:
             raise ValidationError("distortion vector must have at least one entry")
         # below 2**-1024 the reciprocal overflows and every rate is infinite
@@ -69,27 +67,27 @@ def rate_recovery(d: DistortionVector, B: int, W: int) -> float:
     return rate
 
 
-@dataclass(frozen=True)
-class LayerPlan:
+class LayerPlan(Record):
     """Per-layer refinement rates and cumulative layer rates, in bits.
 
     cum_rates[j] is the rate of everything from refinement layer j up, so
     cum_rates[0] = (1/2) log2(1/d_0) and the sequence is non-increasing.
     """
 
-    tilde_rates: tuple[float, ...]
-    cum_rates: tuple[float, ...]
-    B: int
-    W: int
+    __slots__ = _fields = ("tilde_rates", "cum_rates", "B", "W")
 
-    def __post_init__(self):
-        if len(self.tilde_rates) != self.B + 1 or len(self.cum_rates) != self.B + 1:
+    def __init__(self, tilde_rates: tuple[float, ...], cum_rates: tuple[float, ...], B: int, W: int):
+        if len(tilde_rates) != B + 1 or len(cum_rates) != B + 1:
             raise ValidationError("need exactly B + 1 layers")
-        if any(r < -1e-12 for r in self.tilde_rates):
+        if any(r < -1e-12 for r in tilde_rates):
             raise ValidationError("layer rates must be nonnegative")
-        for j in range(self.B + 1):
-            if abs(self.cum_rates[j] - sum(self.tilde_rates[j:])) > 1e-9:
+        for j in range(B + 1):
+            if abs(cum_rates[j] - sum(tilde_rates[j:])) > 1e-9:
                 raise ValidationError("cumulative rates must be suffix sums of layer rates")
+        object.__setattr__(self, "tilde_rates", tilde_rates)
+        object.__setattr__(self, "cum_rates", cum_rates)
+        object.__setattr__(self, "B", B)
+        object.__setattr__(self, "W", W)
 
     @property
     def amortized_rate(self) -> float:
@@ -116,14 +114,16 @@ def layer_plan(d: DistortionVector, B: int, W: int) -> LayerPlan:
     return LayerPlan(tuple(tilde), tuple(cum), int(B), int(W))
 
 
-@dataclass(frozen=True)
-class BaselineRates:
+class BaselineRates(Record):
     """Rates of the four reference schemes, in bits."""
 
-    still_image: float
-    wyner_ziv: float
-    predictive_fec: float
-    gop: float
+    __slots__ = _fields = ("still_image", "wyner_ziv", "predictive_fec", "gop")
+
+    def __init__(self, still_image: float, wyner_ziv: float, predictive_fec: float, gop: float):
+        object.__setattr__(self, "still_image", still_image)
+        object.__setattr__(self, "wyner_ziv", wyner_ziv)
+        object.__setattr__(self, "predictive_fec", predictive_fec)
+        object.__setattr__(self, "gop", gop)
 
     def minimum(self) -> float:
         return min(self.still_image, self.wyner_ziv, self.predictive_fec, self.gop)
@@ -143,15 +143,18 @@ def baseline_rates(d: DistortionVector, B: int, W: int) -> BaselineRates:
     return BaselineRates(still_image=still, wyner_ziv=wz, predictive_fec=fec, gop=gop)
 
 
-@dataclass(frozen=True)
-class DecodeReport:
+class DecodeReport(Record):
     """Outcome of the symbolic decodability simulation."""
 
-    passed: bool
-    first_failure: dict | None
-    steady_decodes: int
-    joint_decodes: int
-    checked_times: int
+    __slots__ = _fields = ("passed", "first_failure", "steady_decodes", "joint_decodes", "checked_times")
+
+    def __init__(self, passed: bool, first_failure: dict | None, steady_decodes: int, joint_decodes: int,
+                 checked_times: int):
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "first_failure", first_failure)
+        object.__setattr__(self, "steady_decodes", steady_decodes)
+        object.__setattr__(self, "joint_decodes", joint_decodes)
+        object.__setattr__(self, "checked_times", checked_times)
 
 
 def decodability_check(

@@ -120,6 +120,20 @@ class TestGmCommands:
         assert capsys.readouterr().err.startswith("numerical error:")
         assert run(["gm", "--rho", "0.9", "--B", "1", "--D", "1e-13"]) == 0
 
+    @pytest.mark.parametrize("rho, L", [(0.9453081488354617, 3), (0.999999999999, 5)])
+    def test_aged_error_below_target_in_floats_is_precision_error(self, rho, L, capsys):
+        # at D = 1 - 2**-53 the multi-burst aged error never exceeds D in
+        # floats, so the upward bracket search overflows; it used to exit 2
+        # with "objective is NaN at inf"
+        argv = ["gm", "--rho", repr(rho), "--B", "1", "--L", str(L), "--D", "0.9999999999999999"]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "numerical error: multi-burst test channel: the MMSE stays below target 0.9999999999999999 "
+            "up to the largest float noise; in floats the aged error never exceeds D\n"
+        )
+
     def test_validation_error_exit_code(self):
         assert run(["gm", "--rho", "1.5", "--B", "1", "--D", "0.2"]) == 1
 
@@ -402,6 +416,26 @@ class TestInputFiles:
         assert_validation_error(capsys)
 
 
+def modules_loaded_by(run_it):
+    """The modules that a fresh interpreter loads to run the code run_it, so
+    that modules loaded by the test run do not count."""
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        + run_it
+        + "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    src = os.path.dirname(os.path.dirname(sr.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return set(done.stdout.split())
+
+
+def cli_run(argv, chain_file):
+    argv = [chain_file if a == "CHAIN" else a for a in argv] + ["--out", os.devnull]
+    return f"from streamrate import cli\nassert cli.main({argv!r}) == 0\n"
+
+
 class TestUsage:
     @pytest.mark.parametrize(
         "argv, third_party",
@@ -423,27 +457,29 @@ class TestUsage:
              "simulate"],
     )
     def test_command_loads_numpy_only_when_it_needs_it(self, argv, third_party, chain_file):
-        # a fresh interpreter, so modules loaded by the test run do not count
-        if argv is None:
-            run_it = "import streamrate\n"
-        else:
-            argv = [chain_file if a == "CHAIN" else a for a in argv] + ["--out", os.devnull]
-            run_it = f"from streamrate import cli\nassert cli.main({argv!r}) == 0\n"
-        code = (
-            "import sys\n"
-            "before = set(sys.modules)\n"
-            + run_it
-            + "new = {m.split('.')[0] for m in set(sys.modules) - before}\n"
-            "print(' '.join(sorted(new - set(sys.stdlib_module_names))))\n"
-        )
-        src = os.path.dirname(os.path.dirname(sr.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        done = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        )
+        new = modules_loaded_by("import streamrate\n" if argv is None else cli_run(argv, chain_file))
+        top = {m.split(".")[0] for m in new} - set(sys.stdlib_module_names)
         # numpy.random's Cython extensions register cython_runtime and _cython_<version>
-        loaded = {m for m in done.stdout.split() if not m.startswith(("cython_runtime", "_cython_"))}
+        loaded = {m for m in top if not m.startswith(("cython_runtime", "_cython_"))}
         assert loaded == third_party
+
+    @pytest.mark.parametrize(
+        "argv, absent",
+        [
+            (None, {"json", "streamrate.cli", "streamrate.gauss_markov", "streamrate.markov",
+                    "streamrate.oracle", "streamrate.sim", "streamrate.sliding"}),
+            (["gm", "--rho", "0.9", "--D", "0.2"], {"json", "streamrate.sliding"}),
+            (["figure", "--id", "fig4"], {"json", "streamrate.sliding"}),
+            (["lossless", "--chain", "CHAIN", "--B", "1", "--W", "1"],
+             {"streamrate.gauss_markov", "streamrate.sliding"}),
+            (GOLDEN_MULTI_ARGV, {"streamrate.gauss_markov", "streamrate.sliding"}),
+        ],
+        ids=["import", "gm", "figure", "lossless", "oracle-multi"],
+    )
+    def test_cold_command_loads_only_what_it_runs(self, argv, absent, chain_file):
+        # dataclasses imports inspect, together about 10 ms of a cold start
+        new = modules_loaded_by("import streamrate\n" if argv is None else cli_run(argv, chain_file))
+        assert not new & (absent | {"dataclasses", "inspect"})
 
     @pytest.mark.parametrize(
         "argv, needs_numpy",
@@ -482,10 +518,19 @@ class TestUsage:
 
     def test_lazy_names_resolve_to_their_modules(self):
         assert sr.MarkovChain is sr.markov.MarkovChain
+        assert sr.GmConfig is sr.gauss_markov.GmConfig
+        assert sr.layer_plan is sr.sliding.layer_plan
         assert sr.GaussianSystem is sr.oracle.GaussianSystem
         assert sr.simulate_gm_stream is sr.sim.simulate_gm_stream
         with pytest.raises(AttributeError):
             sr.no_such_name
+
+    def test_star_import_binds_every_public_name(self):
+        namespace = {}
+        exec("from streamrate import *", namespace)
+        assert set(sr.__all__) <= set(namespace)
+        for name in ("ValidationError", "GmConfig", "compute_bounds", "layer_plan", "MarkovChain", "SimConfig"):
+            assert namespace[name] is getattr(sr, name)
 
     def test_unknown_flag(self):
         assert run(["gm", "--bogus", "1"]) == 1

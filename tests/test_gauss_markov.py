@@ -395,8 +395,9 @@ class TestRootFinder:
         assert 0.0 <= bounds.lower <= bounds.upper_single <= bounds.upper_multi
 
     def test_upward_search_runs_out(self):
-        # an aged error that never exceeds D: no noise reaches it
-        with pytest.raises(ConvergenceError, match="no upper end"):
+        # an aged error that never exceeds D: no noise reaches it, and the
+        # upward search stops where the noise overflows
+        with pytest.raises(PrecisionError, match="up to the largest float noise"):
             _solve_increasing(lambda s: 0.5, 0.6, "flat channel")
 
     def test_no_sign_change(self):

@@ -1,0 +1,172 @@
+"""The library's record types: construction, repr, equality, hashing,
+immutability, pickling and copying.
+
+Every case is built from keyword arguments in field order, so the positional
+call is the same values in the same order.  The expected repr is
+`Name(field=value, ...)` with each value's own repr.
+"""
+
+import copy
+import pickle
+
+import numpy as np
+import pytest
+
+import streamrate as sr
+
+CASES = {
+    "GmConfig": dict(rho=0.9, B=1, D=0.2, L=2),
+    "TestChannel": dict(sigma_z2=0.5),
+    "GmBounds": dict(lower=0.5, upper_single=0.6, high_res=0.4, sigma_z2_single=0.3, upper_multi=0.7,
+                     sigma_z2_multi=0.25),
+    "MarkovChain": dict(alphabet_size=2, transition=((0.5, 0.5), (0.5, 0.5)), stationary=(0.5, 0.5)),
+    "LosslessBounds": dict(upper=0.9, lower=0.8, predictive_rate=0.7, B=1, W=1),
+    "ErasurePattern": dict(t=4, received=(0, 1, 3)),
+    "GaussianSystem": dict(rho=0.9, sigma_z2=0.1, t=2),
+    "VerificationReport": dict(name="check", passed=True, checks=3, violations=0, min_slack=0.5,
+                               worst={"t": 2}, notes=["a note"], details={"k": 1}),
+    "SimConfig": dict(rho=0.9, sigma_z2=0.1, horizon=10, trials=4, seed=7, bursts=((2, 1),)),
+    "StreamResult": dict(times=np.arange(2), mse=np.array([0.5, 0.25]), stderr=np.array([0.1, 0.05]),
+                         exact_mmse=np.array([0.5, 0.25]), erased=np.array([False, True])),
+    "BurstSweepReport": dict(offsets=(0, 1), empirical=(0.5, 0.4), stderr=(0.01, 0.01), exact=(0.5, 0.4),
+                             decode_time=9, exact_nonincreasing=True, empirical_tracks_exact=True),
+    "BinningConfig": dict(n=8, q=0.1, rate=0.8, trials=100, seed=3),
+    "BinningResult": dict(errors=5, trials=100, p_hat=0.05, stderr=0.02, ci_low=0.01, ci_high=0.09),
+    "DistortionVector": dict(values=(0.1, 0.5)),
+    "LayerPlan": dict(tilde_rates=(0.5, 0.25), cum_rates=(0.75, 0.25), B=1, W=0),
+    "BaselineRates": dict(still_image=1.0, wyner_ziv=0.8, predictive_fec=0.9, gop=0.7),
+    "DecodeReport": dict(passed=True, first_failure=None, steady_decodes=4, joint_decodes=1, checked_times=5),
+}
+NAMES = sorted(CASES)
+MUTABLE = {"VerificationReport"}  # assignable and unhashable
+ARRAYS = {"StreamResult"}  # numpy fields: unhashable, compared by value
+
+
+def build(name):
+    return getattr(sr, name)(**CASES[name])
+
+
+def assert_same(name, a, b):
+    assert type(a) is type(b)
+    if name in ARRAYS:
+        for field in CASES[name]:
+            got, want = getattr(a, field), getattr(b, field)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+    else:
+        assert a == b
+
+
+def test_every_record_type_is_covered():
+    assert len(CASES) == 17
+    assert all(name in sr.__all__ for name in CASES)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_positional_and_keyword_construction_agree(name):
+    kwargs = CASES[name]
+    positional = getattr(sr, name)(*kwargs.values())
+    assert_same(name, positional, build(name))
+    for field, value in kwargs.items():
+        got = getattr(positional, field)
+        assert np.array_equal(got, value) if name in ARRAYS else got == value
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_missing_or_unknown_argument_is_type_error(name):
+    cls, kwargs = getattr(sr, name), CASES[name]
+    first = next(iter(kwargs))
+    with pytest.raises(TypeError):
+        cls(**{k: v for k, v in kwargs.items() if k != first})
+    with pytest.raises(TypeError):
+        cls(**kwargs, no_such_field=1)
+    with pytest.raises(TypeError):
+        cls(*kwargs.values(), 1)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_repr_lists_the_fields(name):
+    fields = ", ".join(f"{k}={v!r}" for k, v in CASES[name].items())
+    assert repr(build(name)) == f"{name}({fields})"
+
+
+def test_repr_text():
+    assert repr(build("GmConfig")) == "GmConfig(rho=0.9, B=1, D=0.2, L=2)"
+    assert repr(build("ErasurePattern")) == "ErasurePattern(t=4, received=(0, 1, 3))"
+    assert repr(sr.TestChannel(0.5)) == "TestChannel(sigma_z2=0.5)"
+
+
+def test_defaults():
+    assert sr.GmConfig(0.9, 1, 0.2).L == 1
+    bounds = sr.GmBounds(0.5, 0.6, 0.4, 0.3)
+    assert (bounds.upper_multi, bounds.sigma_z2_multi) == (None, None)
+    assert sr.SimConfig(0.9, 0.1, 10, 4, 7).bursts == ()
+    report = sr.VerificationReport("check", True, 3, 0, 0.5, None)
+    assert (report.notes, report.details) == ([], {})
+    assert report.notes is not sr.VerificationReport("check", True, 3, 0, 0.5, None).notes
+
+
+@pytest.mark.parametrize("name", sorted(set(NAMES) - MUTABLE - ARRAYS))
+def test_equality_and_hash_follow_the_fields(name):
+    a, b = build(name), build(name)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != CASES[name] and a != tuple(CASES[name].values())
+
+
+def test_field_changes_break_equality():
+    assert sr.GmConfig(0.9, 1, 0.2, 2) != sr.GmConfig(0.9, 1, 0.2, 3)
+    assert sr.TestChannel(0.5) != sr.TestChannel(0.25)
+    assert sr.ErasurePattern(4, (3, 1, 0)) == build("ErasurePattern")  # received is normalised
+
+
+@pytest.mark.parametrize("name", sorted(set(NAMES) - MUTABLE))
+def test_assignment_is_attribute_error(name):
+    record = build(name)
+    field = next(iter(CASES[name]))
+    before = getattr(record, field)
+    with pytest.raises(AttributeError):
+        setattr(record, field, before)
+    with pytest.raises(AttributeError):
+        record.no_such_field = 1
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+    assert getattr(record, field) is before
+
+
+def test_arrays_make_an_unhashable_record():
+    with pytest.raises(TypeError):
+        hash(build("StreamResult"))
+
+
+def test_verification_report_is_assignable_and_unhashable():
+    report = build("VerificationReport")
+    report.passed = False
+    report.notes.append("another")
+    assert report.passed is False and report.notes == ["a note", "another"]
+    assert report != build("VerificationReport")
+    with pytest.raises(TypeError):
+        hash(report)
+    assert report.to_dict() == {
+        "name": "check", "passed": False, "checks": 3, "violations": 0, "min_slack": 0.5,
+        "worst": {"t": 2}, "notes": ["a note", "another"], "details": {"k": 1},
+    }
+
+
+@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("round_trip", [
+    lambda r: pickle.loads(pickle.dumps(r)),
+    copy.copy,
+    copy.deepcopy,
+], ids=["pickle", "copy", "deepcopy"])
+def test_pickle_and_copy_round_trips(name, round_trip):
+    record = build(name)
+    again = round_trip(record)
+    assert again is not record
+    assert_same(name, again, record)
+
+
+def test_gaussian_system_copy_rebuilds_its_covariance():
+    system = build("GaussianSystem")
+    again = copy.copy(system)
+    assert np.array_equal(again.covariance, system.covariance)
+    assert again.index(("u", 2)) == system.index(("u", 2)) == 6
