@@ -236,14 +236,13 @@ def _cmd_simulate(args) -> int:
 
             cfg0 = gm.GmConfig(rho=args.rho, B=args.B, D=args.D)
             sigma_z2 = gm.solve_test_channel_single(cfg0).sigma_z2
-        bursts = [_burst(spec) for spec in args.burst or []]
         cfg = sim.SimConfig(
             rho=args.rho,
             sigma_z2=sigma_z2,
             horizon=args.T,
             trials=args.trials,
             seed=args.seed,
-            bursts=tuple(bursts),
+            bursts=[_burst(spec) for spec in args.burst or []],
         )
         res = sim.simulate_gm_stream(cfg)
         _write_csv(args.out, ["time", "mse", "stderr", "exact_mmse", "erased"], res.rows())

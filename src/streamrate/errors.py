@@ -14,6 +14,8 @@ import math
 import numbers
 import os
 
+_set = object.__setattr__
+
 
 class ValidationError(ValueError):
     """Inputs violate a documented precondition or type invariant."""
@@ -32,13 +34,18 @@ class PrecisionError(NumericalError):
 
 
 class Record:
-    """Base of the library's records.  A subclass names its fields in `_fields`,
-    keeps them in `__slots__` and sets them in `__init__` by `object.__setattr__`.
-    A record prints as `Name(field=value, ...)`, compares and hashes by its
-    fields, refuses assignment, and pickles and copies through its constructor."""
+    """Base of the library's records.  A subclass names its fields in `_fields`
+    and keeps them in `__slots__`; its `__init__` runs its checks, then sets them
+    by one call to `Record.__init__` with the values in `_fields` order.  A record
+    prints as `Name(field=value, ...)`, compares and hashes by its fields, refuses
+    assignment, and pickles and copies through its constructor."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self._fields, values):
+            _set(self, name, value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

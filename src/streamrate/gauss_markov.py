@@ -49,10 +49,7 @@ class GmConfig(Record):
             raise ValidationError("D must lie in (0, 1] for a unit-variance source")
         check_int("B", B, 1)
         check_int("L", L, 1, GUARD_CAP)
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "D", D)
-        object.__setattr__(self, "L", L)
+        Record.__init__(self, rho, B, D, L)
 
 
 class TestChannel(Record):
@@ -63,7 +60,7 @@ class TestChannel(Record):
 
     def __init__(self, sigma_z2: float):
         check_variance("sigma_z2", sigma_z2)
-        object.__setattr__(self, "sigma_z2", sigma_z2)
+        Record.__init__(self, sigma_z2)
 
 
 class GmBounds(Record):
@@ -81,12 +78,7 @@ class GmBounds(Record):
         if upper_multi is not None:
             _check_order(upper_single, upper_multi,
                          "single-burst upper bound exceeds multi-burst upper bound")
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper_single", upper_single)
-        object.__setattr__(self, "high_res", high_res)
-        object.__setattr__(self, "sigma_z2_single", sigma_z2_single)
-        object.__setattr__(self, "upper_multi", upper_multi)
-        object.__setattr__(self, "sigma_z2_multi", sigma_z2_multi)
+        Record.__init__(self, lower, upper_single, high_res, sigma_z2_single, upper_multi, sigma_z2_multi)
 
 
 def _check_order(low: float, high: float, what: str, rounding: float = 0.0) -> None:
@@ -327,7 +319,7 @@ def rate_upper_single(cfg: GmConfig) -> float:
     (1/2) log2((1 - rho^(2B) (1 - Sigma)) / D) at the solved test channel."""
     if cfg.D >= 1.0:
         return 0.0
-    return _rate(_single_channel(cfg), cfg.D, solve_test_channel_single(cfg).sigma_z2)
+    return _solve(_single_channel(cfg), cfg.D, "single-burst test channel")[0]
 
 
 def eta_multi(cfg: GmConfig, tc: TestChannel) -> float:

@@ -184,9 +184,7 @@ class MarkovChain(Record):
         if len(pi) != len(P):
             raise ValidationError("stationary vector has wrong shape")
         _check_law(P, pi)
-        object.__setattr__(self, "alphabet_size", alphabet_size)
-        object.__setattr__(self, "transition", P)
-        object.__setattr__(self, "stationary", pi)
+        Record.__init__(self, alphabet_size, P, pi)
 
     @classmethod
     def from_transition(cls, transition) -> "MarkovChain":
@@ -196,8 +194,7 @@ class MarkovChain(Record):
         _check_law(P, pi)
         # P is checked already, so skip the constructor's second pass over it
         chain = object.__new__(cls)
-        for name, value in (("alphabet_size", len(P)), ("transition", P), ("stationary", pi)):
-            object.__setattr__(chain, name, value)
+        Record.__init__(chain, len(P), P, pi)
         return chain
 
     @classmethod
@@ -237,11 +234,7 @@ class LosslessBounds(Record):
             raise NumericalError("bounds fell below the predictive-coding rate")
         if W == 0 and abs(upper - lower) > tol:
             raise NumericalError("bounds must coincide at W = 0")
-        object.__setattr__(self, "upper", upper)
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "predictive_rate", predictive_rate)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "W", W)
+        Record.__init__(self, upper, lower, predictive_rate, B, W)
 
 
 def _entropy_bits(ps) -> float:

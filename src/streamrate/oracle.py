@@ -95,8 +95,7 @@ class ErasurePattern(Record):
         rec = tuple(sorted(set(int(i) for i in received)))
         if rec and (rec[0] < 0 or rec[-1] >= t):
             raise ValidationError("received indices must lie in [0, t)")
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "received", rec)
+        Record.__init__(self, t, rec)
 
     @property
     def erased(self) -> tuple[int, ...]:
@@ -165,9 +164,7 @@ class GaussianSystem(Record):
     __slots__ = _fields + ("_cov",)
 
     def __init__(self, rho: float, sigma_z2: float, t: int):
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "sigma_z2", sigma_z2)
-        object.__setattr__(self, "t", t)
+        Record.__init__(self, rho, sigma_z2, t)
         self.__post_init__()  # looked up on the class, so a wrapper installed there sees every system
 
     def __post_init__(self):

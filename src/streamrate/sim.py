@@ -67,7 +67,7 @@ def _philox(seed: int) -> np.random.Generator:
 
 class SimConfig(Record):
     """Streaming experiment: source/channel parameters plus erased bursts
-    given as (start, length) pairs."""
+    given as (start, length) pairs, kept as a tuple of int pairs."""
 
     __slots__ = _fields = ("rho", "sigma_z2", "horizon", "trials", "seed", "bursts")
 
@@ -78,22 +78,20 @@ class SimConfig(Record):
         check_int("horizon", horizon, 1, HORIZON_CAP)
         check_int("trials", trials, 1, TRIALS_CAP)
         check_seed(seed)
-        spans = []
-        for start, length in bursts:
+        try:
+            pairs = [(start, length) for start, length in bursts]
+        except (TypeError, ValueError):
+            raise ValidationError(f"bursts must be (start, length) pairs, got {bursts!r}") from None
+        for start, length in pairs:
             check_int("burst start", start)
             check_int("burst length", length)
             if start + length > horizon:
                 raise ValidationError(f"burst ({start}, {length}) outside the horizon")
-            spans.append((start, start + length))
-        for (a0, a1), (b0, b1) in zip(sorted(spans), sorted(spans)[1:]):
-            if b0 < a1:
-                raise ValidationError("bursts must not overlap")
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "sigma_z2", sigma_z2)
-        object.__setattr__(self, "horizon", horizon)
-        object.__setattr__(self, "trials", trials)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "bursts", bursts)
+        bursts = tuple([(int(start), int(length)) for start, length in pairs])
+        spans = sorted(bursts)
+        if any(s1 < s0 + n0 for (s0, n0), (s1, _) in zip(spans, spans[1:])):
+            raise ValidationError("bursts must not overlap")
+        Record.__init__(self, rho, sigma_z2, horizon, trials, seed, bursts)
 
     def erased_mask(self) -> np.ndarray:
         mask = np.zeros(self.horizon, dtype=bool)
@@ -110,11 +108,14 @@ class StreamResult(Record):
 
     def __init__(self, times: np.ndarray, mse: np.ndarray, stderr: np.ndarray, exact_mmse: np.ndarray,
                  erased: np.ndarray):
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "mse", mse)
-        object.__setattr__(self, "stderr", stderr)
-        object.__setattr__(self, "exact_mmse", exact_mmse)
-        object.__setattr__(self, "erased", erased)
+        Record.__init__(self, times, mse, stderr, exact_mmse, erased)
+
+    __hash__ = None  # numpy fields
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(map(np.array_equal, self._values(), other._values()))
 
     def rows(self):
         for t in range(len(self.times)):
@@ -233,13 +234,8 @@ class BurstSweepReport(Record):
     def __init__(self, offsets: tuple[int, ...], empirical: tuple[float, ...], stderr: tuple[float, ...],
                  exact: tuple[float, ...], decode_time: int, exact_nonincreasing: bool,
                  empirical_tracks_exact: bool):
-        object.__setattr__(self, "offsets", offsets)
-        object.__setattr__(self, "empirical", empirical)
-        object.__setattr__(self, "stderr", stderr)
-        object.__setattr__(self, "exact", exact)
-        object.__setattr__(self, "decode_time", decode_time)
-        object.__setattr__(self, "exact_nonincreasing", exact_nonincreasing)
-        object.__setattr__(self, "empirical_tracks_exact", empirical_tracks_exact)
+        Record.__init__(self, offsets, empirical, stderr, exact, decode_time, exact_nonincreasing,
+                        empirical_tracks_exact)
 
     @property
     def passed(self) -> bool:
@@ -323,11 +319,7 @@ class BinningConfig(Record):
         check_seed(seed)
         if not -math.inf < rate <= 1.0:
             raise ValidationError("rate must be finite and at most 1 bit per symbol")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "rate", rate)
-        object.__setattr__(self, "trials", trials)
-        object.__setattr__(self, "seed", seed)
+        Record.__init__(self, n, q, rate, trials, seed)
         if self.bin_count < 1:
             raise ValidationError("rate yields fewer than one bin")
 
@@ -342,12 +334,7 @@ class BinningResult(Record):
     __slots__ = _fields = ("errors", "trials", "p_hat", "stderr", "ci_low", "ci_high")
 
     def __init__(self, errors: int, trials: int, p_hat: float, stderr: float, ci_low: float, ci_high: float):
-        object.__setattr__(self, "errors", errors)
-        object.__setattr__(self, "trials", trials)
-        object.__setattr__(self, "p_hat", p_hat)
-        object.__setattr__(self, "stderr", stderr)
-        object.__setattr__(self, "ci_low", ci_low)
-        object.__setattr__(self, "ci_high", ci_high)
+        Record.__init__(self, errors, trials, p_hat, stderr, ci_low, ci_high)
 
 
 def simulate_binning(cfg: BinningConfig) -> BinningResult:

@@ -31,7 +31,7 @@ class DistortionVector(Record):
             raise ValidationError("distortions must lie in (0, 1], with a finite reciprocal")
         if any(b < a for a, b in zip(vals, vals[1:])):
             raise ValidationError("distortions must be non-decreasing with lag")
-        object.__setattr__(self, "values", vals)
+        Record.__init__(self, vals)
 
     @property
     def K(self) -> int:
@@ -84,10 +84,7 @@ class LayerPlan(Record):
         for j in range(B + 1):
             if abs(cum_rates[j] - sum(tilde_rates[j:])) > 1e-9:
                 raise ValidationError("cumulative rates must be suffix sums of layer rates")
-        object.__setattr__(self, "tilde_rates", tilde_rates)
-        object.__setattr__(self, "cum_rates", cum_rates)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "W", W)
+        Record.__init__(self, tilde_rates, cum_rates, B, W)
 
     @property
     def amortized_rate(self) -> float:
@@ -120,10 +117,7 @@ class BaselineRates(Record):
     __slots__ = _fields = ("still_image", "wyner_ziv", "predictive_fec", "gop")
 
     def __init__(self, still_image: float, wyner_ziv: float, predictive_fec: float, gop: float):
-        object.__setattr__(self, "still_image", still_image)
-        object.__setattr__(self, "wyner_ziv", wyner_ziv)
-        object.__setattr__(self, "predictive_fec", predictive_fec)
-        object.__setattr__(self, "gop", gop)
+        Record.__init__(self, still_image, wyner_ziv, predictive_fec, gop)
 
     def minimum(self) -> float:
         return min(self.still_image, self.wyner_ziv, self.predictive_fec, self.gop)
@@ -150,11 +144,7 @@ class DecodeReport(Record):
 
     def __init__(self, passed: bool, first_failure: dict | None, steady_decodes: int, joint_decodes: int,
                  checked_times: int):
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "first_failure", first_failure)
-        object.__setattr__(self, "steady_decodes", steady_decodes)
-        object.__setattr__(self, "joint_decodes", joint_decodes)
-        object.__setattr__(self, "checked_times", checked_times)
+        Record.__init__(self, passed, first_failure, steady_decodes, joint_decodes, checked_times)
 
 
 def decodability_check(

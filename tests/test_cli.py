@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import io
 import json
 import math
@@ -531,6 +532,18 @@ class TestUsage:
         assert set(sr.__all__) <= set(namespace)
         for name in ("ValidationError", "GmConfig", "compute_bounds", "layer_plan", "MarkovChain", "SimConfig"):
             assert namespace[name] is getattr(sr, name)
+
+    def test_every_name_the_benchmark_tracer_patches_exists(self):
+        # `perfbench/run.py --trace 1` wraps each of these and fails at install on a missing one;
+        # spans.py needs only the standard library, and loading it patches nothing
+        spec = importlib.util.spec_from_file_location("spans", os.path.join(os.path.dirname(GOLDEN), "spans.py"))
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        for table in (spans.SPANNED, spans.COUNTED):
+            for layer, names in table.items():
+                module = importlib.import_module(f"streamrate.{layer}")
+                assert [n for n in names if not callable(getattr(module, n, None))] == [], layer
+        assert callable(sr.oracle.GaussianSystem.__post_init__) and callable(cli.main)
 
     def test_unknown_flag(self):
         assert run(["gm", "--bogus", "1"]) == 1

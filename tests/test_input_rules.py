@@ -110,6 +110,11 @@ LIBRARY_ROWS = {
     "stream-seed-2**64": lambda: sr.simulate_gm_stream(_sim_cfg(seed=2**64)),
     "stream-seed-1.5": lambda: sr.simulate_gm_stream(_sim_cfg(seed=1.5)),
     "stream-trials-cap": lambda: _sim_cfg(trials=sr.sim.TRIALS_CAP + 1),
+    "stream-bursts-5": lambda: _sim_cfg(bursts=5),
+    "stream-burst-5": lambda: _sim_cfg(bursts=[5]),
+    "stream-burst-triple": lambda: _sim_cfg(bursts=[(1, 2, 3)]),
+    "stream-burst-single": lambda: _sim_cfg(bursts=[(1,)]),
+    "stream-burst-start-1.0": lambda: _sim_cfg(bursts=[(1.0, 2)]),
     "binning-trials-cap": lambda: _bin_cfg(trials=2**63),
     "exchange-samples-cap": lambda: sr.verify_exchange_inequalities(0.9, 0.1, samples=sr.oracle.SAMPLES_CAP + 1),
     "gmconfig-L-cap": lambda: sr.GmConfig(rho=0.9, B=1, D=0.2, L=sr.gauss_markov.GUARD_CAP + 1),
@@ -131,6 +136,12 @@ LIBRARY_ROWS = {
 def test_library_rejects(call):
     with pytest.raises(ValidationError):
         call()
+
+
+def test_sim_bursts_are_kept_as_a_tuple_of_int_pairs():
+    listed, tupled = _sim_cfg(bursts=[[1, 2]]), _sim_cfg(bursts=((1, 2),))
+    assert listed == tupled and hash(listed) == hash(tupled)
+    assert listed.bursts == ((1, 2),) and type(_sim_cfg(bursts=[(np.int64(1), 2)]).bursts[0][0]) is int
 
 
 # the same inputs through the CLI; int flags reach the library only as ints,

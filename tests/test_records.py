@@ -48,12 +48,10 @@ def build(name):
 
 def assert_same(name, a, b):
     assert type(a) is type(b)
-    if name in ARRAYS:
+    assert a == b
+    if name in ARRAYS:  # == compares values; the dtypes must match too
         for field in CASES[name]:
-            got, want = getattr(a, field), getattr(b, field)
-            assert got.dtype == want.dtype and np.array_equal(got, want)
-    else:
-        assert a == b
+            assert getattr(a, field).dtype == getattr(b, field).dtype
 
 
 def test_every_record_type_is_covered():
@@ -136,6 +134,13 @@ def test_assignment_is_attribute_error(name):
 def test_arrays_make_an_unhashable_record():
     with pytest.raises(TypeError):
         hash(build("StreamResult"))
+
+
+def test_stream_results_of_two_seeds_compare_unequal():
+    a, b = (sr.simulate_gm_stream(sr.SimConfig(0.9, 0.1, 5, 4, seed)) for seed in (0, 1))
+    assert a != b and not a == b
+    assert a == sr.simulate_gm_stream(sr.SimConfig(0.9, 0.1, 5, 4, 0))
+    assert build("StreamResult") != CASES["StreamResult"]
 
 
 def test_verification_report_is_assignable_and_unhashable():
