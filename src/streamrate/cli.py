@@ -184,49 +184,18 @@ def _cmd_oracle(args) -> int:
     return EXIT_OK if report.passed else EXIT_VERIFICATION
 
 
-def _config_value(action: argparse.Action, key: str, value):
-    """A `simulate --config` value, checked against its option: a number for
-    a float option, an integer for an int option, a list for --burst, a
-    string otherwise, or null where the option defaults to None."""
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if action.type is float and number and abs(value) <= sys.float_info.max:
-        return float(value)
-    if action.type is int and number and isinstance(value, int):
-        return value
-    if action.dest == "burst":
-        if isinstance(value, list):
-            return value
-    elif action.type is None and isinstance(value, str):
-        if action.choices is None or value in action.choices:
-            return value
-    if value is None and action.default is None:
-        return None
-    raise ValidationError(f"config key {key!r}: {value!r} is not a valid {action.option_strings[-1]} value")
-
-
-def _burst(spec) -> tuple[int, int]:
-    """A burst as "start:length", or as [start, length] in a config file."""
-    parts = spec
-    if isinstance(spec, str):
-        try:
-            parts = [int(x) for x in spec.split(":")]
-        except ValueError:
-            pass
-    if not (isinstance(parts, list) and len(parts) == 2
-            and all(isinstance(x, int) and not isinstance(x, bool) for x in parts)):
+def _burst(spec: str) -> tuple[int, int]:
+    """A burst as "start:length"."""
+    try:
+        start, length = (int(x) for x in spec.split(":"))
+    except ValueError:
         raise ValidationError(f"burst spec must be start:length, got {spec!r}")
-    return parts[0], parts[1]
+    return start, length
 
 
 def _cmd_simulate(args) -> int:
     from . import sim
 
-    if args.config:
-        for key, value in read_json_object(args.config).items():
-            action = args.options.get(key.replace("-", "_"))
-            if action is None or not action.option_strings or action.dest == "help":
-                raise ValidationError(f"unknown config key {key!r}")
-            setattr(args, action.dest, _config_value(action, key, value))
     if args.kind == "gm":
         sigma_z2 = args.sigma_z2
         if sigma_z2 is None:
@@ -385,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte-Carlo experiments")
     p.add_argument("--kind", choices=["gm", "binning"], required=True)
-    p.add_argument("--config", default=None, help="JSON file with the same keys as the flags")
     p.add_argument("--rho", type=float, default=0.9)
     p.add_argument("--sigma-z2", dest="sigma_z2", type=float, default=None)
     p.add_argument("--D", type=float, default=None, help="solve the test channel for this target")
@@ -398,8 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
-    # the options by dest, which also name and type the --config keys
-    p.set_defaults(fn=_cmd_simulate, options={a.dest: a for a in p._actions})
+    p.set_defaults(fn=_cmd_simulate)
 
     p = sub.add_parser("figure", help="CSV data reproducing the survey figures")
     p.add_argument("--id", choices=["fig2", "fig3", "fig4", "fig5", "fig9"], required=True)

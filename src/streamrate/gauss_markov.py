@@ -35,6 +35,7 @@ from .errors import (
 _SEARCH_STEPS = 64  # steps of each bracket search in `_bracket`
 _FLOAT, _BITS = struct.Struct("<d"), struct.Struct("<q")
 GUARD_CAP = 10**4  # eta_multi steps through the guard, once per objective evaluation
+_LN2 = math.log(2.0)
 
 
 class GmConfig(Record):
@@ -95,13 +96,18 @@ def lower_bound_closed_form(rho: float, B: int, D: float) -> float:
     x = rho^2 and y = rho^(2B) that is the sum of two nonnegative terms,
     delta = (x D + y (1 - x) - (1 - y))^2 + 4 y (1 - y) (1 - x), so no rounding
     makes it negative.  1 - rho^2 is (1 - rho)(1 + rho) and 1 - rho^(2k) is
-    -expm1(2k log rho), so neither loses its digits as rho nears 1.
+    -expm1(2k log rho), so neither loses its digits as rho nears 1.  The
+    quadratic is negative at 2^(2R) = (1 - rho^(2(B+1))) / D, where it equals
+    -rho^(2B+2) (1 - rho^2), so R exceeds the asymptote `high_res_rate`;
+    where rounding puts the formula an ulp below it (small rho), R is the
+    asymptote's own float.
     """
     x, y, log_rho = rho**2, rho ** (2 * B), math.log(rho)
     one_m_x, one_m_y = (1.0 - rho) * (1.0 + rho), -math.expm1(2 * B * log_rho)
-    b = D * x - math.expm1(2 * (B + 1) * log_rho)
+    tail = -math.expm1(2 * (B + 1) * log_rho)
+    b = D * x + tail
     delta = (x * D + y * one_m_x - one_m_y) ** 2 + 4.0 * y * one_m_y * one_m_x
-    return 0.5 * math.log2((b + math.sqrt(delta)) / (2.0 * D))
+    return max(0.5 * math.log2((b + math.sqrt(delta)) / (2.0 * D)), 0.5 * math.log2(tail / D))
 
 
 def lower_bound_single(cfg: GmConfig) -> float:
@@ -235,12 +241,10 @@ def _solve_increasing(aged, D: float, what: str) -> float:
     The float MMSE is not monotone to the last ulp, and near D = 1 it equals D
     over thousands of consecutive floats, so more than one float can meet
     that contract; the search path chooses among them.  `_bracket` gives the
-    analytic bracket, the Anderson-Bjorck regula falsi (BIT 13, 1973) narrows
-    it to a few ulps, and a search on the float bit patterns ends on a
-    crossing.  aged is a plain-float kernel: a float in, a float out, no
-    validation per evaluation, the configuration's constants computed once.
-    A D below the normal float range raises PrecisionError: there 1/D
-    overflows.
+    analytic bracket and `_root` narrows it to a crossing.  aged is a
+    plain-float kernel: a float in, a float out, no validation per
+    evaluation, the configuration's constants computed once.  A D below the
+    normal float range raises PrecisionError: there 1/D overflows.
     """
     if not D >= sys.float_info.min:
         raise PrecisionError(
@@ -254,13 +258,27 @@ def _solve_increasing(aged, D: float, what: str) -> float:
             raise NumericalError(f"objective is NaN at {s!r}")
         return f_s
 
-    lo, hi, w_lo, f_hi = _bracket(aged, D, what)
+    s, f_s = _root(f, *_bracket(aged, D, what))
+    if not f_s <= 1e-10:
+        raise NumericalError(f"{what}: solver residual {f_s:.3e} exceeds 1e-10")
+    return s
+
+
+def _root(f, lo: float, hi: float, f_lo: float, f_hi: float) -> tuple[float, float]:
+    """(x, f(x)) for a float x in (lo, hi] where f crosses zero: f(x) >= 0 >
+    f(the float below x), given 0 <= lo < hi and f(lo) < 0 <= f(hi).
+
+    The Anderson-Bjorck regula falsi (BIT 13, 1973) narrows the bracket to a
+    few ulps, and a search on the float bit patterns, which order
+    nonnegative floats, ends on a crossing.  Where f is increasing that is
+    the least float with f >= 0.
+    """
     # the secant through (lo, w_lo) and (hi, w_hi): the weights start as f(lo)
     # and f(hi); when one end moves twice in a row, the other end's weight
     # shrinks, so that end moves next.  The end that just moved holds its own
-    # f as its weight.  Where the rounded MMSE jumps (rho near 1) the steps
-    # can stall; after 100 the bisection below ends in at most 64 more.
-    w_hi, moved = f_hi, 0
+    # f as its weight.  Where the rounded f jumps (rho near 1) the steps can
+    # stall; after 100 the bisection below ends in at most 64 more.
+    w_lo, w_hi, moved = f_lo, f_hi, 0
     for _ in range(100):
         if f_hi == 0.0 or hi - lo <= 4.0 * sys.float_info.epsilon * hi:
             break
@@ -279,7 +297,7 @@ def _solve_increasing(aged, D: float, what: str) -> float:
                 w_lo *= m if m > 0.0 else 0.5
             hi, f_hi, w_hi, moved = s, f_s, f_s, 1
     i, j = _BITS.unpack(_FLOAT.pack(lo))[0], _BITS.unpack(_FLOAT.pack(hi))[0]
-    # an exact zero may lie inside a run of floats whose MMSE rounds to D
+    # an exact zero may lie inside a run of floats where f rounds to zero
     # exactly: probe 1, 2, 4, ... ulps below it, never below the midpoint.
     # Otherwise bisect the gap, a few ulps after a converged regula falsi.
     gap = 1 if f_hi == 0.0 else j - i
@@ -291,9 +309,7 @@ def _solve_increasing(aged, D: float, what: str) -> float:
             i = mid
         else:
             j, hi, f_hi = mid, s, f_s
-    if not f_hi <= 1e-10:
-        raise NumericalError(f"{what}: solver residual {f_hi:.3e} exceeds 1e-10")
-    return hi
+    return hi, f_hi
 
 
 def _rate(channel, D: float, s: float) -> float:
@@ -357,7 +373,7 @@ def rate_upper_multi(cfg: GmConfig) -> tuple[float, TestChannel | None]:
 def high_res_rate(cfg: GmConfig) -> float:
     """Shared small-D asymptote (1/2) log2((1 - rho^(2(B+1))) / D); independent
     of the guard interval, clamped at zero."""
-    return max(0.0, 0.5 * math.log2((1.0 - cfg.rho ** (2 * (cfg.B + 1))) / cfg.D))
+    return max(0.0, 0.5 * math.log2(-math.expm1(2 * (cfg.B + 1) * math.log(cfg.rho)) / cfg.D))
 
 
 def naive_wz_rate(cfg: GmConfig) -> float:
@@ -370,32 +386,45 @@ def naive_wz_rate(cfg: GmConfig) -> float:
 
 def finite_t_lower(cfg: GmConfig, t: int) -> float:
     """Converse bound when decoding at finite time t >= B+1: the smallest
-    R >= 0 with R >= phi(R), where the geometric term of phi grows with t.
-    Solved by damped fixed-point iteration; non-decreasing in t and converging
-    to lower_bound_single as t grows.
+    float R >= 0 with R >= phi(R), where, with x = 4^R and m = t - B - 1,
+    phi(R) = (1/2) log2(head sum_{k<m} rho^(2k) / x^(k+1) + tail),
+    head = rho^(2(B+1)) (1 - rho^2) / D and tail = (1 - rho^(2(B+1))) / D.
+
+    phi falls as R grows, so R - phi(R) is increasing and has one root.
+    phi >= (1/2) log2(tail), the asymptote `high_res_rate`, and phi grows
+    with m toward the converse's quadratic, so the root lies in
+    [high_res_rate, lower_bound_single]; `_root`, the root-finder of the
+    test-channel solves, finds it on that bracket.  The result is
+    non-decreasing in t, at most lower_bound_single, and tends to it as t
+    grows.  With u = log(rho^2 / x) the sum is
+    head expm1(m u) / (x expm1(u)), and head and tail take
+    (1 - rho)(1 + rho) and -expm1, so no term loses its digits near rho = 1.
     """
     check_int("t", t, cfg.B + 1)
     if cfg.D >= 1.0:
         return 0.0
+    if not cfg.D >= sys.float_info.min:
+        raise PrecisionError(f"finite-horizon converse: target {cfg.D:.3e} is below the normal float range")
+    rho, D, n = cfg.rho, cfg.D, 2 * (cfg.B + 1)
+    log_rho = math.log(rho)
+    head = rho**n * ((1.0 - rho) * (1.0 + rho)) / D
+    tail = -math.expm1(n * log_rho) / D
+    m = min(t - cfg.B - 1, sys.float_info.max)  # past that, (rho^2 / x)^m is 0
 
-    rho2 = cfg.rho**2
-    head = cfg.rho ** (2 * (cfg.B + 1)) * (1.0 - rho2) / cfg.D
-    tail = (1.0 - cfg.rho ** (2 * (cfg.B + 1))) / cfg.D
-    m = int(t) - cfg.B - 1
+    def f(r: float) -> float:
+        u = 2.0 * (log_rho - r * _LN2)
+        return r - 0.5 * math.log2(head / 4.0**r * (math.expm1(m * u) / math.expm1(u)) + tail)
 
-    def phi(r: float) -> float:
-        x = 2.0 ** (2.0 * r)
-        return 0.5 * math.log2(head / (x - rho2) * (1.0 - (rho2 / x) ** m) + tail)
-
-    if phi(0.0) <= 0.0:
-        return 0.0
-    r = max(phi(0.0), 0.0)
-    for _ in range(10**5):
-        nxt = 0.5 * (r + max(phi(r), 0.0))
-        if abs(nxt - r) < 1e-13:
-            return nxt
-        r = nxt
-    raise ConvergenceError("fixed-point iteration for the finite-horizon bound stalled")
+    lo, top = high_res_rate(cfg), lower_bound_single(cfg)
+    f_lo = f(lo)
+    if f_lo >= 0.0:
+        return lo
+    hi, step = top, math.ulp(top)
+    f_hi = f(hi)
+    while f_hi < 0.0:  # rounding put the closed form below the root
+        hi, step = hi + step, 2.0 * step
+        f_hi = f(hi)
+    return min(_root(f, lo, hi, f_lo, f_hi)[0], top)
 
 
 def compute_bounds(cfg: GmConfig) -> GmBounds:

@@ -92,10 +92,10 @@ class ErasurePattern(Record):
 
     def __init__(self, t: int, received: tuple[int, ...]):
         check_int("decoding time t", t)
-        rec = tuple(sorted(set(int(i) for i in received)))
-        if rec and (rec[0] < 0 or rec[-1] >= t):
-            raise ValidationError("received indices must lie in [0, t)")
-        Record.__init__(self, t, rec)
+        received = tuple(received)
+        for i in received:
+            check_int("received index", i, 0, t - 1)
+        Record.__init__(self, t, tuple(sorted(set(int(i) for i in received))))
 
     @property
     def erased(self) -> tuple[int, ...]:

@@ -286,27 +286,8 @@ class TestSimulateCommand:
         assert doc["p_hat"] == pytest.approx(res.p_hat, abs=1e-15)
 
     def test_bad_burst_spec(self):
-        assert run(["simulate", "--kind", "gm", "--sigma-z2", "0.1", "--burst", "oops"]) == 1
-
-    def test_config_file_matches_flags(self, tmp_path):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(
-            json.dumps({"rho": 0.9, "sigma_z2": 0.3, "T": 12, "trials": 64, "seed": 5,
-                        "burst": [[4, 2]]})
-        )
-        from_cfg = tmp_path / "a.csv"
-        from_flags = tmp_path / "b.csv"
-        assert run(["simulate", "--kind", "gm", "--config", str(cfg_path), "--out", str(from_cfg)]) == 0
-        assert run(
-            ["simulate", "--kind", "gm", "--rho", "0.9", "--sigma-z2", "0.3", "--T", "12",
-             "--trials", "64", "--seed", "5", "--burst", "4:2", "--out", str(from_flags)]
-        ) == 0
-        assert from_cfg.read_text() == from_flags.read_text()
-
-    def test_unknown_config_key(self, tmp_path):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"bogus": 1}))
-        assert run(["simulate", "--kind", "gm", "--config", str(cfg_path)]) == 1
+        for spec in ("oops", "4.5:2", "5", "1:2:3"):
+            assert run(["simulate", "--kind", "gm", "--sigma-z2", "0.1", "--burst", spec]) == 1, spec
 
     @pytest.mark.parametrize(
         "argv",
@@ -392,21 +373,15 @@ class TestInputFiles:
             (["lossless", "--chain", "MISSING", "--B", "1", "--W", "0"], None),
             (["lossless", "--chain", "FILE", "--B", "1", "--W", "0"], "{bad"),
             (["lossless", "--chain", "FILE", "--B", "1", "--W", "0"], "[1, 2]"),
-            (["simulate", "--kind", "gm", "--config", "FILE"], "[1, 2]"),
             (["lossless", "--chain", "FILE", "--B", "1", "--W", "0"], '{"transition": "ab"}'),
             (["lossless", "--chain", "FILE", "--B", "1", "--W", "0"],
              '{"alphabet_size": "x", "transition": [[0.5, 0.5], [0.5, 0.5]]}'),
             (["lossless", "--chain", "FILE", "--B", "1", "--W", "0"],
              '{"alphabet_size": 2.5, "transition": [[0.5, 0.5], [0.5, 0.5]]}'),
-            (["simulate", "--kind", "gm", "--config", "FILE"], '{"trials": "x", "sigma-z2": 0.3}'),
-            (["simulate", "--kind", "gm", "--config", "FILE"], '{"T": 2.5, "sigma-z2": 0.3}'),
-            (["simulate", "--kind", "gm", "--config", "FILE"], '{"sigma-z2": 0.3, "burst": [[4.5, 2]]}'),
-            (["simulate", "--kind", "gm", "--config", "FILE"], '{"sigma-z2": 0.3, "burst": 5}'),
         ],
         ids=["sliding-nan", "sweep-missing-file", "sweep-missing-key", "sweep-not-a-number",
-             "sweep-fractional-B", "chain-missing-file", "chain-malformed", "chain-list", "config-list",
-             "chain-string-matrix", "chain-string-size", "chain-fractional-size", "config-string-trials",
-             "config-fractional-T", "config-fractional-burst", "config-burst-not-a-list"],
+             "sweep-fractional-B", "chain-missing-file", "chain-malformed", "chain-list",
+             "chain-string-matrix", "chain-string-size", "chain-fractional-size"],
     )
     def test_bad_input_is_validation_error(self, argv, content, tmp_path, capsys):
         path = tmp_path / "input.json"

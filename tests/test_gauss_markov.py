@@ -825,6 +825,31 @@ class TestFiniteHorizon:
         with pytest.raises(ValidationError):
             finite_t_lower(GmConfig(rho=0.9, B=2, D=0.2), 2)
 
+    def test_near_unit_correlation_solves(self):
+        # near rho = 1 a damped fixed-point iteration stalls on the first row
+        # and overshoots the converse on the second (0.6754909619598553)
+        finite_t_lower(GmConfig(rho=0.9999999967691202, B=4, D=0.0005104807849912838), 10**6)
+        cfg = GmConfig(rho=0.9999999993950323, B=5, D=3.151797898663912e-09)
+        assert finite_t_lower(cfg, 10**6) <= 0.6754909600726143
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rho=st.one_of(st.floats(0.05, 0.99), st.floats(1.0, 12.0).map(lambda k: 1.0 - 10.0**-k)),
+        B=st.integers(1, 5),
+        log_d=st.floats(math.log10(sys.float_info.min), 0.0),
+        steps=st.lists(st.one_of(st.integers(0, 100), st.integers(0, 10**400)), min_size=1, max_size=6),
+    )
+    def test_in_the_bracket_and_non_decreasing_in_t(self, rho, B, log_d, steps):
+        cfg = GmConfig(rho=rho, B=B, D=max(10.0**log_d, sys.float_info.min))
+        lo, hi = high_res_rate(cfg), lower_bound_single(cfg)
+        rates = [finite_t_lower(cfg, B + 1 + k) for k in sorted(steps)]
+        assert all(math.isfinite(r) and lo <= r <= hi for r in rates), (lo, hi, rates)
+        assert rates == sorted(rates)
+
+    def test_below_the_normal_float_range_is_precision_error(self):
+        with pytest.raises(PrecisionError):
+            finite_t_lower(GmConfig(rho=0.9, B=1, D=1e-310), 10)
+
 
 class TestBoundChain:
     def test_grid_ordering(self):

@@ -129,6 +129,8 @@ LIBRARY_ROWS = {
     "chain-alphabet-cap": lambda: sr.MarkovChain.from_transition(_uniform(sr.markov.ALPHABET_CAP + 1)),
     "binary-chain-q-str": lambda: sr.binary_symmetric_chain("0.1"),
     "symmetric-tol-True": lambda: sr.is_symmetric(sr.binary_symmetric_chain(0.1), True),
+    "erasure-index-1.5": lambda: sr.ErasurePattern(4, (1.5, 2.9)),
+    "erasure-index-True": lambda: sr.ErasurePattern(4, (True,)),
 }
 
 
@@ -145,7 +147,8 @@ def test_sim_bursts_are_kept_as_a_tuple_of_int_pairs():
 
 
 # the same inputs through the CLI; int flags reach the library only as ints,
-# so fractional and boolean values come in through --config and --sweep files
+# so fractional and boolean values come in through --sweep files; the
+# simulate ones reach SimConfig and BinningConfig in LIBRARY_ROWS
 CLI_ROWS = {
     "stream-seed--1": (["simulate", "--kind", "gm", "--sigma-z2", "0.1", "--T", "5", "--trials", "4", "--seed", "-1"], None),
     "binning-seed--1": (["simulate", "--kind", "binning", "--seed", "-1"], None),
@@ -153,10 +156,6 @@ CLI_ROWS = {
     "stream-seed-2**64": (["simulate", "--kind", "gm", "--sigma-z2", "0.1", "--seed", str(2**64)], None),
     "multi-tmax-0": (["oracle", "--check", "multi", "--rho", "0.9", "--sigma-z2", "0.1", "--tmax", "0"], None),
     "multi-tmax--5": (["oracle", "--check", "multi", "--rho", "0.9", "--sigma-z2", "0.1", "--tmax", "-5"], None),
-    "stream-horizon-10.5": (["simulate", "--kind", "gm", "--config", "FILE"], {"sigma_z2": 0.1, "T": 10.5}),
-    "stream-trials-10.5": (["simulate", "--kind", "gm", "--config", "FILE"], {"sigma_z2": 0.1, "trials": 10.5}),
-    "binning-n-8.0": (["simulate", "--kind", "binning", "--config", "FILE"], {"n": 8.0}),
-    "stream-seed-1.5": (["simulate", "--kind", "gm", "--config", "FILE"], {"sigma_z2": 0.1, "seed": 1.5}),
     "gm-sweep-B-true": (["gm", "--sweep", "FILE"], {"rho": [0.9], "B": True, "D": [0.2]}),
     "stream-trials-huge": (["simulate", "--kind", "gm", "--sigma-z2", "0.1", "--trials", str(10**30)], None),
     "binning-trials-huge": (["simulate", "--kind", "binning", "--trials", str(2**40)], None),
