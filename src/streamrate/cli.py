@@ -272,14 +272,16 @@ def _figure_rows(fig: str):
         return ["rho", "B", "D", "lower", "upper"], [row(c) for c in cells]
 
     if fig == "fig4":
-        cells = [(rho, 1, L, D) for D in (0.8, 0.5) for L in (1, 2, 3, 4) for rho in _FIG4_RHO]
-
-        def row(cell):
-            rho, B, L, D = cell
-            b = gm.compute_bounds(gm.GmConfig(rho=rho, B=B, D=D, L=L))
-            return [rho, B, L, D, b.lower, b.upper_single, b.upper_multi]
-
-        return ["rho", "B", "L", "D", "lower", "upper_single", "upper_multi"], [row(c) for c in cells]
+        # `compute_bounds` per cell, with the converse and the single-burst
+        # solve, which do not depend on L, made once per (rho, D)
+        rows = []
+        for D in (0.8, 0.5):
+            singles = [gm._single_burst(gm.GmConfig(rho=rho, B=1, D=D)) for rho in _FIG4_RHO]
+            for L in (1, 2, 3, 4):
+                for rho, single in zip(_FIG4_RHO, singles):
+                    b = gm._with_guard(gm.GmConfig(rho=rho, B=1, D=D, L=L), single)
+                    rows.append([rho, 1, L, D, b.lower, b.upper_single, b.upper_multi])
+        return ["rho", "B", "L", "D", "lower", "upper_single", "upper_multi"], rows
 
     if fig == "fig5":
         cells = [(rho, 1, 4, D) for rho in (0.9, 0.5) for D in _FIG5_D]

@@ -88,6 +88,12 @@ def _check_order(low: float, high: float, what: str, rounding: float = 0.0) -> N
         raise NumericalError(f"{what} by {low - high:.3e}")
 
 
+def _check_normal(what: str, D: float, consequence: str = "1 / D overflows") -> None:
+    """Raise PrecisionError for a target D below the normal float range."""
+    if not D >= sys.float_info.min:
+        raise PrecisionError(f"{what}: target {D:.3e} is below the normal float range; {consequence}")
+
+
 def lower_bound_closed_form(rho: float, B: int, D: float) -> float:
     """Converse rate as an explicit formula; no argument validation.
 
@@ -119,9 +125,11 @@ def lower_bound_single(cfg: GmConfig) -> float:
     above 1.  Where that root is within rounding of 1 (rho and D both near 1)
     the closed form can read about -1e-16, so the rate is floored at 0.  The
     tests check the closed form against a generic polynomial root finder.
+    A D below the normal float range raises PrecisionError.
     """
     if cfg.D >= 1.0:
         return 0.0
+    _check_normal("converse", cfg.D)
     return max(0.0, lower_bound_closed_form(cfg.rho, cfg.B, cfg.D))
 
 
@@ -246,11 +254,7 @@ def _solve_increasing(aged, D: float, what: str) -> float:
     evaluation, the configuration's constants computed once.  A D below the
     normal float range raises PrecisionError: there 1/D overflows.
     """
-    if not D >= sys.float_info.min:
-        raise PrecisionError(
-            f"{what}: target {D:.3e} is below the normal float range; "
-            "the required noise would underflow"
-        )
+    _check_normal(what, D, "the required noise would underflow")
 
     def f(s: float) -> float:
         f_s = 1.0 / (1.0 / s + 1.0 / aged(s)) - D
@@ -372,7 +376,9 @@ def rate_upper_multi(cfg: GmConfig) -> tuple[float, TestChannel | None]:
 
 def high_res_rate(cfg: GmConfig) -> float:
     """Shared small-D asymptote (1/2) log2((1 - rho^(2(B+1))) / D); independent
-    of the guard interval, clamped at zero."""
+    of the guard interval, clamped at zero.  A D below the normal float range
+    raises PrecisionError."""
+    _check_normal("high-resolution asymptote", cfg.D)
     return max(0.0, 0.5 * math.log2(-math.expm1(2 * (cfg.B + 1) * math.log(cfg.rho)) / cfg.D))
 
 
@@ -403,8 +409,7 @@ def finite_t_lower(cfg: GmConfig, t: int) -> float:
     check_int("t", t, cfg.B + 1)
     if cfg.D >= 1.0:
         return 0.0
-    if not cfg.D >= sys.float_info.min:
-        raise PrecisionError(f"finite-horizon converse: target {cfg.D:.3e} is below the normal float range")
+    lo, top = high_res_rate(cfg), lower_bound_single(cfg)  # a subnormal D raises here
     rho, D, n = cfg.rho, cfg.D, 2 * (cfg.B + 1)
     log_rho = math.log(rho)
     head = rho**n * ((1.0 - rho) * (1.0 + rho)) / D
@@ -415,7 +420,6 @@ def finite_t_lower(cfg: GmConfig, t: int) -> float:
         u = 2.0 * (log_rho - r * _LN2)
         return r - 0.5 * math.log2(head / 4.0**r * (math.expm1(m * u) / math.expm1(u)) + tail)
 
-    lo, top = high_res_rate(cfg), lower_bound_single(cfg)
     f_lo = f(lo)
     if f_lo >= 0.0:
         return lo
@@ -427,27 +431,46 @@ def finite_t_lower(cfg: GmConfig, t: int) -> float:
     return min(_root(f, lo, hi, f_lo, f_hi)[0], top)
 
 
+def _single_burst(cfg: GmConfig) -> tuple[float, float, float, float]:
+    """(lower, upper_single, high_res, sigma_z2_single) for D < 1: the
+    converse, the single-burst solve and its rate, none of which depends on
+    the guard interval L."""
+    lower = lower_bound_single(cfg)
+    tc = solve_test_channel_single(cfg)
+    return lower, _rate(_single_channel(cfg), cfg.D, tc.sigma_z2), high_res_rate(cfg), tc.sigma_z2
+
+
+def _with_guard(cfg: GmConfig, single: tuple[float, float, float, float]) -> GmBounds:
+    """The bound chain at cfg's guard interval from `_single_burst` of the
+    same (rho, B, D): the multi-burst solve, the order check and the clamp."""
+    lower, upper, high_res, sigma_z2 = single
+    multi, tc_multi = rate_upper_multi(cfg)
+    _check_order(lower, upper, "lower bound exceeds single-burst upper bound", 1e-12)
+    _check_order(upper, multi, "single-burst upper bound exceeds multi-burst upper bound", 1e-12)
+    return GmBounds(
+        lower=min(lower, upper),
+        upper_single=upper,
+        high_res=high_res,
+        sigma_z2_single=sigma_z2,
+        upper_multi=max(multi, upper),
+        sigma_z2_multi=tc_multi.sigma_z2,
+    )
+
+
 def compute_bounds(cfg: GmConfig) -> GmBounds:
     """Assemble the full bound chain for one configuration.  A misorder of at
     most 1e-12 max(1, rate) is rounding: lower falls to upper_single and
     upper_multi rises to it, which leaves both valid bounds.  A larger gap
-    raises NumericalError."""
+    raises NumericalError.
+
+    The chain is two parts: `_single_burst`, which depends on (rho, B, D)
+    only, and `_with_guard`, the multi-burst solve at L with the order check
+    and the clamp.  A grid over L (the `fig4` figure) solves the first part
+    once per (rho, B, D) and keeps it for that one command; nothing is cached
+    across calls."""
     if cfg.D >= 1.0:
         return GmBounds(
             lower=0.0, upper_single=0.0, high_res=high_res_rate(cfg), sigma_z2_single=None,
             upper_multi=0.0, sigma_z2_multi=None,
         )
-    lower = lower_bound_single(cfg)
-    tc = solve_test_channel_single(cfg)
-    single = _rate(_single_channel(cfg), cfg.D, tc.sigma_z2)
-    multi, tc_multi = rate_upper_multi(cfg)
-    _check_order(lower, single, "lower bound exceeds single-burst upper bound", 1e-12)
-    _check_order(single, multi, "single-burst upper bound exceeds multi-burst upper bound", 1e-12)
-    return GmBounds(
-        lower=min(lower, single),
-        upper_single=single,
-        high_res=high_res_rate(cfg),
-        sigma_z2_single=tc.sigma_z2,
-        upper_multi=max(multi, single),
-        sigma_z2_multi=tc_multi.sigma_z2,
-    )
+    return _with_guard(cfg, _single_burst(cfg))

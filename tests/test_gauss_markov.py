@@ -1,5 +1,6 @@
 import math
 import sys
+from collections import Counter
 from decimal import Decimal, localcontext
 from unittest import mock
 
@@ -624,7 +625,8 @@ class TestRootContract:
     def test_figure_evaluations_per_solve(self):
         # fig2 to fig5: 13.5 MMSE evaluations per solve for Brent's method on
         # the old fixed bracket [1e-12, 1e12], 8.1 on the analytic one, 8.2
-        # for the regula falsi on the analytic one
+        # for the regula falsi on the analytic one; 1536 solves before fig4
+        # made each single-burst solve once per (rho, D), 1260 since
         counts = {"solves": 0, "evals": 0}
         solve = gm._solve_increasing
 
@@ -640,7 +642,7 @@ class TestRootContract:
         with mock.patch.object(gm, "_solve_increasing", counted):
             for fig in ("fig2", "fig3", "fig4", "fig5"):
                 cli._figure_rows(fig)
-        assert counts["solves"] == 1536
+        assert counts["solves"] == 1260
         assert counts["evals"] / counts["solves"] <= 8.5
 
 
@@ -764,6 +766,13 @@ class TestHighResolution:
             gaps_mu.append(abs(rate_upper_multi(cfg)[0] - hr))
         assert gaps_lo[0] > gaps_lo[1] > gaps_lo[2]
         assert gaps_mu[0] > gaps_mu[1] > gaps_mu[2]
+
+    @pytest.mark.parametrize("entry", [lower_bound_single, high_res_rate])
+    def test_subnormal_target_is_precision_error(self, entry):
+        # below the normal float range 1 / D overflows, and the rate read inf
+        with pytest.raises(PrecisionError, match="below the normal float range"):
+            entry(GmConfig(rho=0.9, B=1, D=1e-310))
+        assert math.isfinite(entry(GmConfig(rho=0.9, B=1, D=sys.float_info.min)))
 
 
 class TestNaiveTwoPoint:
@@ -930,3 +939,50 @@ class TestBoundChain:
     def test_unit_distortion_row(self):
         bounds = compute_bounds(GmConfig(rho=0.9, B=1, D=1.0))
         assert bounds.lower == bounds.upper_single == bounds.upper_multi == 0.0
+
+
+def counted(call, *args):
+    """(call's result, the converse evaluations and the test-channel solves
+    by channel that it made)."""
+    counts = Counter()
+    solve, converse = gm._solve_increasing, gm.lower_bound_single
+
+    def counted_solve(aged, D, what):
+        counts[what] += 1
+        return solve(aged, D, what)
+
+    def counted_converse(cfg):
+        counts["converse"] += 1
+        return converse(cfg)
+
+    with mock.patch.object(gm, "_solve_increasing", counted_solve), \
+            mock.patch.object(gm, "lower_bound_single", counted_converse):
+        return call(*args), dict(counts)
+
+
+class TestSolveReuse:
+    """The converse and the single-burst solve do not depend on the guard
+    interval L, so a figure over L makes them once per (rho, D), and keeps
+    nothing after the command."""
+
+    def test_fig4_cells_equal_compute_bounds(self):
+        header, rows = cli._figure_rows("fig4")
+        assert header[-3:] == ["lower", "upper_single", "upper_multi"] and len(rows) == 368
+        for rho, B, L, D, *values in rows:
+            b = compute_bounds(GmConfig(rho=rho, B=B, D=D, L=L))
+            assert list(map(repr, values)) == [repr(b.lower), repr(b.upper_single), repr(b.upper_multi)]
+
+    def test_fig4_solves_each_channel_once_per_command(self, tmp_path):
+        # 46 rho by 2 D single-burst channels, each under 4 guard intervals
+        outputs = []
+        for k in range(2):
+            out = tmp_path / f"fig4-{k}.csv"
+            code, counts = counted(cli.main, ["figure", "--id", "fig4", "--out", str(out)])
+            assert code == 0
+            assert counts == {"converse": 92, "single-burst test channel": 92, "multi-burst test channel": 368}
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_compute_bounds_solves_each_channel_once(self):
+        _, counts = counted(compute_bounds, GmConfig(rho=0.9, B=2, D=0.2, L=3))
+        assert counts == {"converse": 1, "single-burst test channel": 1, "multi-burst test channel": 1}

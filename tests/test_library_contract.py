@@ -1,13 +1,15 @@
-"""The library contract of the public functions that no command reaches: on
-its documented domain each call gives a finite result or raises a typed
-error, within a time bound.
+"""The library contract of the public functions: on its documented domain
+each call gives a finite result or raises a typed error, within a time bound.
 
-The CLI fuzz covers what the commands call; these functions are reached only
-from the library.  `finite_t_lower` has its own property in
+The CLI fuzz covers what the commands call with the values a command line
+carries; here the Gauss-Markov rates also take every D that `GmConfig`
+accepts, subnormal ones down to 5e-324 among them, and the other functions
+are reached only from the library.  `finite_t_lower` has its own property in
 `test_gauss_markov.py`.
 """
 
 import math
+import sys
 import time
 
 import pytest
@@ -26,7 +28,9 @@ noises = st.floats(-300.0, 300.0).map(lambda k: 10.0**k)
 
 @st.composite
 def gm_configs(draw):
-    D = draw(st.one_of(st.floats(-300.0, 0.0).map(lambda k: 10.0**k), st.floats(1e-3, 1.0)))
+    # 10^k rounds to 0 below k = -323.5; 5e-324 is the least positive float
+    D = draw(st.one_of(st.floats(-324.0, 0.0).map(lambda k: max(10.0**k, 5e-324)), st.floats(1e-3, 1.0),
+                       st.floats(5e-324, sys.float_info.min)))
     return sr.GmConfig(rho=draw(rhos), B=draw(st.integers(1, 8)), D=D,
                        L=draw(st.integers(1, sr.gauss_markov.GUARD_CAP)))
 
@@ -75,6 +79,26 @@ def test_eta_multi(cfg, sigma_z2):
     eta = outcome(sr.eta_multi, cfg, sr.TestChannel(sigma_z2))
     if eta is not None:
         assert_finite(eta)
+
+
+@pytest.mark.parametrize("rate", [
+    sr.lower_bound_single, sr.high_res_rate, sr.rate_upper_single, sr.naive_wz_rate,
+    lambda cfg: sr.rate_upper_multi(cfg)[0],
+])
+@settings(max_examples=100, deadline=None)
+@given(gm_configs())
+def test_gauss_markov_rate(rate, cfg):
+    r = outcome(rate, cfg)
+    if r is not None:
+        assert_finite(r)
+
+
+@settings(max_examples=100, deadline=None)
+@given(gm_configs())
+def test_compute_bounds(cfg):
+    bounds = outcome(sr.compute_bounds, cfg)
+    if bounds is not None:
+        assert_finite(bounds.lower, bounds.upper_single, bounds.high_res, bounds.upper_multi)
 
 
 @settings(max_examples=100, deadline=None)
