@@ -19,7 +19,11 @@ ordering is variance ordering) and checked over every pattern, without
 listing the patterns:
 
 * The single-burst and exchange checks read every burst layout from the
-  shared states of burst-free prefixes, O(t^2 B) filter steps in all.
+  shared states of burst-free prefixes, O(t^2 B) filter steps in all.  The
+  exchange check's domination pairs are drawn from the seeded Mersenne
+  Twister's `getrandbits` alone, the same pairs on CPython 3.10 to 3.13,
+  and each set's value starts from a predict-only prefix that the sets
+  share, then steps through the runs between its received slots.
 * The multi-burst check is a dynamic program.  The filter's predict step
   a p + q and its update p s2 / (p + s2) are both non-decreasing in p, so
   of two prefixes that end in the same state of the burst-constraint
@@ -65,7 +69,7 @@ EXCHANGE_T_CAP = 30  # exchange check horizon
 ENUM_T_CAP = 500  # multi-burst check horizon: the report alone grows as t^2
 LIST_T_CAP = 22  # enumerate_multi_burst, which returns every pattern as a list
 MAX_SET_SIZE = 6  # largest conditioning set the exchange check samples
-SAMPLES_CAP = 10**4  # exchange samples, about 11 us each at t = 30
+SAMPLES_CAP = 10**4  # exchange samples, about 6 us each at t = 30 (2 vCPU Xeon, CPython 3.11)
 
 VarId = tuple[str, int]
 
@@ -346,6 +350,7 @@ class _Filter:
         self.a = rho * rho
         self.q = 1.0 - self.a
         self.s2 = sigma_z2
+        self._free = [0.0]  # _free[i]: the state after i slots that only predict
 
     def predict(self, p: float) -> float:
         return self.a * p + self.q
@@ -354,15 +359,30 @@ class _Filter:
         return p * self.s2 / (p + self.s2)
 
     def predicted(self, t: int, received) -> float:
-        """P_pred at t given s_{-1} and u_i for i in received, all below t."""
+        """P_pred at t given s_{-1} and u_i for i in received, distinct,
+        increasing and all below t.
+
+        The slots before the first received one only predict from P = 0, so
+        their state is read from a prefix that grows with the filter; then
+        each received slot updates and the erased run after it predicts.
+        """
         a, q, s2 = self.a, self.q, self.s2
-        received = set(received)
-        p = 0.0
-        for i in range(t):
-            p = a * p + q
-            if i in received:
+        received = iter(received)
+        last = next(received, t)
+        free = self._free
+        while len(free) <= last + 1:
+            free.append(a * free[-1] + q)
+        p = free[last + 1]
+        if last < t:
+            p = p * s2 / (p + s2)
+            for i in received:
+                for _ in range(i - last):
+                    p = a * p + q
                 p = p * s2 / (p + s2)
-        return a * p + q
+                last = i
+            for _ in range(t - last):
+                p = a * p + q
+        return p
 
     def rate(self, pred: float) -> float:
         """The `decode_rate` value, (1/2) log2(Var(u_t | .) / sigma_z2)."""
@@ -675,6 +695,56 @@ def verify_multi_burst_worst_case(
     return track.report("multi-burst-worst-case", notes=notes, details=details)
 
 
+def _dominating_pairs(getrandbits, t: int, samples: int):
+    """Yield `samples` dominating pairs (earlier, later) of increasing index
+    lists in [1, t), of one size r <= MAX_SET_SIZE, with earlier[i] <= later[i].
+
+    The pairs are those that, for `rng = random.Random(seed)`, the calls
+    r = rng.randint(1, MAX_SET_SIZE), later = sorted(rng.sample(range(1, t), r))
+    and, per later index b, rng.randint(prev + 1, b) give on CPython 3.10 to
+    3.13, drawn here from `rng.getrandbits` alone, without the calls.
+    `below(m)` is CPython's `_randbelow`: it draws getrandbits(m.bit_length())
+    until the draw is below m.  `sample` takes r from a pool that it shrinks
+    while the population is no larger than its set-size threshold, and
+    otherwise draws indices into the population until r are distinct.
+    """
+    n = int(t) - 1  # the population size; a numpy integer has no bit_length
+    bits = [w.bit_length() for w in range(max(n, MAX_SET_SIZE) + 1)]
+    # `sample`'s threshold: below it a list of n costs less than a set of r
+    pooled = [n <= 21 + (4 ** math.ceil(math.log(3 * r, 4)) if r > 5 else 0) for r in range(MAX_SET_SIZE + 1)]
+
+    def below(m: int) -> int:
+        k = bits[m]
+        j = getrandbits(k)
+        while j >= m:
+            j = getrandbits(k)
+        return j
+
+    for _ in range(samples):
+        r = below(MAX_SET_SIZE) + 1
+        if pooled[r]:
+            pool = list(range(1, n + 1))
+            later = []
+            for m in range(n, n - r, -1):
+                j = below(m)
+                later.append(pool[j])
+                pool[j] = pool[m - 1]
+        else:
+            chosen = set()
+            for _ in range(r):
+                j = below(n)
+                while j in chosen:
+                    j = below(n)
+                chosen.add(j)
+            later = [j + 1 for j in chosen]
+        later.sort()
+        earlier, prev = [], 0
+        for b in later:
+            prev += below(b - prev) + 1
+            earlier.append(prev)
+        yield earlier, later
+
+
 def verify_exchange_inequalities(
     rho: float,
     sigma_z2: float,
@@ -692,9 +762,10 @@ def verify_exchange_inequalities(
 
     Domination: for index sets A, B with a_i <= b_i entrywise, conditioning on
     the later set B is at least as informative; sampled over random dominating
-    pairs with |A| = |B| <= MAX_SET_SIZE, drawn by `random.Random(seed)`.  A
-    seed gives the same pairs on the same Python version; Python does not
-    promise the `sample` and `randint` streams across versions.
+    pairs with |A| = |B| <= MAX_SET_SIZE.  The pairs are a function of the
+    seed through the Mersenne Twister `random.Random(seed).getrandbits` alone
+    (see `_dominating_pairs`), so a seed draws the same pairs on CPython 3.10
+    to 3.13.
     """
     check_int("t", t, MAX_SET_SIZE + 2, EXCHANGE_T_CAP)
     check_int("samples", samples, 0, SAMPLES_CAP)
@@ -702,7 +773,6 @@ def verify_exchange_inequalities(
     filt = _Filter(rho, sigma_z2)
     s2 = filt.s2
     track = _SlackTracker()
-    rng = random.Random(int(seed))
 
     horizons = sorted({max(4, t // 3), max(6, (2 * t) // 3), t})
     preds = _burst_preds(filt, horizons[-1], 3)
@@ -714,13 +784,7 @@ def verify_exchange_inequalities(
                 track.add((new + s2) - (old + s2), _REPLACE, "replace-u", tt, bl, k)
                 track.add(filt.mmse(new) - filt.mmse(old), _REPLACE, "replace-s", tt, bl, k)
 
-    for _ in range(samples):
-        r = rng.randint(1, MAX_SET_SIZE)
-        later = sorted(rng.sample(range(1, t), r))
-        earlier, prev = [], 0
-        for b in later:
-            prev = rng.randint(prev + 1, b)
-            earlier.append(prev)
+    for earlier, later in _dominating_pairs(random.Random(int(seed)).getrandbits, t, samples):
         v_a = filt.predicted(t, earlier)
         v_b = filt.predicted(t, later)
         track.add(v_a - v_b, _DOMINATE, "dominate-s", earlier, later)

@@ -2,7 +2,8 @@
 and the lossless bounds.
 
 The library computes these quantities another way (a closed form, a
-dynamic program, GTH state reduction); the tests compare the two.  The
+dynamic program, GTH state reduction, raw `getrandbits` draws); the tests
+compare the two.  The
 reference test-channel objectives are the plain forms of the library's
 per-solve kernels, which must match them bit for bit.  `reference_solve` is
 the Brent-based test-channel solve that the library's regula falsi
@@ -12,6 +13,7 @@ replaced; the two must agree to rounding.
 from __future__ import annotations
 
 import math
+import random
 import struct
 import sys
 from decimal import Decimal, localcontext
@@ -29,6 +31,9 @@ from streamrate import (
 )
 from streamrate.errors import check_int, check_open_unit, check_variance
 from streamrate.gauss_markov import _bracket
+from streamrate.oracle import (
+    _DOMINATE, _REPLACE, EXCHANGE_T_CAP, MAX_SET_SIZE, SAMPLES_CAP, _burst_preds, _Filter, _SlackTracker,
+)
 
 
 def riccati_prediction_error(
@@ -68,6 +73,65 @@ def worst_multi_burst(t: int, B: int, L: int) -> ErasurePattern:
         i = lo - 1 - L
     received = tuple(j for j in range(t) if j not in erased)
     return ErasurePattern.multi_burst(t, received, B, L)
+
+
+def reference_dominating_pairs(seed: int, t: int, samples: int) -> list:
+    """The exchange check's domination pairs (earlier, later) drawn by
+    `random.Random(seed)`'s `randint` and `sample` calls.  The library draws
+    the same pairs from `getrandbits` alone."""
+    rng = random.Random(int(seed))
+    pairs = []
+    for _ in range(samples):
+        r = rng.randint(1, MAX_SET_SIZE)
+        later = sorted(rng.sample(range(1, t), r))
+        earlier, prev = [], 0
+        for b in later:
+            prev = rng.randint(prev + 1, b)
+            earlier.append(prev)
+        pairs.append((earlier, later))
+    return pairs
+
+
+def reference_predicted(filt: _Filter, t: int, received) -> float:
+    """`_Filter.predicted` as one loop over the slots with a membership test;
+    the library's runs between received slots must match it bit for bit."""
+    a, q, s2 = filt.a, filt.q, filt.s2
+    received = set(received)
+    p = 0.0
+    for i in range(t):
+        p = a * p + q
+        if i in received:
+            p = p * s2 / (p + s2)
+    return a * p + q
+
+
+def reference_exchange_report(rho: float, sigma_z2: float, t: int = 20, samples: int = 500, seed: int = 0):
+    """`verify_exchange_inequalities` on the reference pairs and filter loop."""
+    check_int("t", t, MAX_SET_SIZE + 2, EXCHANGE_T_CAP)
+    check_int("samples", samples, 0, SAMPLES_CAP)
+    filt = _Filter(rho, sigma_z2)
+    s2 = filt.s2
+    track = _SlackTracker()
+
+    horizons = sorted({max(4, t // 3), max(6, (2 * t) // 3), t})
+    preds = _burst_preds(filt, horizons[-1], 3)
+    for tt in horizons:
+        for bl in range(1, min(3, tt) + 1):
+            for k in range(1, tt - bl + 1):
+                old, new = preds[bl][tt][k], preds[bl][tt][k - 1]
+                track.add((new + s2) - (old + s2), _REPLACE, "replace-u", tt, bl, k)
+                track.add(filt.mmse(new) - filt.mmse(old), _REPLACE, "replace-s", tt, bl, k)
+
+    for earlier, later in reference_dominating_pairs(seed, t, samples):
+        v_a = reference_predicted(filt, t, earlier)
+        v_b = reference_predicted(filt, t, later)
+        track.add(v_a - v_b, _DOMINATE, "dominate-s", earlier, later)
+        track.add((v_a + s2) - (v_b + s2), _DOMINATE, "dominate-u", earlier, later)
+
+    return track.report(
+        "exchange-inequalities",
+        details={"rho": rho, "sigma_z2": sigma_z2, "t": t, "samples": samples, "seed": seed},
+    )
 
 
 def converse_rate_decimal(rho: float, B: int, D: float, digits: int = 50) -> float:

@@ -19,6 +19,7 @@ def run(argv):
 
 
 GOLDEN = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "golden")
+FROZEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 GOLDEN_MULTI_ARGV = [
     "oracle", "--check", "multi", "--B", "2", "--L", "3", "--rho", "0.9", "--sigma-z2", "0.1", "--tmax", "18",
 ]
@@ -230,6 +231,19 @@ class TestOracleCommand:
         assert (doc["passed"], doc["checks"]) == (golden["passed"], golden["checks"])
         for t, fields in golden["horizons"].items():
             assert {k: doc["details"][t][k] for k in fields} == fields
+
+    @pytest.mark.parametrize("rho", ["0.9", "0.999"])
+    @pytest.mark.parametrize("tmax", ["20", "30"])
+    def test_exchange_report_is_frozen(self, rho, tmax, capsys):
+        # the domination pairs come from the Mersenne Twister's getrandbits
+        # alone, so CPython 3.10 to 3.13 print these bytes; `sample` draws from
+        # a pool at t = 20 and into a set at t = 30, and at rho = 0.999 the
+        # worst instance is a drawn pair
+        argv = ["oracle", "--check", "exchange", "--rho", rho, "--sigma-z2", "0.1",
+                "--tmax", tmax, "--samples", "500", "--seed", "7"]
+        assert run(argv) == 0
+        with open(os.path.join(FROZEN, f"exchange_rho{rho}_t{tmax}.json"), "rb") as fh:
+            assert capsys.readouterr().out.encode() == fh.read()
 
     def test_exchange_without_numpy(self, capsys):
         # the domination sampler draws from the standard library's random

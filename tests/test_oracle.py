@@ -1,10 +1,9 @@
 import math
 import random
-import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import streamrate.oracle as oracle
@@ -14,18 +13,25 @@ from streamrate import (
     GmConfig,
     NumericalError,
     ValidationError,
+    compute_bounds,
     conditional_variance,
     decode_mmse,
     decode_rate,
     enumerate_multi_burst,
     gamma_single,
+    rate_upper_multi,
     rate_upper_single,
     solve_test_channel_single,
     verify_exchange_inequalities,
     verify_multi_burst_worst_case,
     verify_single_burst_worst_case,
 )
-from oracles import worst_multi_burst
+from oracles import (
+    reference_dominating_pairs,
+    reference_exchange_report,
+    reference_predicted,
+    worst_multi_burst,
+)
 from streamrate.oracle import (
     ENUM_T_CAP,
     MAX_SET_SIZE,
@@ -277,11 +283,13 @@ class TestWorstCaseVerification:
         assert verify_exchange_inequalities(0.9, 0.1, t=t, samples=samples, seed=5) == first
 
     def test_exchange_identical_sets_tie(self, monkeypatch):
-        # a sampler that draws every earlier index at its upper end makes each
-        # dominating pair a tie: the earlier set is the later set, slack 0
-        class TieRandom(random.Random):
-            def randint(self, a, b):
-                return b
+        # a sampler whose every earlier set is its later set, of the largest
+        # size, makes each dominating pair a tie: slack 0
+        def ties(getrandbits, t, samples):
+            rng = random.Random(getrandbits(32))
+            for _ in range(samples):
+                later = sorted(rng.sample(range(1, t), MAX_SET_SIZE))
+                yield list(later), later
 
         pairs = []
         add = _SlackTracker.add
@@ -291,7 +299,7 @@ class TestWorstCaseVerification:
                 pairs.append((slack, *args))
             return add(tracker, slack, describe, *args, **kwargs)
 
-        monkeypatch.setattr(oracle, "random", types.SimpleNamespace(Random=TieRandom))
+        monkeypatch.setattr(oracle, "_dominating_pairs", ties)
         monkeypatch.setattr(_SlackTracker, "add", record)
         rep = verify_exchange_inequalities(0.9, 0.1, t=20, samples=40, seed=3)
         assert rep.passed and rep.violations == 0
@@ -607,6 +615,79 @@ def test_single_and_exchange_reports_equal_pattern_rebuild(seed, monkeypatch):
     monkeypatch.setattr(oracle, "_burst_preds", _rebuilt_burst_preds)
     monkeypatch.setattr(oracle._Filter, "predicted", _stepwise_predicted)
     assert got == reports()
+
+
+class TestExchangeDrawsAndRuns:
+    """The exchange check's `getrandbits` draws and run-form filter against
+    the `random.Random` calls and the per-slot loop they replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), t=st.integers(8, 30), samples=st.integers(0, 300))
+    def test_pairs_equal_reference(self, seed, t, samples):
+        got = list(oracle._dominating_pairs(random.Random(seed).getrandbits, t, samples))
+        assert got == reference_dominating_pairs(seed, t, samples)
+
+    @pytest.mark.parametrize("t", [8, 22, 23, 30])
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1))
+    def test_pairs_equal_reference_in_both_sample_branches(self, t, seed):
+        # `sample` draws a set of r <= 5 from a pool up to t = 22 and into a
+        # set from t = 23; a set of 6 always comes from the pool.  In 300
+        # draws every size occurs (a size is missing with probability about 1e-23)
+        pairs = list(oracle._dominating_pairs(random.Random(seed).getrandbits, t, 300))
+        assert pairs == reference_dominating_pairs(seed, t, 300)
+        assert {len(later) for _, later in pairs} == set(range(1, MAX_SET_SIZE + 1))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rho=st.floats(0.01, 0.999),
+        s2=st.one_of(st.just(0.0), st.floats(1e-6, 10.0)),
+        queries=st.lists(st.integers(0, 30).flatmap(
+            lambda t: st.tuples(st.just(t), st.sets(st.integers(0, max(0, t - 1))).map(sorted))
+            if t else st.just((0, []))), min_size=1, max_size=6),
+    )
+    @example(rho=0.9, s2=0.0, queries=[(0, []), (20, []), (20, [0]), (20, [19]), (1, [0])])
+    @example(rho=0.5, s2=0.1, queries=[(30, [29]), (0, []), (5, [0, 1, 2, 3, 4])])
+    def test_predicted_equals_reference_bit_for_bit(self, rho, s2, queries):
+        # one filter serves every query, so its predict-only prefix is grown
+        # by one query and read by the next
+        filt = _Filter(rho, s2)
+        for t, received in queries:
+            assert filt.predicted(t, received).hex() == reference_predicted(filt, t, received).hex()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rho=st.floats(0.01, 0.999),
+        s2=st.floats(1e-3, 10.0),
+        t=st.integers(8, 30),
+        samples=st.integers(0, 300),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_report_equals_reference(self, rho, s2, t, samples, seed):
+        got = verify_exchange_inequalities(rho, s2, t=t, samples=samples, seed=seed)
+        assert got.to_dict() == reference_exchange_report(rho, s2, t=t, samples=samples, seed=seed).to_dict()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rho=st.floats(0.3, 0.95),
+    B=st.integers(1, 4),
+    L=st.integers(1, 6),
+    D=st.floats(0.01, 0.9),
+)
+def test_multi_burst_worst_case_within_printed_upper_multi(rho, B, L, D):
+    """At the channel that `rate_upper_multi` solves, the largest rate over
+    every guard-respecting pattern stays within the printed upper_multi, and
+    its MMSE within D, at every horizon up to 300 (seen at most 1.6e-15 over
+    in a 600-configuration probe)."""
+    cfg = GmConfig(rho=rho, B=B, D=D, L=L)
+    bound = compute_bounds(cfg).upper_multi
+    _, tc = rate_upper_multi(cfg)
+    filt = _Filter(rho, tc.sigma_z2)
+    for _, _, top in _multi_burst_tops(filt, B, L, 300):
+        pred = filt.predict(top[0][0])
+        assert filt.rate(pred) <= bound + 1e-12
+        assert filt.mmse(pred) <= D + 1e-12
 
 
 class TestCheckValidation:
