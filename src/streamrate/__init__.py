@@ -37,8 +37,8 @@ _LAZY = {
         "simulate_binning", "simulate_gm_stream", "sweep_burst_position",
     ),
     "sliding": (
-        "BaselineRates", "DecodeReport", "DistortionVector", "LayerPlan", "baseline_rates",
-        "decodability_check", "layer_plan", "rate_recovery", "reduce_window",
+        "BaselineRates", "DistortionVector", "LayerPlan", "baseline_rates", "layer_plan",
+        "rate_recovery", "reduce_window",
     ),
 }
 _OWNER = {name: module for module, names in _LAZY.items() for name in names}

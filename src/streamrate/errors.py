@@ -1,7 +1,7 @@
-"""Exception types and the `Record` base shared across the library, and the
-input rules that every module checks its parameters with: integers in a
-range, numbers strictly inside (0, 1), probabilities, finite variances, seeds
-and JSON input documents.
+"""Exception types, the `Record` base and the input rules shared across the
+library (integers in a range, numbers inside (0, 1), probabilities, finite
+variances, seeds, JSON input documents), and `source_constants`, the one home
+of the Gauss-Markov powers of rho and their complements.
 
 The CLI maps validation failures to exit 1 and numerical failures (including
 convergence and precision problems) to exit 2.  Each rule raises
@@ -92,14 +92,14 @@ def check_open_unit(name: str, value) -> None:
         raise ValidationError(f"{name} must lie strictly inside (0, 1), got {value!r}")
 
 
-def check_probability(name: str, value) -> None:
-    """A number in [0, 1], not a bool."""
+def check_probability(name: str, value, zero_ok: bool = True) -> None:
+    """A number in [0, 1], or in (0, 1] unless zero_ok; not a bool."""
     try:
-        ok = not isinstance(value, bool) and 0.0 <= value <= 1.0
+        ok = not isinstance(value, bool) and (0.0 < value <= 1.0 or (zero_ok and value == 0.0))
     except TypeError:
         ok = False
     if not ok:
-        raise ValidationError(f"{name} must lie in [0, 1], got {value!r}")
+        raise ValidationError(f"{name} must lie in {'[' if zero_ok else '('}0, 1], got {value!r}")
 
 
 def check_variance(name: str, value, zero_ok: bool = False) -> None:
@@ -117,6 +117,15 @@ def check_seed(value) -> None:
     """An integer in [0, 2**64): a Philox key, and the seed of the exchange
     check's `random.Random`."""
     check_int("seed", value, 0, 2**64 - 1)
+
+
+def source_constants(rho: float, n: int) -> tuple[float, float, float, float]:
+    """(a, q, c, 1 - c) of s_i = rho s_{i-1} + n_i for an even n >= 0: a = rho^2,
+    q = 1 - rho^2 as (1 - rho)(1 + rho), c = rho^n and 1 - c as -expm1(n log rho),
+    which is q at n = 2.  Neither complement cancels as rho nears 1, as
+    1 - rho**2 does; callers form them once per solve or filter."""
+    a, q = rho * rho, (1.0 - rho) * (1.0 + rho)
+    return a, q, rho**n, q if n == 2 else -math.expm1(n * math.log(rho))
 
 
 def read_json_object(source, *keys: str) -> dict:

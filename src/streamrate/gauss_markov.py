@@ -29,7 +29,9 @@ from .errors import (
     ValidationError,
     check_int,
     check_open_unit,
+    check_probability,
     check_variance,
+    source_constants,
 )
 
 _SEARCH_STEPS = 64  # steps of each bracket search in `_bracket`
@@ -46,8 +48,7 @@ class GmConfig(Record):
 
     def __init__(self, rho: float, B: int, D: float, L: int = 1):
         check_open_unit("rho", rho)
-        if not 0.0 < D <= 1.0:
-            raise ValidationError("D must lie in (0, 1] for a unit-variance source")
+        check_probability("D", D, zero_ok=False)  # a unit-variance source
         check_int("B", B, 1)
         check_int("L", L, 1, GUARD_CAP)
         Record.__init__(self, rho, B, D, L)
@@ -101,16 +102,15 @@ def lower_bound_closed_form(rho: float, B: int, D: float) -> float:
     delta = (D rho^2 + 1 - rho^(2(B+1)))^2 - 4 D rho^2 (1 - rho^(2B)).  With
     x = rho^2 and y = rho^(2B) that is the sum of two nonnegative terms,
     delta = (x D + y (1 - x) - (1 - y))^2 + 4 y (1 - y) (1 - x), so no rounding
-    makes it negative.  1 - rho^2 is (1 - rho)(1 + rho) and 1 - rho^(2k) is
-    -expm1(2k log rho), so neither loses its digits as rho nears 1.  The
+    makes it negative.  x, y, 1 - x, 1 - y and 1 - rho^(2(B+1)) come from
+    `source_constants`, so none loses its digits as rho nears 1.  The
     quadratic is negative at 2^(2R) = (1 - rho^(2(B+1))) / D, where it equals
     -rho^(2B+2) (1 - rho^2), so R exceeds the asymptote `high_res_rate`;
     where rounding puts the formula an ulp below it (small rho), R is the
     asymptote's own float.
     """
-    x, y, log_rho = rho**2, rho ** (2 * B), math.log(rho)
-    one_m_x, one_m_y = (1.0 - rho) * (1.0 + rho), -math.expm1(2 * B * log_rho)
-    tail = -math.expm1(2 * (B + 1) * log_rho)
+    x, one_m_x, y, one_m_y = source_constants(rho, 2 * B)
+    tail = source_constants(rho, 2 * (B + 1))[3]
     b = D * x + tail
     delta = (x * D + y * one_m_x - one_m_y) ** 2 + 4.0 * y * one_m_y * one_m_x
     return max(0.5 * math.log2((b + math.sqrt(delta)) / (2.0 * D)), 0.5 * math.log2(tail / D))
@@ -138,7 +138,7 @@ def kalman_steady_sigma(rho: float, sigma_z2: float) -> float:
     tracks the source through the test channel."""
     check_open_unit("rho", rho)
     check_variance("sigma_z2", sigma_z2, zero_ok=True)
-    return _steady_sigma(1.0 - rho**2, sigma_z2)
+    return _steady_sigma(source_constants(rho, 2)[1], sigma_z2)
 
 
 def _steady_sigma(q: float, s: float) -> float:
@@ -177,17 +177,18 @@ def _burst(pre, c: float):
 
 
 def _single_channel(cfg: GmConfig):
-    return _burst(partial(_steady_sigma, 1.0 - cfg.rho**2), cfg.rho ** (2 * cfg.B))
+    _, q, c, _ = source_constants(cfg.rho, 2 * cfg.B)
+    return _burst(partial(_steady_sigma, q), c)
 
 
 def _multi_channel(cfg: GmConfig):
-    a = cfg.rho * cfg.rho
-    return _burst(partial(_eta, a, 1.0 - a, cfg.D, cfg.L - 1), cfg.rho ** (2 * (cfg.B + 1)))
+    a, q, c, _ = source_constants(cfg.rho, 2 * (cfg.B + 1))
+    return _burst(partial(_eta, a, q, cfg.D, cfg.L - 1), c)
 
 
 def _two_point_channel(cfg: GmConfig):
     # s / (1 + s): the error of s_{t-B-1} given u_{t-B-1} alone
-    return _burst(lambda s: s / (1.0 + s), cfg.rho ** (2 * (cfg.B + 1)))
+    return _burst(lambda s: s / (1.0 + s), source_constants(cfg.rho, 2 * (cfg.B + 1))[2])
 
 
 def gamma_single(cfg: GmConfig, tc: TestChannel) -> float:
@@ -379,7 +380,7 @@ def high_res_rate(cfg: GmConfig) -> float:
     of the guard interval, clamped at zero.  A D below the normal float range
     raises PrecisionError."""
     _check_normal("high-resolution asymptote", cfg.D)
-    return max(0.0, 0.5 * math.log2(-math.expm1(2 * (cfg.B + 1) * math.log(cfg.rho)) / cfg.D))
+    return max(0.0, 0.5 * math.log2(source_constants(cfg.rho, 2 * (cfg.B + 1))[3] / cfg.D))
 
 
 def naive_wz_rate(cfg: GmConfig) -> float:
@@ -403,17 +404,16 @@ def finite_t_lower(cfg: GmConfig, t: int) -> float:
     test-channel solves, finds it on that bracket.  The result is
     non-decreasing in t, at most lower_bound_single, and tends to it as t
     grows.  With u = log(rho^2 / x) the sum is
-    head expm1(m u) / (x expm1(u)), and head and tail take
-    (1 - rho)(1 + rho) and -expm1, so no term loses its digits near rho = 1.
+    head expm1(m u) / (x expm1(u)), and head and tail take their constants
+    from `source_constants`, so no term loses its digits near rho = 1.
     """
     check_int("t", t, cfg.B + 1)
     if cfg.D >= 1.0:
         return 0.0
     lo, top = high_res_rate(cfg), lower_bound_single(cfg)  # a subnormal D raises here
-    rho, D, n = cfg.rho, cfg.D, 2 * (cfg.B + 1)
-    log_rho = math.log(rho)
-    head = rho**n * ((1.0 - rho) * (1.0 + rho)) / D
-    tail = -math.expm1(n * log_rho) / D
+    _, q, c, one_m_c = source_constants(cfg.rho, 2 * (cfg.B + 1))
+    log_rho, D = math.log(cfg.rho), cfg.D
+    head, tail = c * q / D, one_m_c / D
     m = min(t - cfg.B - 1, sys.float_info.max)  # past that, (rho^2 / x)^m is 0
 
     def f(r: float) -> float:

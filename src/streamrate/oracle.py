@@ -60,6 +60,7 @@ from operator import itemgetter
 
 from .errors import (
     NumericalError, Record, ValidationError, check_int, check_open_unit, check_seed, check_variance,
+    source_constants,
 )
 
 RIDGE = 1e-12
@@ -332,9 +333,9 @@ class _Filter:
 
     The state P is the error variance of s_{i-1} given s_{-1} and the received
     u_0..u_{i-1}; s_{-1} is known, so P starts at 0.  Slot i predicts,
-    P <- rho^2 P + 1 - rho^2, and a received u_i then updates,
-    P <- P sigma_z2 / (P + sigma_z2); an erased slot only predicts.  With
-    P_pred the prediction at the decoding time t:
+    P <- a P + q with the `source_constants` a = rho^2 and q = 1 - rho^2, and
+    a received u_i then updates, P <- P sigma_z2 / (P + sigma_z2); an erased
+    slot only predicts.  With P_pred the prediction at the decoding time t:
 
         Var(s_t | .)      = P_pred
         Var(u_t | .)      = P_pred + sigma_z2
@@ -347,8 +348,7 @@ class _Filter:
     def __init__(self, rho: float, sigma_z2: float):
         check_open_unit("rho", rho)
         check_variance("sigma_z2", sigma_z2, zero_ok=True)
-        self.a = rho * rho
-        self.q = 1.0 - self.a
+        self.a, self.q, _, _ = source_constants(rho, 2)
         self.s2 = sigma_z2
         self._free = [0.0]  # _free[i]: the state after i slots that only predict
 

@@ -41,10 +41,13 @@ sweep places its own burst and ignores ``cfg.bursts``.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
-from .errors import Record, ValidationError, check_int, check_open_unit, check_seed, check_variance
+from .errors import (
+    Record, ValidationError, check_int, check_open_unit, check_seed, check_variance, source_constants,
+)
 
 HORIZON_CAP = 10**4
 BLOCK_CAP = 16
@@ -137,8 +140,9 @@ class _Stream:
 
     def __init__(self, cfg: SimConfig):
         self.rho = cfg.rho
+        self.a, self.q, _, _ = source_constants(cfg.rho, 2)  # the filters' predict step
         self.sigma_z2 = cfg.sigma_z2
-        self.innov_std = math.sqrt(1.0 - cfg.rho**2)
+        self.innov_std = math.sqrt(self.q)
         self.z_std = math.sqrt(cfg.sigma_z2)
         self.rng = _philox(cfg.seed)
         self.s = self.rng.standard_normal(cfg.trials)
@@ -182,9 +186,8 @@ class _Filter:
 
     def step(self, stream: _Stream, erased: bool) -> None:
         """Predict, and update from the slot's observations unless erased."""
-        rho = stream.rho
-        self.mean *= rho
-        self.var = rho**2 * self.var + (1.0 - rho**2)
+        self.mean *= stream.rho
+        self.var = stream.a * self.var + stream.q
         if not erased:
             gain = self.var / (self.var + stream.sigma_z2)
             u = stream.u
@@ -317,7 +320,7 @@ class BinningConfig(Record):
         check_open_unit("flip probability q", q)
         check_int("trials", trials, 1, TRIALS_CAP)
         check_seed(seed)
-        if not -math.inf < rate <= 1.0:
+        if isinstance(rate, bool) or not isinstance(rate, numbers.Real) or not -math.inf < rate <= 1.0:
             raise ValidationError("rate must be finite and at most 1 bit per symbol")
         Record.__init__(self, n, q, rate, trials, seed)
         if self.bin_count < 1:

@@ -4,15 +4,15 @@ non-decreasing distortion vector d = (d_0, ..., d_K).
 
 The optimal scheme quantizes each source into B+1 refinement layers, packs
 layer j of source i-j into the packet sent at time i, and bins the packed
-packets.  The rate function, the layer construction, the combinatorial
-decodability checker for the packing, and four baseline schemes live here.
+packets.  The rate function, the layer construction and four baseline
+schemes live here; the tests check the packing's decodability symbolically.
 """
 
 from __future__ import annotations
 
 import math
 
-from .errors import Record, ValidationError, check_int
+from .errors import Record, ValidationError, check_int, check_probability
 
 WINDOW_CAP = 10**4  # B and W: the layer plan and the reduced window hold B + W + 1 entries
 
@@ -23,15 +23,17 @@ class DistortionVector(Record):
     __slots__ = _fields = ("values",)
 
     def __init__(self, values: tuple[float, ...]):
-        vals = tuple(float(v) for v in values)
+        vals = tuple(values)
         if len(vals) < 1:
             raise ValidationError("distortion vector must have at least one entry")
+        for v in vals:
+            check_probability("each distortion", v, zero_ok=False)
         # below 2**-1024 the reciprocal overflows and every rate is infinite
-        if not all(0.0 < v <= 1.0 and 1.0 / v < math.inf for v in vals):
-            raise ValidationError("distortions must lie in (0, 1], with a finite reciprocal")
+        if not all(1.0 / v < math.inf for v in vals):
+            raise ValidationError("distortions must have a finite reciprocal")
         if any(b < a for a, b in zip(vals, vals[1:])):
             raise ValidationError("distortions must be non-decreasing with lag")
-        Record.__init__(self, vals)
+        Record.__init__(self, tuple(map(float, vals)))
 
     @property
     def K(self) -> int:
@@ -135,94 +137,3 @@ def baseline_rates(d: DistortionVector, B: int, W: int) -> BaselineRates:
     fec = (B + W + 1) / (W + 1) * half_logs[0]
     gop = still / (W + 1) + W / (W + 1) * half_logs[0]
     return BaselineRates(still_image=still, wyner_ziv=wz, predictive_fec=fec, gop=gop)
-
-
-class DecodeReport(Record):
-    """Outcome of the symbolic decodability simulation."""
-
-    __slots__ = _fields = ("passed", "first_failure", "steady_decodes", "joint_decodes", "checked_times")
-
-    def __init__(self, passed: bool, first_failure: dict | None, steady_decodes: int, joint_decodes: int,
-                 checked_times: int):
-        Record.__init__(self, passed, first_failure, steady_decodes, joint_decodes, checked_times)
-
-
-def decodability_check(
-    B: int, W: int, K: int, horizon: int, burst_start: int, burst_len: int
-) -> DecodeReport:
-    """Symbolically simulate which refinement layers the decoder can hold.
-
-    The packet at time i carries layer j of source i-j for j in [0, B]
-    (each layer's index set contains all coarser ones).  A received packet is
-    decoded when the previous packet was decoded (steady state) or when the
-    last W+1 packets all arrived (joint recovery right after a burst).  At
-    every time outside the burst and its W-slot grace window, every source at
-    lag l in [0, K] must be held at a distortion index at most l; sources
-    older than the stream start count as known constants.  The first
-    violation, if any, is reported.
-    """
-    _check_bw(B, W)
-    check_int("K", K)
-    check_int("horizon", horizon)
-    check_int("burst_start", burst_start)
-    check_int("burst_len", burst_len, 0, B)
-    if horizon < burst_start + burst_len + W + K:
-        raise ValidationError(
-            "invalid window geometry: need horizon >= burst_start + burst_len + W + K"
-        )
-
-    def received(i: int) -> bool:
-        return not (burst_start <= i < burst_start + burst_len)
-
-    # distortion index delivered by holding layer j of a source
-    def dist_index(j: int) -> int:
-        return 0 if j == 0 else W + j
-
-    min_layer = [None] * horizon  # finest layer held per source
-    got_packet = [False] * horizon  # c_i recovered
-    steady = joint = checked = 0
-    failure = None
-
-    def absorb(i: int) -> None:
-        got_packet[i] = True
-        for j in range(0, min(B, i) + 1):
-            src = i - j
-            if min_layer[src] is None or j < min_layer[src]:
-                min_layer[src] = j
-
-    for i in range(horizon):
-        if received(i):
-            window = range(max(0, i - W), i + 1)
-            if i == 0 or got_packet[i - 1]:
-                if not got_packet[i]:
-                    absorb(i)
-                    steady += 1
-            elif all(received(j) for j in window):
-                for j in window:
-                    if not got_packet[j]:
-                        absorb(j)
-                joint += 1
-        in_outage = burst_len > 0 and burst_start <= i <= burst_start + burst_len + W - 1
-        if in_outage:
-            continue
-        checked += 1
-        for lag in range(0, K + 1):
-            src = i - lag
-            if src < 0:
-                continue
-            achieved = None if min_layer[src] is None else dist_index(min_layer[src])
-            if achieved is None or achieved > lag:
-                if failure is None:
-                    failure = {
-                        "time": i,
-                        "lag": lag,
-                        "required_index": lag,
-                        "achieved_index": achieved,
-                    }
-    return DecodeReport(
-        passed=failure is None,
-        first_failure=failure,
-        steady_decodes=steady,
-        joint_decodes=joint,
-        checked_times=checked,
-    )

@@ -1,5 +1,5 @@
-"""Independent oracles for the Gauss-Markov bounds, the worst-case checks
-and the lossless bounds.
+"""Independent oracles for the Gauss-Markov bounds, the worst-case checks,
+the lossless bounds and the sliding-window layer packing.
 
 The library computes these quantities another way (a closed form, a
 dynamic program, GTH state reduction, raw `getrandbits` draws); the tests
@@ -29,11 +29,12 @@ from streamrate import (
     TestChannel,
     ValidationError,
 )
-from streamrate.errors import check_int, check_open_unit, check_variance
+from streamrate.errors import Record, check_int, check_open_unit, check_variance
 from streamrate.gauss_markov import _bracket
 from streamrate.oracle import (
     _DOMINATE, _REPLACE, EXCHANGE_T_CAP, MAX_SET_SIZE, SAMPLES_CAP, _burst_preds, _Filter, _SlackTracker,
 )
+from streamrate.sliding import _check_bw
 
 
 def riccati_prediction_error(
@@ -93,8 +94,9 @@ def reference_dominating_pairs(seed: int, t: int, samples: int) -> list:
 
 
 def reference_predicted(filt: _Filter, t: int, received) -> float:
-    """`_Filter.predicted` as one loop over the slots with a membership test;
-    the library's runs between received slots must match it bit for bit."""
+    """`_Filter.predicted` as one loop over the slots with a membership test:
+    the per-slot reference that the library's runs between received slots,
+    its single-burst tables and its multi-burst DP must match bit for bit."""
     a, q, s2 = filt.a, filt.q, filt.s2
     received = set(received)
     p = 0.0
@@ -237,11 +239,12 @@ def reference_solve(aged, D: float, what: str) -> float:
 
 # Reference test-channel objectives, written as a chain of checked calls:
 # every evaluation builds and validates a TestChannel and recomputes the
-# powers of rho.  The per-solve kernels must reproduce them bit for bit.
+# powers of rho, with 1 - rho^2 as (1 - rho)(1 + rho).  The per-solve kernels
+# must reproduce them bit for bit.
 
 
 def _reference_steady_sigma(rho: float, sigma_z2: float) -> float:
-    one_m_r2 = 1.0 - rho**2
+    one_m_r2 = (1.0 - rho) * (1.0 + rho)
     if sigma_z2 <= 1.0:
         return 0.5 * math.sqrt(
             (1.0 - sigma_z2) ** 2 * one_m_r2**2 + 4.0 * sigma_z2 * one_m_r2
@@ -260,7 +263,7 @@ def reference_eta_multi(cfg, tc: TestChannel) -> float:
     if cfg.D >= 1.0:
         raise ValidationError("eta is defined for D < 1")
     a = cfg.rho * cfg.rho
-    q = 1.0 - a
+    q = (1.0 - cfg.rho) * (1.0 + cfg.rho)
     s2 = tc.sigma_z2
     p = cfg.D
     for _ in range(cfg.L - 1):
@@ -381,3 +384,94 @@ def reference_lossless(P, pi, B: int, W: int) -> tuple[float, float, float]:
     upper = h[1] + (h[B + 1] - h[1]) / (W + 1)
     lower = h[1] + (h[B + W + 1] - h[W + 1]) / (W + 1) if B else h[1]
     return h[1], max(lower, h[1]), upper
+
+
+class DecodeReport(Record):
+    """Outcome of the symbolic decodability simulation."""
+
+    __slots__ = _fields = ("passed", "first_failure", "steady_decodes", "joint_decodes", "checked_times")
+
+    def __init__(self, passed: bool, first_failure: dict | None, steady_decodes: int, joint_decodes: int,
+                 checked_times: int):
+        Record.__init__(self, passed, first_failure, steady_decodes, joint_decodes, checked_times)
+
+
+def decodability_check(
+    B: int, W: int, K: int, horizon: int, burst_start: int, burst_len: int
+) -> DecodeReport:
+    """Symbolically simulate which refinement layers the decoder can hold.
+
+    The packet at time i carries layer j of source i-j for j in [0, B]
+    (each layer's index set contains all coarser ones).  A received packet is
+    decoded when the previous packet was decoded (steady state) or when the
+    last W+1 packets all arrived (joint recovery right after a burst).  At
+    every time outside the burst and its W-slot grace window, every source at
+    lag l in [0, K] must be held at a distortion index at most l; sources
+    older than the stream start count as known constants.  The first
+    violation, if any, is reported.
+    """
+    _check_bw(B, W)
+    check_int("K", K)
+    check_int("horizon", horizon)
+    check_int("burst_start", burst_start)
+    check_int("burst_len", burst_len, 0, B)
+    if horizon < burst_start + burst_len + W + K:
+        raise ValidationError(
+            "invalid window geometry: need horizon >= burst_start + burst_len + W + K"
+        )
+
+    def received(i: int) -> bool:
+        return not (burst_start <= i < burst_start + burst_len)
+
+    # distortion index delivered by holding layer j of a source
+    def dist_index(j: int) -> int:
+        return 0 if j == 0 else W + j
+
+    min_layer = [None] * horizon  # finest layer held per source
+    got_packet = [False] * horizon  # c_i recovered
+    steady = joint = checked = 0
+    failure = None
+
+    def absorb(i: int) -> None:
+        got_packet[i] = True
+        for j in range(0, min(B, i) + 1):
+            src = i - j
+            if min_layer[src] is None or j < min_layer[src]:
+                min_layer[src] = j
+
+    for i in range(horizon):
+        if received(i):
+            window = range(max(0, i - W), i + 1)
+            if i == 0 or got_packet[i - 1]:
+                if not got_packet[i]:
+                    absorb(i)
+                    steady += 1
+            elif all(received(j) for j in window):
+                for j in window:
+                    if not got_packet[j]:
+                        absorb(j)
+                joint += 1
+        in_outage = burst_len > 0 and burst_start <= i <= burst_start + burst_len + W - 1
+        if in_outage:
+            continue
+        checked += 1
+        for lag in range(0, K + 1):
+            src = i - lag
+            if src < 0:
+                continue
+            achieved = None if min_layer[src] is None else dist_index(min_layer[src])
+            if achieved is None or achieved > lag:
+                if failure is None:
+                    failure = {
+                        "time": i,
+                        "lag": lag,
+                        "required_index": lag,
+                        "achieved_index": achieved,
+                    }
+    return DecodeReport(
+        passed=failure is None,
+        first_failure=failure,
+        steady_decodes=steady,
+        joint_decodes=joint,
+        checked_times=checked,
+    )

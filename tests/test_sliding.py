@@ -10,11 +10,11 @@ from streamrate import (
     DistortionVector,
     ValidationError,
     baseline_rates,
-    decodability_check,
     layer_plan,
     rate_recovery,
     reduce_window,
 )
+from oracles import decodability_check
 
 FIG_D = DistortionVector((0.1, 0.25, 0.4, 0.55, 0.7, 0.85))
 
