@@ -123,12 +123,8 @@ def _cmd_gm(args) -> int:
         doc = read_json_object(args.sweep, "rho", "B", "D")
         rhos = doc["rho"] if isinstance(doc["rho"], list) else [doc["rho"]]
         ds = doc["D"] if isinstance(doc["D"], list) else [doc["D"]]
-        try:
-            cells = [(float(r), float(d)) for r in rhos for d in ds]
-        except (TypeError, ValueError):
-            raise ValidationError(f"{args.sweep!r}: rho and D must be numbers")
-        # GmConfig rejects a B or L that is not an integer
-        rows = [_gm_row(gm, r, doc["B"], doc.get("L", 1), d) for r, d in cells]
+        # passed as read, so GmConfig rejects a string or a bool as it rejects a fractional B
+        rows = [_gm_row(gm, r, doc["B"], doc.get("L", 1), d) for r in rhos for d in ds]
     else:
         if args.rho is None or args.D is None:
             raise ValidationError("gm needs --rho and --D (or --sweep file.json)")

@@ -18,13 +18,14 @@ variance inequality (for jointly Gaussian variables, differential-entropy
 ordering is variance ordering) and checked over every pattern, without
 listing the patterns:
 
-* The single-burst and exchange checks read every burst layout from the
-  shared states of burst-free prefixes, O(t^2 B) filter steps in all.  The
-  exchange check's domination pairs are drawn from the seeded Mersenne
-  Twister's `getrandbits` alone, the same pairs on CPython 3.10 to 3.13,
-  and each set's value starts from a predict-only prefix that the sets
-  share, then steps through the runs between its received slots.
-* The multi-burst check is a dynamic program.  The filter's predict step
+* The exchange check reads its burst layouts off the shared states of
+  burst-free prefixes.  Its domination pairs are drawn from the seeded
+  Mersenne Twister's `getrandbits` alone, the same pairs on CPython 3.10
+  to 3.13, and each set's value steps from a predict-only prefix that the
+  sets share through the runs between its received slots.
+* The multi-burst check is a dynamic program, and the single-burst check
+  is the same program with a guard as long as the horizon, which leaves
+  room for one burst only.  The filter's predict step
   a p + q and its update p s2 / (p + s2) are both non-decreasing in p, so
   of two prefixes that end in the same state of the burst-constraint
   automaton, the larger P stays at least as large under every
@@ -65,9 +66,8 @@ from .errors import (
 
 RIDGE = 1e-12
 SLACK_TOL = 1e-12
-SINGLE_T_CAP = 30  # single-burst check horizon
 EXCHANGE_T_CAP = 30  # exchange check horizon
-ENUM_T_CAP = 500  # multi-burst check horizon: the report alone grows as t^2
+ENUM_T_CAP = 500  # worst-case check horizon: the report alone grows as t^2
 LIST_T_CAP = 22  # enumerate_multi_burst, which returns every pattern as a list
 MAX_SET_SIZE = 6  # largest conditioning set the exchange check samples
 SAMPLES_CAP = 10**4  # exchange samples, about 6 us each at t = 30 (2 vCPU Xeon, CPython 3.11)
@@ -535,9 +535,6 @@ def _check_rate_noise(sigma_z2: float) -> None:
         )
 
 
-_PROP_LEN_OFFSET = _fields("property", "side", "t", "len", "offset")
-_PROP_LEN = _fields("property", "side", "t", "len")
-_PROP = _fields("property", "side", "t")
 _MONOTONE = _fields("side", "t")
 _REPLACE = _fields("kind", "t", "len", "offset")
 _DOMINATE = _fields("kind", "A", "B")
@@ -546,79 +543,19 @@ _DOMINATE = _fields("kind", "A", "B")
 def verify_single_burst_worst_case(
     rho: float, sigma_z2: float, B: int, t_max: int
 ) -> VerificationReport:
-    """Exhaustively check, for all t <= t_max, that the hardest single burst is
-    the longest one ending right before the decoding time, and that its rate
-    and distortion requirements grow with t.
+    """Check, over every single burst of length <= B at every horizon
+    t <= t_max, that the longest burst ending right before the decoding time
+    maximizes both the rate and the distortion requirement, and that those
+    worst-case requirements are non-decreasing in t, for B < t_max <= ENUM_T_CAP.
 
-    Four families of inequalities, for both the rate and distortion sides:
-      1. moving the burst closer to t never helps (offset 0 is worst);
-      2. longer bursts are worse (length B is worst);
-      3. requirements at offset 0 / length B are non-decreasing in t >= B;
-      4. everything before time B is dominated by decoding at t = B.
-    Degenerate identity instances (no erased packet) are skipped so the
-    minimum slack reflects strict comparisons.
-    """
+    This is the multi-burst check with the guard L = t_max, which leaves
+    room for one burst only, and its report without `L`.  That offset 0 is
+    also the worst among the bursts of each shorter length is a property
+    the tests check, not this report."""
     check_int("B", B)
-    check_int("t_max", t_max, B + 1, SINGLE_T_CAP)
-    _check_rate_noise(sigma_z2)
-    filt = _Filter(rho, sigma_z2)
-
-    preds = _burst_preds(filt, t_max, B)
-
-    def pair(t: int, burst_len: int, offset: int) -> tuple[float, float]:
-        pred = preds[burst_len][t][offset]
-        return filt.rate(pred), filt.mmse(pred)
-
-    track = _SlackTracker()
-    notes: list[str] = []
-
-    for t in range(t_max + 1):
-        for bl in range(1, min(B, t) + 1):
-            base = pair(t, bl, 0)
-            for k in range(1, t - bl + 1):
-                moved = pair(t, bl, k)
-                track.add(base[0] - moved[0], _PROP_LEN_OFFSET, 1, "rate", t, bl, k)
-                track.add(base[1] - moved[1], _PROP_LEN_OFFSET, 1, "mmse", t, bl, k)
-    for t in range(B, t_max + 1):
-        full = pair(t, B, 0)
-        for bl in range(0, B):
-            short = pair(t, bl, 0)
-            track.add(full[0] - short[0], _PROP_LEN, 2, "rate", t, bl)
-            track.add(full[1] - short[1], _PROP_LEN, 2, "mmse", t, bl)
-    for t in range(B, t_max):
-        now, nxt = pair(t, B, 0), pair(t + 1, B, 0)
-        track.add(nxt[0] - now[0], _PROP, 3, "rate", t)
-        track.add(nxt[1] - now[1], _PROP, 3, "mmse", t)
-
-    anchor = pair(B, B, 0)
-    prop4 = 0
-    for t in range(0, min(B, t_max + 1)):
-        for bl in range(1, t + 1):
-            for k in range(0, t - bl + 1):
-                small = pair(t, bl, k)
-                track.add(anchor[0] - small[0], _PROP_LEN_OFFSET, 4, "rate", t, bl, k)
-                track.add(anchor[1] - small[1], _PROP_LEN_OFFSET, 4, "mmse", t, bl, k)
-                prop4 += 2
-    if prop4 == 0:
-        notes.append("property 4 has no nontrivial instances (t < B forces an empty burst when B <= 1)")
-
-    # before time B the trend in t is reported but not asserted
-    below_steady = [
-        {"t": t, "rate": pair(t, min(B, t), 0)[0], "mmse": pair(t, min(B, t), 0)[1]}
-        for t in range(0, min(B, t_max + 1))
-    ]
-    return track.report(
-        "single-burst-worst-case",
-        notes=notes,
-        details={
-            "rho": rho,
-            "sigma_z2": sigma_z2,
-            "B": B,
-            "t_max": t_max,
-            "property4_instances": prop4,
-            "below_steady": below_steady,
-        },
-    )
+    check_int("t_max", t_max, B + 1, ENUM_T_CAP)
+    details = {"rho": rho, "sigma_z2": sigma_z2, "B": B, "t_max": t_max}
+    return _worst_case_report("single-burst-worst-case", rho, sigma_z2, B, t_max, t_max, details)
 
 
 def verify_multi_burst_worst_case(
@@ -653,13 +590,20 @@ def verify_multi_burst_worst_case(
     check_int("t_max", t_max, 1, ENUM_T_CAP)
     check_int("B", B)
     check_int("L", L, 1)
+    details = {"rho": rho, "sigma_z2": sigma_z2, "B": B, "L": L, "t_max": t_max}
+    return _worst_case_report("multi-burst-worst-case", rho, sigma_z2, B, L, t_max, details)
+
+
+def _worst_case_report(name: str, rho: float, sigma_z2: float, B: int, L: int, t_max: int, details: dict):
+    """The DP's report; `details` gains one block per horizon.  Both public
+    checks call this rather than each other, so a wrapper on either sees
+    only its own calls."""
     _check_rate_noise(sigma_z2)
     filt = _Filter(rho, sigma_z2)
 
     stars_received, star_preds = _stars(filt, B, L, t_max)
 
     track = _SlackTracker()
-    details: dict = {"rho": rho, "sigma_z2": sigma_z2, "B": B, "L": L, "t_max": t_max}
     prev = None
     for t, patterns, top in _multi_burst_tops(filt, B, L, t_max):
         star_received, star_pred = stars_received[t], star_preds[t]
@@ -692,7 +636,7 @@ def verify_multi_burst_worst_case(
             "violations count failing (horizon, side) checks, each standing for every "
             "pattern compared with the star there, and failing monotone checks; not patterns"
         )
-    return track.report("multi-burst-worst-case", notes=notes, details=details)
+    return track.report(name, notes=notes, details=details)
 
 
 def _dominating_pairs(getrandbits, t: int, samples: int):

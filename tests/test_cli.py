@@ -383,6 +383,9 @@ class TestInputFiles:
             (["gm", "--sweep", "MISSING"], None),
             (["gm", "--sweep", "FILE"], '{"rho": 0.9, "B": 1}'),
             (["gm", "--sweep", "FILE"], '{"rho": "high", "B": 1, "D": 0.2}'),
+            (["gm", "--sweep", "FILE"], '{"rho": ["0.5", 0.7], "B": 1, "D": "0.2"}'),
+            (["gm", "--sweep", "FILE"], '{"rho": 0.9, "B": 1, "D": false}'),
+            (["gm", "--sweep", "FILE"], '{"rho": 1%s, "B": 1, "D": 0.2}' % ("0" * 400)),
             (["gm", "--sweep", "FILE"], '{"rho": 0.9, "B": 1.7, "D": 0.2}'),
             (["lossless", "--chain", "MISSING", "--B", "1", "--W", "0"], None),
             (["lossless", "--chain", "FILE", "--B", "1", "--W", "0"], "{bad"),
@@ -394,8 +397,9 @@ class TestInputFiles:
              '{"alphabet_size": 2.5, "transition": [[0.5, 0.5], [0.5, 0.5]]}'),
         ],
         ids=["sliding-nan", "sweep-missing-file", "sweep-missing-key", "sweep-not-a-number",
-             "sweep-fractional-B", "chain-missing-file", "chain-malformed", "chain-list",
-             "chain-string-matrix", "chain-string-size", "chain-fractional-size"],
+             "sweep-numeric-strings", "sweep-bool", "sweep-huge-int", "sweep-fractional-B",
+             "chain-missing-file", "chain-malformed", "chain-list", "chain-string-matrix",
+             "chain-string-size", "chain-fractional-size"],
     )
     def test_bad_input_is_validation_error(self, argv, content, tmp_path, capsys):
         path = tmp_path / "input.json"

@@ -216,19 +216,16 @@ class TestWorstCaseVerification:
         assert rep.passed and rep.violations == 0
         assert rep.min_slack > 0
 
-    def test_single_burst_b1_vacuous_final_property(self):
-        rep = verify_single_burst_worst_case(0.9, 0.1, B=1, t_max=8)
-        assert rep.passed
-        assert rep.details["property4_instances"] == 0
-        assert any("property 4" in n for n in rep.notes)
-
     def test_single_burst_near_lossless(self):
         rep = verify_single_burst_worst_case(0.9, 1e-6, B=2, t_max=10)
         assert rep.passed and rep.violations == 0
 
     def test_horizon_cap(self):
         with pytest.raises(ValidationError):
-            verify_single_burst_worst_case(0.9, 0.1, B=1, t_max=31)
+            verify_single_burst_worst_case(0.9, 0.1, B=1, t_max=ENUM_T_CAP + 1)
+        rep = verify_single_burst_worst_case(0.9, 0.1, B=3, t_max=ENUM_T_CAP)
+        assert rep.passed and rep.violations == 0
+        assert rep.details[f"t{ENUM_T_CAP}"]["patterns"] == 1 + sum(ENUM_T_CAP - bl + 1 for bl in (1, 2, 3))
 
     def test_multi_burst_small(self):
         rep = verify_multi_burst_worst_case(0.7, 0.3, B=1, L=2, t_max=14)
@@ -396,7 +393,14 @@ def _dense_multi_report(rho, s2, B, L, t_max):
 
 @pytest.mark.parametrize(
     "rho,s2,B,L,t_max",
-    [(0.9, 0.1, 2, 3, 14), (0.7, 0.3, 1, 2, 12), (0.8, 0.5, 3, 2, 10), (0.9, 0.1, 0, 2, 6)],
+    [
+        (0.9, 0.1, 2, 3, 14),
+        (0.7, 0.3, 1, 2, 12),
+        (0.8, 0.5, 3, 2, 10),
+        (0.9, 0.1, 0, 2, 6),
+        (0.9, 0.1, 2, 14, 14),  # one burst: the single-burst check
+        (0.5, 1e-3, 4, 12, 12),
+    ],
 )
 def test_multi_burst_report_matches_dense_reference(rho, s2, B, L, t_max):
     """Same report as the dense loop.  The configurations keep distinct
@@ -532,6 +536,8 @@ def _walk_multi_report(rho, s2, B, L, t_max):
         (0.3, 0.05, 2, 1, 14),
         (0.95, 2.0, 4, 1, 12),
         (0.9, 0.1, 0, 2, 6),
+        (0.9, 0.1, 2, 14, 14),  # one burst: the single-burst check
+        (0.5, 1e-3, 4, 12, 12),
     ],
 )
 @pytest.mark.parametrize("tol", [oracle.SLACK_TOL, -1.0], ids=["tol", "every-check-fails"])
@@ -586,25 +592,58 @@ def _rebuilt_burst_preds(filt, t_max, B):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_single_and_exchange_reports_equal_pattern_rebuild(seed, monkeypatch):
-    """Seeded configurations: the single-burst and exchange reports equal those
-    computed with every value rebuilt from its whole pattern."""
+    """Seeded configurations: the single-burst tables and the exchange report
+    equal those computed with every value rebuilt from its whole pattern.
+    The single-burst report is the DP's, which the walk tests cover."""
     rng = np.random.default_rng(seed)
     rho, s2 = float(rng.uniform(0.05, 0.99)), float(rng.uniform(1e-4, 2.0))
     B = int(rng.integers(0, 5))
     t_max, t = int(rng.integers(B + 1, 21)), int(rng.integers(8, 21))
 
-    def reports():
-        return [
-            verify_single_burst_worst_case(rho, s2, B, t_max),
-            verify_exchange_inequalities(rho, s2, t=t, samples=60, seed=seed),
-        ]
+    def report():
+        return verify_exchange_inequalities(rho, s2, t=t, samples=60, seed=seed)
 
     filt = _Filter(rho, s2)
     assert _burst_preds(filt, t_max, B) == _rebuilt_burst_preds(filt, t_max, B)
-    got = reports()
+    got = report()
     monkeypatch.setattr(oracle, "_burst_preds", _rebuilt_burst_preds)
     monkeypatch.setattr(oracle._Filter, "predicted", reference_predicted)
-    assert got == reports()
+    assert got == report()
+
+
+_RHO = st.one_of(st.floats(0.05, 0.99), st.floats(2.0, 6.0).map(lambda e: 1.0 - 10.0**-e))
+_NOISE = st.floats(-3.0, 1.0).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rho=_RHO, s2=_NOISE, B_t=st.integers(0, 6).flatmap(lambda B: st.tuples(st.just(B), st.integers(B + 1, 40))))
+@example(rho=0.9, s2=0.1, B_t=(0, 1))
+def test_single_burst_report_is_the_dp_with_one_burst(rho, s2, B_t):
+    """The single-burst report is the multi-burst one at the guard L = t_max,
+    under its own name and without L."""
+    B, t_max = B_t
+    single = verify_single_burst_worst_case(rho, s2, B, t_max).to_dict()
+    multi = verify_multi_burst_worst_case(rho, s2, B, t_max, t_max).to_dict()
+    assert single.pop("name") == "single-burst-worst-case"
+    assert multi.pop("name") == "multi-burst-worst-case"
+    assert multi["details"].pop("L") == t_max
+    assert single == multi
+
+
+@settings(max_examples=100, deadline=None)
+@given(rho=_RHO, s2=_NOISE, B=st.integers(1, 6), t_max=st.integers(1, 30))
+def test_offset_zero_is_the_worst_burst_of_each_length(rho, s2, B, t_max):
+    """For every burst length bl <= B, the burst ending right before t is
+    the worst of length bl, on the rate and the MMSE side.  The single-burst
+    check covers only the longest bursts; this covers the shorter ones."""
+    filt = _Filter(rho, s2)
+    preds = _burst_preds(filt, t_max, B)
+    for bl in range(1, B + 1):
+        for t in range(bl, t_max + 1):
+            worst = preds[bl][t][0]
+            for moved in preds[bl][t][1:]:
+                assert filt.rate(worst) - filt.rate(moved) >= -oracle.SLACK_TOL
+                assert filt.mmse(worst) - filt.mmse(moved) >= -oracle.SLACK_TOL
 
 
 class TestExchangeDrawsAndRuns:
