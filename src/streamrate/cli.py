@@ -17,7 +17,7 @@ import math
 import os
 import sys
 
-from .errors import ConvergenceError, NumericalError, ValidationError, read_json_object
+from .errors import ConvergenceError, NumericalError, ValidationError, json_text, read_json_object
 
 LN2 = math.log(2.0)
 
@@ -55,9 +55,13 @@ def _output(path: str | None):
     """Standard output for no path or "-", else the file at path."""
     if path is None or path == "-":
         yield sys.stdout
-    else:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            yield fh
+        return
+    try:  # a path that cannot be opened is bad input, as an unreadable input file is
+        fh = open(path, "w", newline="", encoding="utf-8")
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path!r}: {exc.strerror or exc}")
+    with fh:
+        yield fh
 
 
 def _write_csv(path: str | None, header: list[str], rows) -> None:
@@ -69,9 +73,7 @@ def _write_csv(path: str | None, header: list[str], rows) -> None:
 
 
 def _write_json(path: str | None, doc) -> None:
-    import json
-
-    text = json.dumps(doc, indent=2)
+    text = json_text(doc)
     with _output(path) as fh:
         fh.write(text + "\n")
 

@@ -1,7 +1,8 @@
 """Exception types, the `Record` base and the input rules shared across the
 library (integers in a range, numbers inside (0, 1), probabilities, finite
-variances, seeds, JSON input documents), and `source_constants`, the one home
-of the Gauss-Markov powers of rho and their complements.
+variances, seeds, JSON input documents), `json_text`, the one writer of JSON
+output, and `source_constants`, the one home of the Gauss-Markov powers of rho
+and their complements.
 
 The CLI maps validation failures to exit 1 and numerical failures (including
 convergence and precision problems) to exit 2.  Each rule raises
@@ -155,3 +156,55 @@ def read_json_object(source, *keys: str) -> dict:
     if missing:
         raise ValidationError(f"{name} lacks the key(s) {', '.join(missing)}")
     return doc
+
+
+def json_text(doc) -> str:
+    """`json.dumps(doc, indent=2)`, byte for byte, for a document of dicts with
+    str keys, lists, tuples, str, int, float, bool and None.
+
+    CPython runs its C encoder only without indent, so this writer recurses
+    itself: strings go through the C `encode_basestring_ascii`, a list of plain
+    ints is one join, and a list object met twice at one depth is encoded once
+    (the worst-case reports share their received lists).  Other types raise
+    TypeError, as `json.dumps` does; a cycle raises RecursionError.
+    """
+    from json.encoder import encode_basestring_ascii as quote
+
+    done = {}  # (id, depth) -> text; the document keeps every list alive
+
+    def text(o, pad):
+        if isinstance(o, str):
+            return quote(o)
+        if isinstance(o, dict):
+            if not o:
+                return "{}"
+            inner = pad + "  "
+            body = ("," + inner).join([quote(k) + ": " + text(v, inner) for k, v in o.items()])
+            return "{" + inner + body + pad + "}"
+        if isinstance(o, (list, tuple)):
+            if not o:
+                return "[]"
+            out = done.get((id(o), len(pad)))
+            if out is None:
+                inner = pad + "  "
+                if set(map(type, o)) == {int}:  # not bool: int.__repr__(True) is "1"
+                    body = ("," + inner).join(map(int.__repr__, o))
+                else:
+                    body = ("," + inner).join([text(v, inner) for v in o])
+                out = done[id(o), len(pad)] = "[" + inner + body + pad + "]"
+            return out
+        if o is None:
+            return "null"
+        if o is True:
+            return "true"
+        if o is False:
+            return "false"
+        if isinstance(o, int):
+            return int.__repr__(o)
+        if isinstance(o, float):
+            if o != o:
+                return "NaN"
+            return "Infinity" if o == math.inf else "-Infinity" if o == -math.inf else float.__repr__(o)
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+    return text(doc, "\n")

@@ -61,7 +61,7 @@ from operator import itemgetter
 
 from .errors import (
     NumericalError, Record, ValidationError, check_int, check_open_unit, check_seed, check_variance,
-    source_constants,
+    json_text, source_constants,
 )
 
 RIDGE = 1e-12
@@ -100,7 +100,7 @@ class ErasurePattern(Record):
         received = tuple(received)
         for i in received:
             check_int("received index", i, 0, t - 1)
-        Record.__init__(self, t, tuple(sorted(set(int(i) for i in received))))
+        Record.__init__(self, t, tuple(sorted(set(received))))
 
     @property
     def erased(self) -> tuple[int, ...]:
@@ -277,10 +277,9 @@ class VerificationReport(Record):
     def to_dict(self) -> dict:
         return {name: getattr(self, name) for name in self._fields}
 
-    def to_json(self, indent: int = 2) -> str:
-        import json
-
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        """The report as the CLI writes it: `json.dumps(self.to_dict(), indent=2)`."""
+        return json_text(self.to_dict())
 
 
 class _SlackTracker:

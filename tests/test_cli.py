@@ -1,3 +1,4 @@
+import argparse
 import csv
 import importlib.util
 import io
@@ -245,6 +246,20 @@ class TestOracleCommand:
         with open(os.path.join(FROZEN, f"exchange_rho{rho}_t{tmax}.json"), "rb") as fh:
             assert capsys.readouterr().out.encode() == fh.read()
 
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["--check", "single", "--B", "2", "--tmax", "20"], "single_rho0.9_B2_t20.json"),
+            (["--check", "multi", "--B", "2", "--L", "3", "--tmax", "18"], "multi_rho0.9_B2_L3_t18.json"),
+        ],
+        ids=["single", "multi"],
+    )
+    def test_worst_case_report_is_frozen(self, argv, name, capsys):
+        # the per-horizon received lists, bytes and all, as `json.dumps(doc, indent=2)` wrote them
+        assert run(["oracle", *argv, "--rho", "0.9", "--sigma-z2", "0.1"]) == 0
+        with open(os.path.join(FROZEN, name), "rb") as fh:
+            assert capsys.readouterr().out.encode() == fh.read()
+
     def test_exchange_without_numpy(self, capsys):
         # the domination sampler draws from the standard library's random
         argv = ["oracle", "--check", "exchange", "--rho", "0.9", "--sigma-z2", "0.1",
@@ -408,6 +423,38 @@ class TestInputFiles:
         names = {"FILE": str(path), "MISSING": str(tmp_path / "missing.json")}
         assert run([names.get(a, a) for a in argv]) == 1
         assert_validation_error(capsys)
+
+
+OUT_COMMANDS = {
+    "lossless": ["lossless", "--chain", "CHAIN", "--B", "1", "--W", "0"],
+    "gm": ["gm", "--rho", "0.9", "--D", "0.2"],
+    "sliding": ["sliding", "--d", "0.1,0.25", "--B", "1", "--W", "1"],
+    "oracle": ["oracle", "--check", "single", "--rho", "0.9", "--sigma-z2", "0.1", "--tmax", "5"],
+    "simulate-gm": ["simulate", "--kind", "gm", "--sigma-z2", "0.1", "--T", "5", "--trials", "4"],
+    "simulate-binning": ["simulate", "--kind", "binning", "--n", "4", "--trials", "4"],
+    "figure": ["figure", "--id", "fig9"],
+}
+
+
+class TestOutputFile:
+    def test_every_command_with_out_is_covered(self):
+        sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        with_out = {
+            name for name, p in sub.choices.items() if any("--out" in a.option_strings for a in p._actions)
+        }
+        assert with_out == {argv[0] for argv in OUT_COMMANDS.values()}
+
+    @pytest.mark.parametrize("target", ["missing-dir", "directory"])
+    @pytest.mark.parametrize("command", list(OUT_COMMANDS))
+    def test_unwritable_out_is_validation_error(self, command, target, chain_file, tmp_path, capsys):
+        # FileNotFoundError and IsADirectoryError from the open: one line, exit 1
+        out = str(tmp_path / "missing" / "out.txt") if target == "missing-dir" else str(tmp_path)
+        argv = [chain_file if a == "CHAIN" else a for a in OUT_COMMANDS[command]]
+        assert run([*argv, "--out", out]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"validation error: cannot write {out!r}: ")
+        assert captured.err.count("\n") == 1
 
 
 def modules_loaded_by(run_it):
