@@ -13,9 +13,9 @@ from .errors import (
 __version__ = "0.1.0"
 
 # every submodule is imported on first use (PEP 562), so `import streamrate`
-# loads only `errors` and a command loads only the modules it runs; sim
-# imports numpy, and oracle only for its dense Schur API.  module -> the
-# names the package re-exports from it
+# loads only `errors` and a command loads only the modules it runs.  numpy,
+# the optional `sim` extra, is imported by sim and by oracle's dense Schur
+# API alone.  module -> the names the package re-exports from it
 _LAZY = {
     "gauss_markov": (
         "GmBounds", "GmConfig", "TestChannel", "compute_bounds", "eta_multi", "finite_t_lower",

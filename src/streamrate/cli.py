@@ -52,16 +52,22 @@ def _unit_scale(nats: bool) -> float:
 
 @contextlib.contextmanager
 def _output(path: str | None):
-    """Standard output for no path or "-", else the file at path."""
-    if path is None or path == "-":
-        yield sys.stdout
-        return
-    try:  # a path that cannot be opened is bad input, as an unreadable input file is
-        fh = open(path, "w", newline="", encoding="utf-8")
+    """Standard output for no path or "-", flushed at the end, else the file at path.  An
+    OSError but a closed pipe's, from the open to the flush or close, is bad output: ValidationError."""
+    to_stdout = path is None or path == "-"
+    try:
+        if to_stdout:
+            yield sys.stdout
+            sys.stdout.flush()  # a closed pipe or a full disk fails here, not at interpreter exit
+        else:
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                yield fh
     except OSError as exc:
-        raise ValidationError(f"cannot write {path!r}: {exc.strerror or exc}")
-    with fh:
-        yield fh
+        if to_stdout:  # what is still buffered goes to devnull, so the flush at exit does not fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if isinstance(exc, BrokenPipeError):
+            raise
+        raise ValidationError(f"cannot write {'<stdout>' if to_stdout else path!r}: {exc.strerror or exc}")
 
 
 def _write_csv(path: str | None, header: list[str], rows) -> None:
@@ -389,13 +395,8 @@ def main(argv=None) -> int:
     except _UsageError:
         return EXIT_VALIDATION
     try:
-        code = args.fn(args)
-        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
-        return code
-    except BrokenPipeError:
-        # the reader is gone: send what is still buffered to devnull, so the
-        # flush at interpreter exit does not fail again, and stop quietly
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return args.fn(args)
+    except BrokenPipeError:  # the reader is gone: stop quietly
         return EXIT_BROKEN_PIPE
     except ValidationError as exc:
         sys.stderr.write(f"validation error: {exc}\n")
@@ -408,7 +409,8 @@ def main(argv=None) -> int:
         # the standard library
         if exc.name != "numpy":
             raise
-        sys.stderr.write(f"streamrate {args.command}: this command needs numpy, which is not installed\n")
+        sys.stderr.write(f"streamrate {args.command}: this command needs numpy, which is not installed; "
+                         "pip install 'streamrate[sim]'\n")
         return EXIT_VALIDATION
 
 

@@ -1,13 +1,17 @@
 """Exception types, the `Record` base and the input rules shared across the
-library (integers in a range, numbers inside (0, 1), probabilities, finite
-variances, seeds, JSON input documents), `json_text`, the one writer of JSON
-output, and `source_constants`, the one home of the Gauss-Markov powers of rho
-and their complements.
+library (integers in a range, real numbers, numbers inside (0, 1),
+probabilities, finite variances, seeds, JSON input documents), `json_text`,
+the one writer of JSON output, and `source_constants`, the one home of the
+Gauss-Markov powers of rho and their complements.
 
 The CLI maps validation failures to exit 1 and numerical failures (including
 convergence and precision problems) to exit 2.  Each rule raises
-ValidationError naming the parameter, and NaN fails every rule.  The rules
-belong at the public boundary: inner loops, such as the root finders'
+ValidationError naming the parameter, and NaN fails every rule but
+`check_real`.  A number rule returns `int(value)` or `float(value)` and
+range-tests that: numpy scalars and `Fraction`s pass as Python numbers, a
+`Decimal`, a `str`, a `bool` or a real with no float (10**400) fails.  The
+rules belong at the public boundary: past them every module computes on
+Python ints and floats alone, and inner loops, such as the root finders'
 objectives, run on values already checked.
 """
 
@@ -73,51 +77,67 @@ class Record:
         return type(self), self._values()
 
 
-def check_int(name: str, value, lo: int = 0, hi: int | None = None) -> None:
-    """An integer, not a bool, with lo <= value (<= hi unless hi is None)."""
+def check_int(name: str, value, lo: int = 0, hi: int | None = None) -> int:
+    """An integer, not a bool, with lo <= value (<= hi unless hi is None), as an int."""
     # `type is int` first: the ABC check costs about 0.4 us
-    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if type(value) is not int:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValidationError(f"{name} must be an integer, got {value!r}")
+        value = int(value)
     if value < lo or (hi is not None and value > hi):
         span = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
         raise ValidationError(f"{name} must be an integer {span}, got {value!r}")
+    return value
 
 
-def check_open_unit(name: str, value) -> None:
-    """A number strictly inside (0, 1)."""
+def check_real(name: str, value) -> float:
+    """A real number, not a bool, as a float; NaN and the infinities pass, a real with no float not."""
+    if type(value) is float:  # first: the ABC check costs about 0.3 us
+        return value
+    if not isinstance(value, bool) and isinstance(value, numbers.Real):
+        try:
+            return float(value)
+        except OverflowError:  # an int or a Fraction past the float range
+            pass
+    raise ValidationError(f"{name} must be a real number with a float value, got {value!r}")
+
+
+def _float(value) -> float:
+    """`check_real`'s float, or NaN, which fails every range test, where it raises."""
     try:
-        ok = 0.0 < value < 1.0
-    except TypeError:
-        ok = False
-    if not ok:
+        return check_real("value", value)
+    except ValidationError:
+        return math.nan
+
+
+def check_open_unit(name: str, value) -> float:
+    """A number strictly inside (0, 1), as a float."""
+    x = value if type(value) is float else _float(value)
+    if not 0.0 < x < 1.0:
         raise ValidationError(f"{name} must lie strictly inside (0, 1), got {value!r}")
+    return x
 
 
-def check_probability(name: str, value, zero_ok: bool = True) -> None:
-    """A number in [0, 1], or in (0, 1] unless zero_ok; not a bool."""
-    try:
-        ok = not isinstance(value, bool) and (0.0 < value <= 1.0 or (zero_ok and value == 0.0))
-    except TypeError:
-        ok = False
-    if not ok:
+def check_probability(name: str, value, zero_ok: bool = True) -> float:
+    """A number in [0, 1], or in (0, 1] unless zero_ok, as a float."""
+    x = value if type(value) is float else _float(value)
+    if not (0.0 < x <= 1.0 or (zero_ok and x == 0.0)):
         raise ValidationError(f"{name} must lie in {'[' if zero_ok else '('}0, 1], got {value!r}")
+    return x
 
 
-def check_variance(name: str, value, zero_ok: bool = False) -> None:
-    """A finite number > 0, or >= 0 when zero_ok; not a bool."""
-    try:
-        ok = not isinstance(value, bool) and (0.0 < value < math.inf or (zero_ok and value == 0.0))
-    except TypeError:
-        ok = False
-    if not ok:
+def check_variance(name: str, value, zero_ok: bool = False) -> float:
+    """A finite number > 0, or >= 0 when zero_ok, as a float."""
+    x = value if type(value) is float else _float(value)
+    if not (0.0 < x < math.inf or (zero_ok and x == 0.0)):
         kind = "nonnegative" if zero_ok else "positive"
         raise ValidationError(f"{name} must be {kind} and finite, got {value!r}")
+    return x
 
 
-def check_seed(value) -> None:
-    """An integer in [0, 2**64): a Philox key, and the seed of the exchange
-    check's `random.Random`."""
-    check_int("seed", value, 0, 2**64 - 1)
+def check_seed(value) -> int:
+    """An integer in [0, 2**64), as an int: a Philox key and the exchange check's `random.Random` seed."""
+    return check_int("seed", value, 0, 2**64 - 1)
 
 
 def source_constants(rho: float, n: int) -> tuple[float, float, float, float]:

@@ -47,10 +47,10 @@ class GmConfig(Record):
     __slots__ = _fields = ("rho", "B", "D", "L")
 
     def __init__(self, rho: float, B: int, D: float, L: int = 1):
-        check_open_unit("rho", rho)
-        check_probability("D", D, zero_ok=False)  # a unit-variance source
-        check_int("B", B, 1)
-        check_int("L", L, 1, GUARD_CAP)
+        rho = check_open_unit("rho", rho)
+        D = check_probability("D", D, zero_ok=False)  # a unit-variance source
+        B = check_int("B", B, 1)
+        L = check_int("L", L, 1, GUARD_CAP)
         Record.__init__(self, rho, B, D, L)
 
 
@@ -61,8 +61,7 @@ class TestChannel(Record):
     __slots__ = _fields = ("sigma_z2",)
 
     def __init__(self, sigma_z2: float):
-        check_variance("sigma_z2", sigma_z2)
-        Record.__init__(self, sigma_z2)
+        Record.__init__(self, check_variance("sigma_z2", sigma_z2))
 
 
 class GmBounds(Record):
@@ -136,9 +135,8 @@ def lower_bound_single(cfg: GmConfig) -> float:
 def kalman_steady_sigma(rho: float, sigma_z2: float) -> float:
     """Steady-state one-step prediction error of the scalar Kalman filter that
     tracks the source through the test channel."""
-    check_open_unit("rho", rho)
-    check_variance("sigma_z2", sigma_z2, zero_ok=True)
-    return _steady_sigma(source_constants(rho, 2)[1], sigma_z2)
+    q = source_constants(check_open_unit("rho", rho), 2)[1]
+    return _steady_sigma(q, check_variance("sigma_z2", sigma_z2, zero_ok=True))
 
 
 def _steady_sigma(q: float, s: float) -> float:
@@ -407,7 +405,7 @@ def finite_t_lower(cfg: GmConfig, t: int) -> float:
     head expm1(m u) / (x expm1(u)), and head and tail take their constants
     from `source_constants`, so no term loses its digits near rho = 1.
     """
-    check_int("t", t, cfg.B + 1)
+    t = check_int("t", t, cfg.B + 1)
     if cfg.D >= 1.0:
         return 0.0
     lo, top = high_res_rate(cfg), lower_bound_single(cfg)  # a subnormal D raises here

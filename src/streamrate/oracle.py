@@ -96,11 +96,8 @@ class ErasurePattern(Record):
     __slots__ = _fields = ("t", "received")
 
     def __init__(self, t: int, received: tuple[int, ...]):
-        check_int("decoding time t", t)
-        received = tuple(received)
-        for i in received:
-            check_int("received index", i, 0, t - 1)
-        Record.__init__(self, t, tuple(sorted(set(received))))
+        t = check_int("decoding time t", t)
+        Record.__init__(self, t, tuple(sorted({check_int("received index", i, 0, t - 1) for i in received})))
 
     @property
     def erased(self) -> tuple[int, ...]:
@@ -115,7 +112,9 @@ class ErasurePattern(Record):
     def single_burst(cls, t: int, burst_len: int, offset: int) -> "ErasurePattern":
         """Burst of burst_len erased packets ending offset slots before t,
         i.e. erasing [t - burst_len - offset, t - offset - 1]."""
-        if burst_len < 0 or offset < 0 or offset > t - burst_len:
+        t = check_int("decoding time t", t)
+        burst_len, offset = check_int("burst length", burst_len), check_int("offset", offset)
+        if offset > t - burst_len:
             raise ValidationError(f"burst (len={burst_len}, offset={offset}) does not fit before t={t}")
         gone = set(range(t - burst_len - offset, t - offset))
         return cls(t=t, received=tuple(i for i in range(t) if i not in gone))
@@ -137,9 +136,7 @@ class ErasurePattern(Record):
 
 def enumerate_multi_burst(t: int, B: int, L: int) -> list[ErasurePattern]:
     """Every feasible pattern of erased runs (length <= B, gaps >= L) in [0, t)."""
-    check_int("t", t, 0, LIST_T_CAP)
-    check_int("B", B)
-    check_int("L", L, 1)
+    t, B, L = check_int("t", t, 0, LIST_T_CAP), check_int("B", B), check_int("L", L, 1)
     layouts: list[tuple[int, ...]] = []
 
     def extend(next_free: int, erased: tuple[int, ...]) -> None:
@@ -173,9 +170,9 @@ class GaussianSystem(Record):
         self.__post_init__()  # looked up on the class, so a wrapper installed there sees every system
 
     def __post_init__(self):
-        check_open_unit("rho", self.rho)
-        check_variance("sigma_z2", self.sigma_z2, zero_ok=True)
-        check_int("horizon t", self.t)
+        rho = check_open_unit("rho", self.rho)
+        sigma_z2 = check_variance("sigma_z2", self.sigma_z2, zero_ok=True)
+        Record.__init__(self, rho, sigma_z2, check_int("horizon t", self.t))
         import numpy as np
 
         times = np.concatenate([np.arange(-1, self.t + 1), np.arange(0, self.t + 1)])
@@ -345,10 +342,9 @@ class _Filter:
     """
 
     def __init__(self, rho: float, sigma_z2: float):
-        check_open_unit("rho", rho)
-        check_variance("sigma_z2", sigma_z2, zero_ok=True)
-        self.a, self.q, _, _ = source_constants(rho, 2)
-        self.s2 = sigma_z2
+        self.rho = check_open_unit("rho", rho)
+        self.s2 = check_variance("sigma_z2", sigma_z2, zero_ok=True)
+        self.a, self.q, _, _ = source_constants(self.rho, 2)
         self._free = [0.0]  # _free[i]: the state after i slots that only predict
 
     def predict(self, p: float) -> float:
@@ -523,15 +519,16 @@ def _other_instance(side: str, t: int, top: list, star: list[int]) -> dict:
     return {"side": side, "t": t, "received": first if first != star else _path_received(t, top[1])}
 
 
-def _check_rate_noise(sigma_z2: float) -> None:
+def _check_rate_noise(sigma_z2: float) -> float:
     """The rate side divides by sigma_z2, and Var(u_t | .) is at most
     1 + sigma_z2: past where that ratio overflows, rates read inf and their
-    slacks NaN, a false violation."""
-    check_variance("sigma_z2", sigma_z2)
+    slacks NaN, a false violation.  Returns sigma_z2 as a float."""
+    sigma_z2 = check_variance("sigma_z2", sigma_z2)
     if not math.isfinite((1.0 + sigma_z2) / sigma_z2):
         raise NumericalError(
             f"sigma_z2 = {sigma_z2!r} is too small: the rate (1/2) log2(Var(u_t) / sigma_z2) overflows"
         )
+    return sigma_z2
 
 
 _MONOTONE = _fields("side", "t")
@@ -551,10 +548,10 @@ def verify_single_burst_worst_case(
     room for one burst only, and its report without `L`.  That offset 0 is
     also the worst among the bursts of each shorter length is a property
     the tests check, not this report."""
-    check_int("B", B)
-    check_int("t_max", t_max, B + 1, ENUM_T_CAP)
-    details = {"rho": rho, "sigma_z2": sigma_z2, "B": B, "t_max": t_max}
-    return _worst_case_report("single-burst-worst-case", rho, sigma_z2, B, t_max, t_max, details)
+    B = check_int("B", B)
+    t_max = check_int("t_max", t_max, B + 1, ENUM_T_CAP)
+    keys = {"B": B, "t_max": t_max}
+    return _worst_case_report("single-burst-worst-case", rho, sigma_z2, B, t_max, t_max, keys)
 
 
 def verify_multi_burst_worst_case(
@@ -586,19 +583,18 @@ def verify_multi_burst_worst_case(
     the DP and as many for the stars; the report's received lists hold
     O(t_max^2) integers, which is what ENUM_T_CAP bounds.
     """
-    check_int("t_max", t_max, 1, ENUM_T_CAP)
-    check_int("B", B)
-    check_int("L", L, 1)
-    details = {"rho": rho, "sigma_z2": sigma_z2, "B": B, "L": L, "t_max": t_max}
-    return _worst_case_report("multi-burst-worst-case", rho, sigma_z2, B, L, t_max, details)
+    t_max = check_int("t_max", t_max, 1, ENUM_T_CAP)
+    B, L = check_int("B", B), check_int("L", L, 1)
+    keys = {"B": B, "L": L, "t_max": t_max}
+    return _worst_case_report("multi-burst-worst-case", rho, sigma_z2, B, L, t_max, keys)
 
 
-def _worst_case_report(name: str, rho: float, sigma_z2: float, B: int, L: int, t_max: int, details: dict):
-    """The DP's report; `details` gains one block per horizon.  Both public
-    checks call this rather than each other, so a wrapper on either sees
-    only its own calls."""
-    _check_rate_noise(sigma_z2)
-    filt = _Filter(rho, sigma_z2)
+def _worst_case_report(name: str, rho: float, sigma_z2: float, B: int, L: int, t_max: int, keys: dict):
+    """The DP's report; its `details` hold rho, sigma_z2, then `keys`, then
+    one block per horizon.  Both public checks call this rather than each
+    other, so a wrapper on either sees only its own calls."""
+    filt = _Filter(rho, _check_rate_noise(sigma_z2))
+    details = {"rho": filt.rho, "sigma_z2": filt.s2, **keys}
 
     stars_received, star_preds = _stars(filt, B, L, t_max)
 
@@ -651,7 +647,7 @@ def _dominating_pairs(getrandbits, t: int, samples: int):
     while the population is no larger than its set-size threshold, and
     otherwise draws indices into the population until r are distinct.
     """
-    n = int(t) - 1  # the population size; a numpy integer has no bit_length
+    n = t - 1  # the population size
     bits = [w.bit_length() for w in range(max(n, MAX_SET_SIZE) + 1)]
     # `sample`'s threshold: below it a list of n costs less than a set of r
     pooled = [n <= 21 + (4 ** math.ceil(math.log(3 * r, 4)) if r > 5 else 0) for r in range(MAX_SET_SIZE + 1)]
@@ -710,9 +706,9 @@ def verify_exchange_inequalities(
     (see `_dominating_pairs`), so a seed draws the same pairs on CPython 3.10
     to 3.13.
     """
-    check_int("t", t, MAX_SET_SIZE + 2, EXCHANGE_T_CAP)
-    check_int("samples", samples, 0, SAMPLES_CAP)
-    check_seed(seed)
+    t = check_int("t", t, MAX_SET_SIZE + 2, EXCHANGE_T_CAP)
+    samples = check_int("samples", samples, 0, SAMPLES_CAP)
+    seed = check_seed(seed)
     filt = _Filter(rho, sigma_z2)
     s2 = filt.s2
     track = _SlackTracker()
@@ -727,7 +723,7 @@ def verify_exchange_inequalities(
                 track.add((new + s2) - (old + s2), _REPLACE, "replace-u", tt, bl, k)
                 track.add(filt.mmse(new) - filt.mmse(old), _REPLACE, "replace-s", tt, bl, k)
 
-    for earlier, later in _dominating_pairs(random.Random(int(seed)).getrandbits, t, samples):
+    for earlier, later in _dominating_pairs(random.Random(seed).getrandbits, t, samples):
         v_a = filt.predicted(t, earlier)
         v_b = filt.predicted(t, later)
         track.add(v_a - v_b, _DOMINATE, "dominate-s", earlier, later)
@@ -735,5 +731,5 @@ def verify_exchange_inequalities(
 
     return track.report(
         "exchange-inequalities",
-        details={"rho": rho, "sigma_z2": sigma_z2, "t": t, "samples": samples, "seed": seed},
+        details={"rho": filt.rho, "sigma_z2": s2, "t": t, "samples": samples, "seed": seed},
     )

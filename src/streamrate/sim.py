@@ -41,12 +41,12 @@ sweep places its own burst and ignores ``cfg.bursts``.
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 
 from .errors import (
-    Record, ValidationError, check_int, check_open_unit, check_seed, check_variance, source_constants,
+    Record, ValidationError, check_int, check_open_unit, check_real, check_seed, check_variance,
+    source_constants,
 )
 
 HORIZON_CAP = 10**4
@@ -76,25 +76,25 @@ class SimConfig(Record):
 
     def __init__(self, rho: float, sigma_z2: float, horizon: int, trials: int, seed: int,
                  bursts: tuple[tuple[int, int], ...] = ()):
-        check_open_unit("rho", rho)
-        check_variance("sigma_z2", sigma_z2)
-        check_int("horizon", horizon, 1, HORIZON_CAP)
-        check_int("trials", trials, 1, TRIALS_CAP)
-        check_seed(seed)
+        rho = check_open_unit("rho", rho)
+        sigma_z2 = check_variance("sigma_z2", sigma_z2)
+        horizon = check_int("horizon", horizon, 1, HORIZON_CAP)
+        trials = check_int("trials", trials, 1, TRIALS_CAP)
+        seed = check_seed(seed)
         try:
             pairs = [(start, length) for start, length in bursts]
         except (TypeError, ValueError):
             raise ValidationError(f"bursts must be (start, length) pairs, got {bursts!r}") from None
+        bursts = []
         for start, length in pairs:
-            check_int("burst start", start)
-            check_int("burst length", length)
+            start, length = check_int("burst start", start), check_int("burst length", length)
             if start + length > horizon:
                 raise ValidationError(f"burst ({start}, {length}) outside the horizon")
-        bursts = tuple([(int(start), int(length)) for start, length in pairs])
+            bursts.append((start, length))
         spans = sorted(bursts)
         if any(s1 < s0 + n0 for (s0, n0), (s1, _) in zip(spans, spans[1:])):
             raise ValidationError("bursts must not overlap")
-        Record.__init__(self, rho, sigma_z2, horizon, trials, seed, bursts)
+        Record.__init__(self, rho, sigma_z2, horizon, trials, seed, tuple(bursts))
 
     def erased_mask(self) -> np.ndarray:
         mask = np.zeros(self.horizon, dtype=bool)
@@ -253,15 +253,12 @@ def sweep_burst_position(
     up to ``SWEEP_LANES`` burst starts, with one filter per burst (see the
     module docstring), so every result equals a ``simulate_gm_stream`` run
     with that burst bit for bit; ``cfg.bursts`` is ignored."""
-    t = cfg.horizon - 1 if decode_time is None else decode_time
-    check_int("B", B, 1)
-    check_int("decode_time", t, 0, cfg.horizon - 1)
+    B = check_int("B", B, 1)
+    t = check_int("decode_time", cfg.horizon - 1 if decode_time is None else decode_time, 0, cfg.horizon - 1)
     offsets = tuple(range(0, min(10, t - B) + 1) if offsets is None else offsets)
     if not offsets:
         raise ValidationError("no burst offset to sweep: need 0 <= k <= decode_time - B")
-    for k in offsets:
-        check_int("offset", k, 0, t - B)
-    offsets = tuple(int(k) for k in offsets)
+    offsets = tuple([check_int("offset", k, 0, t - B) for k in offsets])
 
     starts = sorted({t - B - k for k in offsets})
     groups = [starts[g : g + SWEEP_LANES] for g in range(0, len(starts), SWEEP_LANES)]
@@ -316,11 +313,12 @@ class BinningConfig(Record):
     __slots__ = _fields = ("n", "q", "rate", "trials", "seed")
 
     def __init__(self, n: int, q: float, rate: float, trials: int, seed: int):
-        check_int("block length n", n, 1, BLOCK_CAP)
-        check_open_unit("flip probability q", q)
-        check_int("trials", trials, 1, TRIALS_CAP)
-        check_seed(seed)
-        if isinstance(rate, bool) or not isinstance(rate, numbers.Real) or not -math.inf < rate <= 1.0:
+        n = check_int("block length n", n, 1, BLOCK_CAP)
+        q = check_open_unit("flip probability q", q)
+        trials = check_int("trials", trials, 1, TRIALS_CAP)
+        seed = check_seed(seed)
+        rate = check_real("rate", rate)
+        if not -math.inf < rate <= 1.0:
             raise ValidationError("rate must be finite and at most 1 bit per symbol")
         Record.__init__(self, n, q, rate, trials, seed)
         if self.bin_count < 1:

@@ -23,17 +23,15 @@ class DistortionVector(Record):
     __slots__ = _fields = ("values",)
 
     def __init__(self, values: tuple[float, ...]):
-        vals = tuple(values)
-        if len(vals) < 1:
+        vals = tuple([check_probability("each distortion", v, zero_ok=False) for v in values])
+        if not vals:
             raise ValidationError("distortion vector must have at least one entry")
-        for v in vals:
-            check_probability("each distortion", v, zero_ok=False)
         # below 2**-1024 the reciprocal overflows and every rate is infinite
         if not all(1.0 / v < math.inf for v in vals):
             raise ValidationError("distortions must have a finite reciprocal")
         if any(b < a for a, b in zip(vals, vals[1:])):
             raise ValidationError("distortions must be non-decreasing with lag")
-        Record.__init__(self, tuple(map(float, vals)))
+        Record.__init__(self, vals)
 
     @property
     def K(self) -> int:
@@ -43,15 +41,14 @@ class DistortionVector(Record):
         return self.values[i]
 
 
-def _check_bw(B: int, W: int) -> None:
-    check_int("B", B, 0, WINDOW_CAP)
-    check_int("W", W, 0, WINDOW_CAP)
+def _check_bw(B: int, W: int) -> tuple[int, int]:
+    return check_int("B", B, 0, WINDOW_CAP), check_int("W", W, 0, WINDOW_CAP)
 
 
 def reduce_window(d: DistortionVector, B: int, W: int) -> DistortionVector:
     """Effective length-(B+W+1) vector: pad with 1.0 (zero-rate layers) when
     the window is shorter, truncate when longer (old lags cost no rate)."""
-    _check_bw(B, W)
+    B, W = _check_bw(B, W)
     target = B + W + 1
     vals = list(d.values[:target])
     vals.extend([1.0] * (target - len(vals)))
@@ -61,7 +58,7 @@ def reduce_window(d: DistortionVector, B: int, W: int) -> DistortionVector:
 def rate_recovery(d: DistortionVector, B: int, W: int) -> float:
     """Minimum rate in bits:
     (1/2) log2(1/d_0) + 1/(W+1) * sum_{k=1}^{min(K-W, B)} (1/2) log2(1/d_{W+k})."""
-    _check_bw(B, W)
+    B, W = _check_bw(B, W)
     rate = 0.5 * math.log2(1.0 / d[0])
     top = min(d.K - W, B)
     for k in range(1, top + 1):
@@ -100,17 +97,17 @@ def layer_plan(d: DistortionVector, B: int, W: int) -> LayerPlan:
     d_{W+j+1} to d_{W+j}, and layer B carries the base description to
     d_{W+B}.  Equal consecutive distortions give zero-rate layers.
     """
-    _check_bw(B, W)
+    B, W = _check_bw(B, W)
     eff = reduce_window(d, B, W)
     if B == 0:
         r0 = 0.5 * math.log2(1.0 / eff[0])
-        return LayerPlan((r0,), (r0,), 0, int(W))
+        return LayerPlan((r0,), (r0,), 0, W)
     tilde = [0.5 * math.log2(eff[W + 1] / eff[0])]
     for j in range(1, B):
         tilde.append(0.5 * math.log2(eff[W + j + 1] / eff[W + j]))
     tilde.append(0.5 * math.log2(1.0 / eff[W + B]))
-    cum = [float(sum(tilde[j:])) for j in range(B + 1)]
-    return LayerPlan(tuple(tilde), tuple(cum), int(B), int(W))
+    cum = [sum(tilde[j:]) for j in range(B + 1)]
+    return LayerPlan(tuple(tilde), tuple(cum), B, W)
 
 
 class BaselineRates(Record):
@@ -130,10 +127,10 @@ def baseline_rates(d: DistortionVector, B: int, W: int) -> BaselineRates:
     memoryless coding of the whole window, coding against the delayed
     reconstruction, predictive coding protected by erasure-correcting parity,
     and periodic sync frames every W+1 steps."""
-    _check_bw(B, W)
+    B, W = _check_bw(B, W)
     half_logs = [0.5 * math.log2(1.0 / v) for v in d.values]
-    still = float(sum(half_logs))
-    wz = float(sum(half_logs[: min(B, d.K) + 1]))
+    still = sum(half_logs)
+    wz = sum(half_logs[: min(B, d.K) + 1])
     fec = (B + W + 1) / (W + 1) * half_logs[0]
     gop = still / (W + 1) + W / (W + 1) * half_logs[0]
     return BaselineRates(still_image=still, wyner_ziv=wz, predictive_fec=fec, gop=gop)

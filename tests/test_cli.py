@@ -456,6 +456,23 @@ class TestOutputFile:
         assert captured.err.startswith(f"validation error: cannot write {out!r}: ")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full, where every write fails")
+    @pytest.mark.parametrize("to", ["out", "stdout"])
+    @pytest.mark.parametrize("command", ["figure", "sliding"])
+    def test_failed_write_is_one_line(self, command, to):
+        # a write to /dev/full fails with ENOSPC: through --out at a write or
+        # the close, through standard output at the flush; the interpreter's
+        # own flush at exit stays quiet
+        argv = OUT_COMMANDS[command] + (["--out", "/dev/full"] if to == "out" else [])
+        src = os.path.dirname(os.path.dirname(sr.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        with open("/dev/full", "w") as full:
+            done = subprocess.run([sys.executable, "-m", "streamrate.cli", *argv], env=env, text=True,
+                                  stdout=full if to == "stdout" else subprocess.PIPE, stderr=subprocess.PIPE)
+        path = "/dev/full" if to == "out" else "<stdout>"
+        assert done.returncode == 1
+        assert done.stderr == f"validation error: cannot write {path!r}: No space left on device\n"
+
 
 def modules_loaded_by(run_it):
     """The modules that a fresh interpreter loads to run the code run_it, so
@@ -550,12 +567,20 @@ class TestUsage:
         if needs_numpy:
             assert done.returncode == 1
             assert done.stdout == ""
-            assert done.stderr == f"streamrate {argv[0]}: this command needs numpy, which is not installed\n"
+            assert done.stderr == (f"streamrate {argv[0]}: this command needs numpy, which is not installed; "
+                                   "pip install 'streamrate[sim]'\n")
         else:
             normal = run_cli(block_numpy=False)
             assert done.returncode == normal.returncode == 0
             assert done.stderr == ""
             assert done.stdout == normal.stdout and done.stdout.startswith("B,W,predictive_rate,lower,upper\n")
+
+    def test_numpy_is_an_extra_not_a_dependency(self):
+        tomllib = pytest.importorskip("tomllib")  # the standard library from Python 3.11
+        with open(os.path.join(os.path.dirname(os.path.dirname(FROZEN)), "pyproject.toml"), "rb") as fh:
+            project = tomllib.load(fh)["project"]
+        assert project["dependencies"] == []
+        assert project["optional-dependencies"] == {"sim": ["numpy>=1.24"]}
 
     def test_lazy_names_resolve_to_their_modules(self):
         assert sr.MarkovChain is sr.markov.MarkovChain

@@ -2,26 +2,73 @@
 through the gaps between the modules' own copies of them.
 
 Each such input raises ValidationError in the library and exits 1 with one
-line on stderr through the CLI.  numpy integers stay accepted wherever
-Python ints are, with the same results.
+line on stderr through the CLI.  Each rule returns the number it admits as a
+Python int or float, so numpy scalars and `Fraction`s give exactly the
+results of the same calls with `int(x)` or `float(x)`.
 """
 
 import json
 import math
+import numbers
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import streamrate as sr
 from oracles import decodability_check, riccati_prediction_error
-from streamrate import ValidationError, cli
-from streamrate.errors import check_int, check_open_unit, check_seed, check_variance
+from streamrate import ConvergenceError, NumericalError, ValidationError, cli
+from streamrate.errors import (
+    Record, check_int, check_open_unit, check_probability, check_real, check_seed, check_variance,
+)
 
 
 class TestRules:
     @pytest.mark.parametrize("value", [0, 7, np.int64(7), np.int32(7), np.uint64(7), np.int8(0)])
     def test_int_accepts_python_and_numpy_integers(self, value):
-        check_int("n", value, 0, 7)
+        got = check_int("n", value, 0, 7)
+        assert type(got) is int and got == int(value)
+
+    @pytest.mark.parametrize("value", [0.5, np.float64(0.5), np.float32(0.9), Fraction(1, 3)], ids=repr)
+    def test_real_rules_return_the_float(self, value):
+        for rule in (check_real, check_open_unit, check_probability, check_variance):
+            got = rule("x", value)
+            assert type(got) is float and got == float(value)
+
+    def test_rules_range_test_the_converted_float(self):
+        # Fraction(1, 10**400) is positive, and its float is 0.0
+        assert check_real("x", Fraction(1, 10**400)) == 0.0
+        assert check_variance("x", Fraction(1, 10**400), zero_ok=True) == 0.0
+        with pytest.raises(ValidationError, match="positive and finite"):
+            check_variance("sigma_z2", Fraction(1, 10**400))
+        # below 1, and its float is 1.0
+        with pytest.raises(ValidationError, match="strictly inside"):
+            check_open_unit("rho", Fraction(10**20 - 1, 10**20))
+        # NaN is a real number, and check_real is the one rule it passes
+        assert math.isnan(check_real("x", math.nan)) and math.isnan(check_real("x", np.float32("nan")))
+
+    # a Decimal is no numbers.Real, a str and a bool are no numbers, and
+    # 10**400 is a real with no float
+    NOT_REAL = [Decimal("0.5"), "0.5", True, False, 10**400, -(10**400), Fraction(10**400), None, 1j]
+
+    @pytest.mark.parametrize("value", NOT_REAL, ids=repr)
+    @pytest.mark.parametrize("rule", [
+        check_real, check_open_unit, check_probability, check_variance,
+        lambda name, value: check_probability(name, value, zero_ok=False),
+        lambda name, value: check_variance(name, value, zero_ok=True),
+    ], ids=["real", "open-unit", "probability", "variance", "probability-nonzero", "variance-zero-ok"])
+    def test_real_rules_reject(self, rule, value):
+        with pytest.raises(ValidationError, match="^x must "):
+            rule("x", value)
+
+    @pytest.mark.parametrize("value", [Decimal("1"), "1", True, False, Fraction(1), 1.0, None])
+    def test_int_rules_reject(self, value):
+        for rule in (lambda v: check_int("seed", v), check_seed):
+            with pytest.raises(ValidationError, match="^seed must be an integer"):
+                rule(value)
 
     @pytest.mark.parametrize("value", [True, False, 1.0, 1.5, "1", None, np.float64(1.0), math.nan])
     def test_int_rejects_other_types(self, value):
@@ -61,6 +108,7 @@ class TestRules:
         for bad in (-1, 2**64, 1.5, True, np.int64(-1)):
             with pytest.raises(ValidationError, match="seed must be an integer"):
                 check_seed(bad)
+        assert type(check_seed(np.uint64(2**64 - 1))) is int
 
 
 def _sim_cfg(**kw):
@@ -136,6 +184,15 @@ LIBRARY_ROWS = {
     "symmetric-tol-True": lambda: sr.is_symmetric(sr.binary_symmetric_chain(0.1), True),
     "erasure-index-1.5": lambda: sr.ErasurePattern(4, (1.5, 2.9)),
     "erasure-index-True": lambda: sr.ErasurePattern(4, (True,)),
+    # a Decimal passed the rules' comparisons and failed later, or never
+    "gmconfig-rho-Decimal": lambda: sr.GmConfig(rho=Decimal("0.9"), B=1, D=0.2),
+    "simconfig-rho-Decimal": lambda: _sim_cfg(rho=Decimal("0.9")),
+    "multi-rho-Decimal": lambda: sr.verify_multi_burst_worst_case(Decimal("0.9"), 0.1, 1, 2, 6),
+    # 10**400 < inf, and then float(10**400) overflowed
+    "test-channel-10**400": lambda: sr.TestChannel(10**400),
+    "kalman-sigma-10**400": lambda: sr.kalman_steady_sigma(0.9, 10**400),
+    "single-sigma-10**400": lambda: sr.verify_single_burst_worst_case(0.9, 10**400, 1, 4),
+    "simconfig-sigma-10**400": lambda: _sim_cfg(sigma_z2=10**400),
 }
 
 
@@ -218,3 +275,141 @@ def _results(i):
 @pytest.mark.parametrize("numpy_int", [np.int64, np.int32])
 def test_numpy_integers_give_the_python_results(numpy_int):
     assert _results(numpy_int) == _results(int)
+
+
+def test_float32_rho_gives_the_float_results():
+    rho = np.float32(0.9)
+    assert sr.compute_bounds(sr.GmConfig(rho=rho, B=1, D=0.2, L=2)) == sr.compute_bounds(
+        sr.GmConfig(rho=float(rho), B=1, D=0.2, L=2)
+    )
+    assert type(sr.kalman_steady_sigma(rho, np.float32(0.1))) is float
+
+
+@pytest.mark.parametrize("integer, real", [(np.int64, np.float32), (np.uint64, np.float32)])
+def test_reports_from_numpy_inputs_write_as_json(integer, real):
+    reports = [
+        (sr.verify_single_burst_worst_case, (0.9, 0.1), (2, 8), {}),
+        (sr.verify_multi_burst_worst_case, (0.9, 0.1), (1, 2, 8), {}),
+        (sr.verify_exchange_inequalities, (0.9, 0.1), (), {"t": 10, "samples": 20, "seed": 3}),
+    ]
+    for fn, reals, ints, kw in reports:
+        got = fn(*map(real, reals), *map(integer, ints), **{k: integer(v) for k, v in kw.items()})
+        want = fn(*[float(real(x)) for x in reals], *ints, **kw)
+        assert got.to_json() == want.to_json()
+
+
+def _plain(x) -> bool:
+    """x is a Python bool, int, float, str or None, or a tuple, list, dict or
+    record of them."""
+    if x is None or type(x) in (bool, int, float, str):
+        return True
+    if type(x) in (tuple, list):
+        return all(map(_plain, x))
+    if type(x) is dict:
+        return all(type(k) is str and _plain(v) for k, v in x.items())
+    return isinstance(x, Record) and _plain(x._values())
+
+
+def _report(report):
+    return report, report.to_dict(), report.to_json()
+
+
+def _stream(cfg):
+    # StreamResult holds numpy arrays by design; its rows are Python numbers
+    return cfg, list(sr.simulate_gm_stream(cfg).rows())
+
+
+def _system(n, v):
+    sys_ = sr.GaussianSystem(n(v["rho"]), n(v["s2"]), n(4))
+    pattern = sr.ErasurePattern(n(4), (n(0), n(2)))
+    return (sys_, sys_.covariance.tolist(), sr.conditional_variance(sys_, ("s", n(4)), [("u", n(1))]),
+            sr.decode_rate(sys_, pattern), sr.decode_mmse(sys_, pattern))
+
+
+def _gm(n, v):
+    cfg = sr.GmConfig(rho=n(v["rho"]), B=n(2), D=n(v["D"]), L=n(3))
+    tc = sr.TestChannel(n(v["s2"]))
+    return (cfg, tc, sr.compute_bounds(cfg), sr.lower_bound_single(cfg), sr.rate_upper_single(cfg),
+            sr.rate_upper_multi(cfg), sr.high_res_rate(cfg), sr.naive_wz_rate(cfg),
+            sr.solve_test_channel_single(cfg), sr.gamma_single(cfg, tc), sr.eta_multi(cfg, tc),
+            sr.finite_t_lower(cfg, n(6)))
+
+
+_P = [[0.75, 0.25], [0.25, 0.75]]  # exact in float32, so every kind gives a chain
+
+
+def _markov(n, v):
+    chain = sr.binary_symmetric_chain(n(v["q"]))
+    P = [[n(p) for p in row] for row in _P]
+    return (chain, sr.stationary_distribution(P), sr.MarkovChain(n(2), P, [n(0.5), n(0.5)]),
+            sr.MarkovChain.from_transition(P), sr.MarkovChain.from_json({"alphabet_size": n(2), "transition": P}),
+            sr.conditional_entropy_lag(chain, n(3)), sr.window_conditional_entropy(chain, n(1), n(2)),
+            sr.lossless_bounds(chain, n(1), n(2)), sr.is_symmetric(chain, n(1e-12)))
+
+
+def _sliding(n, v):
+    d = sr.DistortionVector((n(0.1), n(v["D"] / 2 + 0.1), n(v["D"] / 2 + 0.5)))
+    return (d, sr.reduce_window(d, n(1), n(1)), sr.rate_recovery(d, n(2), n(1)), sr.layer_plan(d, n(2), n(1)),
+            sr.baseline_rates(d, n(1), n(0)))
+
+
+def _patterns(n, v):
+    return (sr.ErasurePattern(n(6), (n(0), n(2), n(3))), sr.ErasurePattern.no_erasure(n(4)),
+            sr.ErasurePattern.single_burst(n(6), n(2), n(1)),
+            sr.ErasurePattern.multi_burst(n(8), (n(0), n(1), n(4), n(5), n(6)), n(2), n(2)),
+            sr.enumerate_multi_burst(n(6), n(1), n(2)))
+
+
+def _sim(n, v):
+    cfg = sr.SimConfig(rho=n(v["rho"]), sigma_z2=n(v["s2"]), horizon=n(6), trials=n(8), seed=n(2),
+                       bursts=((n(2), n(1)),))
+    binning = sr.BinningConfig(n=n(4), q=n(v["q"]), rate=n(0.75), trials=n(20), seed=n(1))
+    return (_stream(cfg), sr.sweep_burst_position(cfg, n(1), decode_time=n(5), offsets=[n(0), n(1)]),
+            binning, binning.bin_count, sr.simulate_binning(binning))
+
+
+# every public entry point that takes a number, reached with each number passed through n
+ENTRY_POINTS = {
+    "gauss_markov": _gm,
+    "kalman_steady_sigma": lambda n, v: sr.kalman_steady_sigma(n(v["rho"]), n(v["s2"])),
+    "markov": _markov,
+    "sliding": _sliding,
+    "patterns": _patterns,
+    "dense": _system,
+    "single": lambda n, v: _report(sr.verify_single_burst_worst_case(n(v["rho"]), n(v["s2"]), n(2), n(8))),
+    "multi": lambda n, v: _report(sr.verify_multi_burst_worst_case(n(v["rho"]), n(v["s2"]), n(2), n(2), n(10))),
+    "exchange": lambda n, v: _report(
+        sr.verify_exchange_inequalities(n(v["rho"]), n(v["s2"]), t=n(10), samples=n(20), seed=n(3))
+    ),
+    "sim": _sim,
+}
+INTEGER_KINDS = (np.int32, np.int64, np.uint64)
+REAL_KINDS = (np.float32, np.float64, Fraction)
+
+
+def _outcome(entry, n, values):
+    try:
+        return entry(n, values)
+    except (ValidationError, NumericalError, ConvergenceError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
+@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), values=st.fixed_dictionaries({
+    "rho": st.floats(0.05, 0.95), "s2": st.floats(0.01, 10.0), "D": st.floats(0.05, 0.95),
+    "q": st.floats(0.01, 0.49),
+}))
+def test_numpy_and_fraction_inputs_give_the_python_results(entry, data, values):
+    drawn = []
+
+    def kind_of(x):
+        kinds = INTEGER_KINDS if type(x) is int else REAL_KINDS
+        drawn.append(data.draw(st.sampled_from(kinds))(x))
+        return drawn[-1]
+
+    got = _outcome(entry, kind_of, values)
+    plain = iter([int(x) if isinstance(x, numbers.Integral) else float(x) for x in drawn])
+    want = _outcome(entry, lambda _: next(plain), values)
+    assert got == want
+    assert isinstance(got, type) or _plain(got)
