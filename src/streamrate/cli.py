@@ -40,6 +40,8 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    commands: dict[str, argparse.ArgumentParser]  # on the top-level parser: each command's parser by name
+
     def error(self, message):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
@@ -319,6 +321,7 @@ def _cmd_figure(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="streamrate", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     p = sub.add_parser("lossless", help="lossless rate bounds for a finite Markov chain")
     p.add_argument("--chain", required=True, help="JSON file with the transition matrix")
@@ -389,9 +392,26 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse(argv) -> argparse.Namespace:
+    """The namespace of argv.  When argv starts with a command, that command's
+    parser reads the rest in one pass: the full top-level parse would hand it
+    the same words and report its leftovers as the same usage error.  Only an
+    argv with no command first, for help or a usage error, takes the full parse."""
+    parser = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
+
+
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(argv)
     except _UsageError:
         return EXIT_VALIDATION
     try:

@@ -77,16 +77,29 @@ class Record:
         return type(self), self._values()
 
 
+def _shown(value) -> str:
+    """repr(value) for a rule's message, or the size of an int that CPython
+    refuses to print (past `sys.get_int_max_str_digits()`, 4300 by default)."""
+    try:
+        return repr(value)
+    except ValueError:
+        if isinstance(value, numbers.Integral):
+            n = abs(int(value))
+            k = int(n.bit_length() * math.log10(2.0))  # n has k or k + 1 digits
+            return f"an integer of {k + (n >= 10**k)} digits"
+        return f"a {type(value).__name__} too long to print"
+
+
 def check_int(name: str, value, lo: int = 0, hi: int | None = None) -> int:
     """An integer, not a bool, with lo <= value (<= hi unless hi is None), as an int."""
     # `type is int` first: the ABC check costs about 0.4 us
     if type(value) is not int:
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValidationError(f"{name} must be an integer, got {value!r}")
+            raise ValidationError(f"{name} must be an integer, got {_shown(value)}")
         value = int(value)
     if value < lo or (hi is not None and value > hi):
         span = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
-        raise ValidationError(f"{name} must be an integer {span}, got {value!r}")
+        raise ValidationError(f"{name} must be an integer {span}, got {_shown(value)}")
     return value
 
 
@@ -99,7 +112,7 @@ def check_real(name: str, value) -> float:
             return float(value)
         except OverflowError:  # an int or a Fraction past the float range
             pass
-    raise ValidationError(f"{name} must be a real number with a float value, got {value!r}")
+    raise ValidationError(f"{name} must be a real number with a float value, got {_shown(value)}")
 
 
 def _float(value) -> float:
@@ -114,7 +127,7 @@ def check_open_unit(name: str, value) -> float:
     """A number strictly inside (0, 1), as a float."""
     x = value if type(value) is float else _float(value)
     if not 0.0 < x < 1.0:
-        raise ValidationError(f"{name} must lie strictly inside (0, 1), got {value!r}")
+        raise ValidationError(f"{name} must lie strictly inside (0, 1), got {_shown(value)}")
     return x
 
 
@@ -122,7 +135,7 @@ def check_probability(name: str, value, zero_ok: bool = True) -> float:
     """A number in [0, 1], or in (0, 1] unless zero_ok, as a float."""
     x = value if type(value) is float else _float(value)
     if not (0.0 < x <= 1.0 or (zero_ok and x == 0.0)):
-        raise ValidationError(f"{name} must lie in {'[' if zero_ok else '('}0, 1], got {value!r}")
+        raise ValidationError(f"{name} must lie in {'[' if zero_ok else '('}0, 1], got {_shown(value)}")
     return x
 
 
@@ -131,7 +144,7 @@ def check_variance(name: str, value, zero_ok: bool = False) -> float:
     x = value if type(value) is float else _float(value)
     if not (0.0 < x < math.inf or (zero_ok and x == 0.0)):
         kind = "nonnegative" if zero_ok else "positive"
-        raise ValidationError(f"{name} must be {kind} and finite, got {value!r}")
+        raise ValidationError(f"{name} must be {kind} and finite, got {_shown(value)}")
     return x
 
 

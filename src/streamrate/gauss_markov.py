@@ -37,6 +37,13 @@ from .errors import (
 _SEARCH_STEPS = 64  # steps of each bracket search in `_bracket`
 _FLOAT, _BITS = struct.Struct("<d"), struct.Struct("<q")
 GUARD_CAP = 10**4  # eta_multi steps through the guard, once per objective evaluation
+# B enters the bounds only through rho^(2B), 1 - rho^(2B) and the same at
+# B + 1.  The float rho nearest 1, 1 - 2**-53, has log(rho) = -2**-53, and
+# exp(x) rounds to 0.0 below x = -745.13, so at every float rho < 1, rho^(2B)
+# is 0.0 and 1 - rho^(2B) is 1.0 once B > 745.13 * 2**52 = 3.36e18.  No
+# output changes past that B; the cap sits just above it, where 2B still has
+# a float (at B = 10**400 it has none, and `source_constants` overflowed).
+BURST_CAP = 2**62
 _LN2 = math.log(2.0)
 
 
@@ -49,7 +56,7 @@ class GmConfig(Record):
     def __init__(self, rho: float, B: int, D: float, L: int = 1):
         rho = check_open_unit("rho", rho)
         D = check_probability("D", D, zero_ok=False)  # a unit-variance source
-        B = check_int("B", B, 1)
+        B = check_int("B", B, 1, BURST_CAP)
         L = check_int("L", L, 1, GUARD_CAP)
         Record.__init__(self, rho, B, D, L)
 

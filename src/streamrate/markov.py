@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from functools import reduce
+from math import log2
 from operator import and_, mul
 
 from .errors import (
@@ -82,9 +83,12 @@ def _closed_class(P: Matrix) -> list[int]:
     transitive closure.  Every state reaches some closed class, and a closed
     class reaches nothing outside itself, so the states that every state
     reaches form the closed class when there is one, and none are left when
-    there are two or more.
+    there are two or more.  With every entry > 0 each state reaches every
+    other in one step, so all of them are the class and Warshall is skipped.
     """
     n = len(P)
+    if min(map(min, P)) > 0.0:
+        return list(range(n))
     reach = [sum(1 << j for j, p in enumerate(row) if p > 0.0) | 1 << i for i, row in enumerate(P)]
     for k in range(n):
         bit, through = 1 << k, reach[k]
@@ -122,7 +126,7 @@ def _gth(A: list[list[float]]) -> list[float]:
                     r[:k] = [a + f * w for a, w in zip(r, spread)]
     x = [1.0] * m
     for k in range(1, m):
-        t = sum(x[i] * A[i][k] for i in range(k))
+        t = sum([x[i] * A[i][k] for i in range(k)])
         s = exits[k]
         if t > s:  # state k outweighs the states before it
             x[:k] = [v * (s / t) for v in x[:k]]
@@ -136,8 +140,9 @@ def _solve(P: Matrix) -> tuple[float, ...]:
     """Stationary law of a checked matrix: GTH on its one closed class, and
     exactly 0 on the transient states."""
     states = _closed_class(P)
-    # round-off negatives within ROW_SUM_TOL count as zeros, as in the support graph
-    x = _gth([[max(P[i][j], 0.0) for j in states] for i in states])
+    # round-off negatives within ROW_SUM_TOL count as zeros, as in the support
+    # graph; a conditional, not max(p, 0.0), which costs a call per entry
+    x = _gth([[0.0 if (p := row[j]) < 0.0 else p for j in states] for row in [P[i] for i in states]])
     total = math.fsum(x)
     pi = [0.0] * len(P)
     for i, v in zip(states, x):
@@ -233,7 +238,7 @@ def _entropy_bits(ps) -> float:
     """Shannon entropy in bits of the positive entries of ps: zeros, and the
     tiny negative entries the row-sum tolerance admits, are skipped, so
     0*log(0) = 0."""
-    return -sum([p * math.log2(p) for p in ps if p > 0.0])
+    return -sum([p * log2(p) for p in ps if p > 0.0])
 
 
 def _matmul(A: Matrix, B: Matrix) -> Matrix:

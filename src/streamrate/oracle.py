@@ -123,6 +123,7 @@ class ErasurePattern(Record):
     def multi_burst(cls, t: int, received: tuple[int, ...], B: int, L: int) -> "ErasurePattern":
         """Validate that erased runs have length <= B and consecutive runs are
         separated by at least L intact slots."""
+        B, L = check_int("B", B), check_int("L", L, 1)
         pat = cls(t=t, received=tuple(received))
         runs = _runs(pat.erased)
         for start, length in runs:

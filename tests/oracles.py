@@ -355,6 +355,19 @@ def reference_stationary(P) -> np.ndarray | None:
     return v / v.sum()
 
 
+def reference_closed_class(P) -> list[int] | None:
+    """The states of the one closed class of P's support graph (entries > 0)
+    by Warshall's transitive closure on every chain, or None when there are
+    two or more: the states that every state reaches."""
+    n = len(P)
+    reach = [[i == j or P[i][j] > 0.0 for j in range(n)] for i in range(n)]
+    for k in range(n):
+        for i in range(n):
+            if reach[i][k]:
+                reach[i] = [a or b for a, b in zip(reach[i], reach[k])]
+    return [j for j in range(n) if all(row[j] for row in reach)] or None
+
+
 def reference_matrix_power(P, k: int):
     """P^k, k >= 1, by repeated squaring for k alone: the bits of k from the
     lowest, as numpy.linalg.matrix_power takes them.  The shared squaring

@@ -41,6 +41,7 @@ from oracles import (
     riccati_prediction_error,
     two_point_rate_decimal,
 )
+from streamrate.errors import source_constants
 from streamrate.gauss_markov import (
     _bracket,
     _multi_channel,
@@ -78,6 +79,15 @@ class TestConfigValidation:
     def test_channel_positive(self):
         with pytest.raises(ValidationError):
             TestChannel(0.0)
+
+    @pytest.mark.parametrize("rho", [0.05, 0.9, 1.0 - 1e-12, 1.0 - 2**-53])
+    def test_no_bound_changes_past_the_burst_cap(self, rho):
+        # past B = 3.36e18, rho^(2B) is 0.0 and 1 - rho^(2B) is 1.0 at every float rho < 1
+        B = 3_356_000_000_000_000_000
+        assert source_constants(1.0 - 2**-53, 2 * B)[2:] == (0.0, 1.0)
+        at_cap = GmConfig(rho=rho, B=gm.BURST_CAP, D=0.2, L=3)
+        assert compute_bounds(at_cap) == compute_bounds(GmConfig(rho=rho, B=B, D=0.2, L=3))
+        assert naive_wz_rate(at_cap) == naive_wz_rate(GmConfig(rho=rho, B=B, D=0.2, L=3))
 
 
 class TestLowerBound:

@@ -193,6 +193,17 @@ LIBRARY_ROWS = {
     "kalman-sigma-10**400": lambda: sr.kalman_steady_sigma(0.9, 10**400),
     "single-sigma-10**400": lambda: sr.verify_single_burst_worst_case(0.9, 10**400, 1, 4),
     "simconfig-sigma-10**400": lambda: _sim_cfg(sigma_z2=10**400),
+    # 10**400 had no float 2B, and source_constants raised OverflowError
+    "gmconfig-B-10**400": lambda: sr.compute_bounds(sr.GmConfig(rho=0.9, B=10**400, D=0.2)),
+    "gmconfig-B-cap": lambda: sr.GmConfig(rho=0.9, B=sr.gauss_markov.BURST_CAP + 1, D=0.2),
+    # past 4300 digits CPython refuses to print an int, and the message raised ValueError
+    "check-int-10**5000": lambda: check_int("B", 10**5000, 1, 10),
+    "check-open-unit-10**5000": lambda: check_open_unit("rho", 10**5000),
+    "check-real-Fraction-10**5000": lambda: check_real("x", Fraction(10**5000)),
+    # multi_burst compared B and L unchecked
+    "multi-burst-B-True": lambda: sr.ErasurePattern.multi_burst(6, (0, 2, 3, 5), True, 1),
+    "multi-burst-L-1.5": lambda: sr.ErasurePattern.multi_burst(6, (0, 2, 3, 5), 1, 1.5),
+    "multi-burst-L-0": lambda: sr.ErasurePattern.multi_burst(6, (0, 2, 3, 5), 1, 0),
 }
 
 
@@ -224,6 +235,7 @@ CLI_ROWS = {
     "exchange-samples-huge": (["oracle", "--check", "exchange", "--rho", "0.9", "--sigma-z2", "0.1",
                                "--samples", str(2**63)], None),
     "gm-L-huge": (["gm", "--rho", "0.9", "--D", "0.2", "--L", str(2**63)], None),
+    "gm-B-10**400": (["gm", "--rho", "0.9", "--D", "0.2", "--B", str(10**400)], None),
     "sliding-B-huge": (["sliding", "--d", "0.1,0.3", "--B", str(10**30), "--W", "1"], None),
     "lossless-W-huge": (["lossless", "--chain", "FILE", "--B", "1", "--W", str(2**65)],
                         {"transition": [[0.9, 0.1], [0.2, 0.8]]}),

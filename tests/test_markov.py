@@ -14,7 +14,7 @@ from conftest import (
     oracle_lossless_bounds,
     random_chain,
 )
-from oracles import reference_lossless, reference_matrix_power, reference_stationary
+from oracles import reference_closed_class, reference_lossless, reference_matrix_power, reference_stationary
 import streamrate.markov as markov
 from streamrate import (
     ConvergenceError,
@@ -99,6 +99,12 @@ class TestStationaryDistribution:
         pi = stationary_distribution(P)
         assert pi[0] == 0.0 and pi[2] == 1.0
         assert pi[1] == pytest.approx(1e-200, rel=1e-12)
+
+    def test_round_off_negatives_solve_as_zeros(self):
+        # entries within ROW_SUM_TOL below 0 (rows off by as much) reach GTH as exact zeros
+        zeros = [[0.2, 0.3, 0.5], [0.6, 0.4, 0.0], [0.1, 0.0, 0.9]]
+        negatives = [[0.2, 0.3, 0.5], [0.6, 0.4, -1e-13], [0.1, -1e-13, 0.9]]
+        assert stationary_distribution(negatives) == stationary_distribution(zeros)
 
 
 class TestMarkovChainType:
@@ -452,6 +458,22 @@ class TestStationaryProperties:
     def test_block_diagonal_has_no_unique_law(self, P):
         with pytest.raises(ConvergenceError):
             stationary_distribution(P)
+
+
+class TestClosedClass:
+    """The closed class against Warshall's closure: all-positive chains take
+    the one-step class, chains with zeros the closure itself."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(random_stochastic(), st.integers(1, 8).flatmap(lambda n: _positive_block(n, n))))
+    def test_matches_warshall(self, P):
+        P = markov._matrix(P)
+        want = reference_closed_class(P)
+        if want is None:
+            with pytest.raises(ConvergenceError):
+                markov._closed_class(P)
+        else:
+            assert markov._closed_class(P) == want
 
 
 def _assert_matches_reference(P: np.ndarray) -> None:
