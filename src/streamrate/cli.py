@@ -80,8 +80,7 @@ def _write_csv(path: str | None, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def _write_json(path: str | None, doc) -> None:
-    text = json_text(doc)
+def _write_json(path: str | None, text: str) -> None:
     with _output(path) as fh:
         fh.write(text + "\n")
 
@@ -169,24 +168,30 @@ def _cmd_sliding(args) -> int:
             "gop": base.gop * k,
         },
     }
-    _write_json(args.out, doc)
+    _write_json(args.out, json_text(doc))
     return EXIT_OK
+
+
+# the flags each check reads beside --rho, --sigma-z2 and --tmax, with their defaults
+_ORACLE_FLAGS = {"single": {"B": 1}, "multi": {"B": 1, "L": 1}, "exchange": {"samples": 500, "seed": 0}}
 
 
 def _cmd_oracle(args) -> int:
     from . import oracle
 
+    given = {k: v for k, v in vars(args).items() if k in ("B", "L", "samples", "seed") and v is not None}
+    reads = _ORACLE_FLAGS[args.check]
+    unread = [f"--{k}" for k in given if k not in reads]
+    if unread:
+        raise ValidationError(f"--check {args.check} does not read {', '.join(unread)}")
+    flags = {**reads, **given}
     if args.check == "single":
-        report = oracle.verify_single_burst_worst_case(args.rho, args.sigma_z2, args.B, args.tmax)
+        report = oracle.verify_single_burst_worst_case(args.rho, args.sigma_z2, t_max=args.tmax, **flags)
     elif args.check == "multi":
-        report = oracle.verify_multi_burst_worst_case(
-            args.rho, args.sigma_z2, args.B, args.L, args.tmax
-        )
+        report = oracle.verify_multi_burst_worst_case(args.rho, args.sigma_z2, t_max=args.tmax, **flags)
     else:
-        report = oracle.verify_exchange_inequalities(
-            args.rho, args.sigma_z2, t=args.tmax, samples=args.samples, seed=args.seed
-        )
-    _write_json(args.out, report.to_dict())
+        report = oracle.verify_exchange_inequalities(args.rho, args.sigma_z2, t=args.tmax, **flags)
+    _write_json(args.out, report.to_json())
     return EXIT_OK if report.passed else EXIT_VERIFICATION
 
 
@@ -226,7 +231,7 @@ def _cmd_simulate(args) -> int:
     res = sim.simulate_binning(cfg)
     _write_json(
         args.out,
-        {
+        json_text({
             "n": args.n,
             "q": args.q,
             "rate": args.rate,
@@ -236,7 +241,7 @@ def _cmd_simulate(args) -> int:
             "p_hat": res.p_hat,
             "stderr": res.stderr,
             "ci95": [res.ci_low, res.ci_high],
-        },
+        }),
     )
     return EXIT_OK
 
@@ -353,11 +358,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", choices=["single", "multi", "exchange"], required=True)
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--sigma-z2", dest="sigma_z2", type=float, required=True)
-    p.add_argument("--B", type=int, default=1)
-    p.add_argument("--L", type=int, default=1)
+    p.add_argument("--B", type=int)  # the defaults of --B, --L, --samples and --seed are in _ORACLE_FLAGS
+    p.add_argument("--L", type=int)
     p.add_argument("--tmax", type=int, default=12)
-    p.add_argument("--samples", type=int, default=500)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=int)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_oracle)
 

@@ -79,13 +79,11 @@ class GmBounds(Record):
     )
 
     def __init__(self, lower: float, upper_single: float, high_res: float, sigma_z2_single: float | None,
-                 upper_multi: float | None = None, sigma_z2_multi: float | None = None):
-        if min(lower, upper_single, high_res) < 0.0:
+                 upper_multi: float, sigma_z2_multi: float | None = None):
+        if min(lower, upper_single, high_res, upper_multi) < 0.0:
             raise NumericalError("rates must be nonnegative")
         _check_order(lower, upper_single, "lower bound exceeds single-burst upper bound")
-        if upper_multi is not None:
-            _check_order(upper_single, upper_multi,
-                         "single-burst upper bound exceeds multi-burst upper bound")
+        _check_order(upper_single, upper_multi, "single-burst upper bound exceeds multi-burst upper bound")
         Record.__init__(self, lower, upper_single, high_res, sigma_z2_single, upper_multi, sigma_z2_multi)
 
 

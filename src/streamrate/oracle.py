@@ -257,20 +257,17 @@ def decode_mmse(sys: GaussianSystem, pattern: ErasurePattern) -> float:
 
 
 class VerificationReport(Record):
-    """Outcome of one exhaustive inequality check; unlike the other records,
-    assignable and unhashable."""
+    """Outcome of one exhaustive inequality check.  Its list and dict fields
+    make it unhashable."""
 
     __slots__ = _fields = (
         "name", "passed", "checks", "violations", "min_slack", "worst", "notes", "details",
     )
-    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
 
     def __init__(self, name: str, passed: bool, checks: int, violations: int, min_slack: float,
                  worst: dict | None, notes: list[str] | None = None, details: dict | None = None):
-        self.name, self.passed, self.checks, self.violations = name, passed, checks, violations
-        self.min_slack, self.worst = min_slack, worst
-        self.notes = [] if notes is None else notes
-        self.details = {} if details is None else details
+        Record.__init__(self, name, passed, checks, violations, min_slack, worst,
+                        [] if notes is None else notes, {} if details is None else details)
 
     def to_dict(self) -> dict:
         return {name: getattr(self, name) for name in self._fields}

@@ -62,6 +62,7 @@ UPDATE_CHUNK = 1 << 14  # filter-update scratch entries, so the scratch stays sh
 # lanes, against 40.3 MB for the replay per burst start it replaced; each
 # lane costs 0.8 MB, so 3 leaves the peak below the old one
 SWEEP_LANES = 3
+_Z95 = 1.959963984540054  # 95% normal quantile
 
 
 def _philox(seed: int) -> np.random.Generator:
@@ -105,13 +106,16 @@ class SimConfig(Record):
 
 class StreamResult(Record):
     """Per-time empirical mean-square error with its standard error, next to
-    the exact filter MMSE for the same erasure schedule."""
+    the exact filter MMSE for the same erasure schedule, at times 0, 1, ..."""
 
-    __slots__ = _fields = ("times", "mse", "stderr", "exact_mmse", "erased")
+    __slots__ = _fields = ("mse", "stderr", "exact_mmse", "erased")
 
-    def __init__(self, times: np.ndarray, mse: np.ndarray, stderr: np.ndarray, exact_mmse: np.ndarray,
-                 erased: np.ndarray):
-        Record.__init__(self, times, mse, stderr, exact_mmse, erased)
+    def __init__(self, mse: np.ndarray, stderr: np.ndarray, exact_mmse: np.ndarray, erased: np.ndarray):
+        Record.__init__(self, mse, stderr, exact_mmse, erased)
+
+    @property
+    def times(self) -> np.ndarray:
+        return np.arange(len(self.mse))
 
     __hash__ = None  # numpy fields
 
@@ -121,9 +125,9 @@ class StreamResult(Record):
         return all(map(np.array_equal, self._values(), other._values()))
 
     def rows(self):
-        for t in range(len(self.times)):
+        for t in range(len(self.mse)):
             yield (
-                int(self.times[t]),
+                t,
                 float(self.mse[t]),
                 float(self.stderr[t]),
                 float(self.exact_mmse[t]),
@@ -220,25 +224,26 @@ def simulate_gm_stream(cfg: SimConfig) -> StreamResult:
         filt.step(stream, erased[t])
         mse[t], stderr[t] = stream.stats(filt.mean)
         exact[t] = filt.var
-    return StreamResult(
-        times=np.arange(T), mse=mse, stderr=stderr, exact_mmse=exact, erased=erased
-    )
+    return StreamResult(mse=mse, stderr=stderr, exact_mmse=exact, erased=erased)
 
 
 class BurstSweepReport(Record):
     """Empirical and exact MMSE at a fixed decode time as one burst slides
     away from it; the hardest position is offset zero."""
 
-    __slots__ = _fields = (
-        "offsets", "empirical", "stderr", "exact", "decode_time", "exact_nonincreasing",
-        "empirical_tracks_exact",
-    )
+    __slots__ = _fields = ("offsets", "empirical", "stderr", "exact", "decode_time")
 
     def __init__(self, offsets: tuple[int, ...], empirical: tuple[float, ...], stderr: tuple[float, ...],
-                 exact: tuple[float, ...], decode_time: int, exact_nonincreasing: bool,
-                 empirical_tracks_exact: bool):
-        Record.__init__(self, offsets, empirical, stderr, exact, decode_time, exact_nonincreasing,
-                        empirical_tracks_exact)
+                 exact: tuple[float, ...], decode_time: int):
+        Record.__init__(self, offsets, empirical, stderr, exact, decode_time)
+
+    @property
+    def exact_nonincreasing(self) -> bool:
+        return all(b <= a + 1e-12 for a, b in zip(self.exact, self.exact[1:]))
+
+    @property
+    def empirical_tracks_exact(self) -> bool:
+        return all(abs(e - x) <= 3.0 * s for e, s, x in zip(self.empirical, self.stderr, self.exact))
 
     @property
     def passed(self) -> bool:
@@ -293,17 +298,7 @@ def sweep_burst_position(
         if after:
             stream.rng.bit_generator.state, stream.s, trunk = saved
     emp, err, exact = zip(*(at_start[t - B - k] for k in offsets))
-    noninc = all(b <= a + 1e-12 for a, b in zip(exact, exact[1:]))
-    tracks = all(abs(e - x) <= 3.0 * s for e, s, x in zip(emp, err, exact))
-    return BurstSweepReport(
-        offsets=offsets,
-        empirical=emp,
-        stderr=err,
-        exact=exact,
-        decode_time=t,
-        exact_nonincreasing=noninc,
-        empirical_tracks_exact=tracks,
-    )
+    return BurstSweepReport(offsets=offsets, empirical=emp, stderr=err, exact=exact, decode_time=t)
 
 
 class BinningConfig(Record):
@@ -330,12 +325,28 @@ class BinningConfig(Record):
 
 
 class BinningResult(Record):
-    """Block error estimate with a normal-approximation binomial interval."""
+    """Block error count with its estimate and a normal-approximation binomial interval."""
 
-    __slots__ = _fields = ("errors", "trials", "p_hat", "stderr", "ci_low", "ci_high")
+    __slots__ = _fields = ("errors", "trials")
 
-    def __init__(self, errors: int, trials: int, p_hat: float, stderr: float, ci_low: float, ci_high: float):
-        Record.__init__(self, errors, trials, p_hat, stderr, ci_low, ci_high)
+    def __init__(self, errors: int, trials: int):
+        Record.__init__(self, errors, trials)
+
+    @property
+    def p_hat(self) -> float:
+        return self.errors / self.trials
+
+    @property
+    def stderr(self) -> float:
+        return math.sqrt(max(self.p_hat * (1.0 - self.p_hat), 0.0) / self.trials)
+
+    @property
+    def ci_low(self) -> float:
+        return max(0.0, self.p_hat - _Z95 * self.stderr)
+
+    @property
+    def ci_high(self) -> float:
+        return min(1.0, self.p_hat + _Z95 * self.stderr)
 
 
 def simulate_binning(cfg: BinningConfig) -> BinningResult:
@@ -379,14 +390,4 @@ def simulate_binning(cfg: BinningConfig) -> BinningResult:
         # the decoded block differs from the sent one exactly when picked != flips
         errors += int(np.count_nonzero(picked != flips))
 
-    p = errors / cfg.trials
-    se = math.sqrt(max(p * (1.0 - p), 0.0) / cfg.trials)
-    z = 1.959963984540054  # 95% normal quantile
-    return BinningResult(
-        errors=errors,
-        trials=cfg.trials,
-        p_hat=p,
-        stderr=se,
-        ci_low=max(0.0, p - z * se),
-        ci_high=min(1.0, p + z * se),
-    )
+    return BinningResult(errors=errors, trials=cfg.trials)

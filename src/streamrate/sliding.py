@@ -67,23 +67,28 @@ def rate_recovery(d: DistortionVector, B: int, W: int) -> float:
 
 
 class LayerPlan(Record):
-    """Per-layer refinement rates and cumulative layer rates, in bits.
+    """Refinement rates of the B + 1 layers and their suffix sums, in bits.
 
     cum_rates[j] is the rate of everything from refinement layer j up, so
     cum_rates[0] = (1/2) log2(1/d_0) and the sequence is non-increasing.
     """
 
-    __slots__ = _fields = ("tilde_rates", "cum_rates", "B", "W")
+    _fields = ("tilde_rates", "W")
+    __slots__ = _fields + ("_cum",)
 
-    def __init__(self, tilde_rates: tuple[float, ...], cum_rates: tuple[float, ...], B: int, W: int):
-        if len(tilde_rates) != B + 1 or len(cum_rates) != B + 1:
-            raise ValidationError("need exactly B + 1 layers")
+    def __init__(self, tilde_rates: tuple[float, ...], W: int):
         if any(r < -1e-12 for r in tilde_rates):
             raise ValidationError("layer rates must be nonnegative")
-        for j in range(B + 1):
-            if abs(cum_rates[j] - sum(tilde_rates[j:])) > 1e-9:
-                raise ValidationError("cumulative rates must be suffix sums of layer rates")
-        Record.__init__(self, tilde_rates, cum_rates, B, W)
+        Record.__init__(self, tilde_rates, W)
+        object.__setattr__(self, "_cum", tuple([sum(tilde_rates[j:]) for j in range(len(tilde_rates))]))
+
+    @property
+    def B(self) -> int:
+        return len(self.tilde_rates) - 1
+
+    @property
+    def cum_rates(self) -> tuple[float, ...]:
+        return self._cum
 
     @property
     def amortized_rate(self) -> float:
@@ -95,19 +100,12 @@ def layer_plan(d: DistortionVector, B: int, W: int) -> LayerPlan:
 
     Layer 0 refines from d_{W+1} down to d_0, layer j (1 <= j < B) from
     d_{W+j+1} to d_{W+j}, and layer B carries the base description to
-    d_{W+B}.  Equal consecutive distortions give zero-rate layers.
+    d_{W+B}, that is from d_{W+B+1} = 1.  Equal consecutive distortions give
+    zero-rate layers.
     """
     B, W = _check_bw(B, W)
-    eff = reduce_window(d, B, W)
-    if B == 0:
-        r0 = 0.5 * math.log2(1.0 / eff[0])
-        return LayerPlan((r0,), (r0,), 0, W)
-    tilde = [0.5 * math.log2(eff[W + 1] / eff[0])]
-    for j in range(1, B):
-        tilde.append(0.5 * math.log2(eff[W + j + 1] / eff[W + j]))
-    tilde.append(0.5 * math.log2(1.0 / eff[W + B]))
-    cum = [sum(tilde[j:]) for j in range(B + 1)]
-    return LayerPlan(tuple(tilde), tuple(cum), B, W)
+    eff = reduce_window(d, B, W).values + (1.0,)
+    return LayerPlan(tuple([0.5 * math.log2(eff[W + j + 1] / eff[W + j if j else 0]) for j in range(B + 1)]), W)
 
 
 class BaselineRates(Record):

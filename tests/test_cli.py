@@ -82,6 +82,29 @@ class TestLosslessCommand:
         row = dict(zip(header, rows[0]))
         assert float(row["predictive_rate"]) <= float(row["lower"]) <= float(row["upper"])
 
+    @pytest.mark.parametrize("transition, second, W", [
+        ([[0.9, 0.1], [0.2, 0.8]], 0.7, 1),
+        ([[0.8, 0.2], [0.4, 0.6]], 0.4, 10**6),
+    ], ids=["W1", "W1e6"])
+    def test_two_state_closed_forms(self, transition, second, W, tmp_path, capsys):
+        # both chains have pi = (2/3, 1/3); with their second eigenvalue the
+        # lag-k flip probabilities are (1 - second**k) / 3 and 2 (1 - second**k) / 3.
+        # At W = 1e6, upper (W + 1) equals the joint window entropy only up to rounding
+        def h(p):
+            return -p * math.log2(p) - (1 - p) * math.log2(1 - p)
+
+        def lag(k):
+            return 2 / 3 * h((1 - second**k) / 3) + 1 / 3 * h(2 * (1 - second**k) / 3)
+
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps({"transition": transition}))
+        assert run(["lossless", "--chain", str(path), "--B", "1", "--W", str(W)]) == 0
+        (row,) = csv.DictReader(io.StringIO(capsys.readouterr().out))
+        want = {"predictive_rate": lag(1), "lower": lag(1) + (lag(W + 2) - lag(W + 1)) / (W + 1),
+                "upper": lag(1) + (lag(2) - lag(1)) / (W + 1)}
+        for key, value in want.items():
+            assert abs(float(row[key]) - value) <= 1e-12, (key, row[key], value)
+
     def test_nan_transition_is_validation_error(self, tmp_path, capsys):
         # json.load accepts the NaN literal
         path = tmp_path / "nan.json"
@@ -270,13 +293,14 @@ class TestOracleCommand:
         "argv",
         [
             [*check, "--sigma-z2", s2]
-            for check in (["--check", "single"], ["--check", "multi", "--L", "2"], ["--check", "exchange"])
+            for check in (["--check", "single", "--B", "1"], ["--check", "multi", "--B", "1", "--L", "2"],
+                          ["--check", "exchange"])
             for s2 in ("nan", "inf")
         ]
         + [["--check", "exchange", "--sigma-z2", "0.1", "--samples", "-1"]],
     )
     def test_bad_input_is_validation_error(self, argv, capsys):
-        assert run(["oracle", "--rho", "0.9", "--B", "1", "--tmax", "10", *argv]) == 1
+        assert run(["oracle", "--rho", "0.9", "--tmax", "10", *argv]) == 1
         assert_validation_error(capsys)
 
 

@@ -125,6 +125,9 @@ def _set_flag(argv: list, flag: str, value: str) -> list:
 def test_cli_fuzz(chain_path, data):
     argv = [chain_path if a == "CHAIN" else a for a in data.draw(st.sampled_from(BASELINES), label="baseline")]
     typed = FLAGS[argv[0]]
+    if argv[0] == "oracle":  # a flag that the check does not read only exits 1
+        reads = cli._ORACLE_FLAGS[argv[argv.index("--check") + 1]]
+        typed = {f: s for f, s in typed.items() if f in ("--rho", "--sigma-z2", "--tmax") or f[2:] in reads}
     for flag in data.draw(st.lists(st.sampled_from(sorted(typed)), min_size=1, max_size=3, unique=True), label="flags"):
         argv = _set_flag(argv, flag, data.draw(typed[flag], label=flag))
     out, err = io.StringIO(), io.StringIO()

@@ -905,7 +905,7 @@ class TestBoundChain:
         # misordered output on legal input is a numerical failure, exit 2;
         # the order is exact, so one ulp of misorder fails too
         with pytest.raises(NumericalError):
-            GmBounds(lower=0.9, upper_single=0.5, high_res=0.1, sigma_z2_single=0.1)
+            GmBounds(lower=0.9, upper_single=0.5, high_res=0.1, sigma_z2_single=0.1, upper_multi=0.5)
         with pytest.raises(NumericalError):
             GmBounds(lower=0.0, upper_single=math.nextafter(0.5, 1.0), high_res=0.1,
                      sigma_z2_single=0.1, upper_multi=0.5)

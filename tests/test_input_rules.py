@@ -222,6 +222,7 @@ def test_sim_bursts_are_kept_as_a_tuple_of_int_pairs():
 # the same inputs through the CLI; int flags reach the library only as ints,
 # so fractional and boolean values come in through --sweep files; the
 # simulate ones reach SimConfig and BinningConfig in LIBRARY_ROWS
+_ORACLE = ["oracle", "--rho", "0.9", "--sigma-z2", "0.1", "--tmax", "6", "--check"]
 CLI_ROWS = {
     "stream-seed--1": (["simulate", "--kind", "gm", "--sigma-z2", "0.1", "--T", "5", "--trials", "4", "--seed", "-1"], None),
     "binning-seed--1": (["simulate", "--kind", "binning", "--seed", "-1"], None),
@@ -241,6 +242,14 @@ CLI_ROWS = {
                         {"transition": [[0.9, 0.1], [0.2, 0.8]]}),
     "lossless-alphabet-cap": (["lossless", "--chain", "FILE", "--B", "1", "--W", "1"],
                               {"transition": _uniform(sr.markov.ALPHABET_CAP + 1)}),
+    # a flag that the chosen check does not read, even at its default value
+    "single-reads-no-L": ([*_ORACLE, "single", "--L", "1"], None),
+    "single-reads-no-samples": ([*_ORACLE, "single", "--samples", "500"], None),
+    "single-reads-no-seed": ([*_ORACLE, "single", "--seed", "0"], None),
+    "multi-reads-no-samples": ([*_ORACLE, "multi", "--samples", "500"], None),
+    "multi-reads-no-seed": ([*_ORACLE, "multi", "--seed", "0"], None),
+    "exchange-reads-no-B": ([*_ORACLE, "exchange", "--B", "1"], None),
+    "exchange-reads-no-L": ([*_ORACLE, "exchange", "--L", "1"], None),
 }
 
 

@@ -1,5 +1,6 @@
 """The library's record types: construction, repr, equality, hashing,
-immutability, pickling and copying.
+immutability, pickling and copying, and the values each derives from its
+fields.
 
 Every case is built from keyword arguments in field order, so the positional
 call is the same values in the same order.  The expected repr is
@@ -7,10 +8,13 @@ call is the same values in the same order.  The expected repr is
 """
 
 import copy
+import math
 import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import streamrate as sr
 from oracles import DecodeReport
@@ -27,20 +31,27 @@ CASES = {
     "VerificationReport": dict(name="check", passed=True, checks=3, violations=0, min_slack=0.5,
                                worst={"t": 2}, notes=["a note"], details={"k": 1}),
     "SimConfig": dict(rho=0.9, sigma_z2=0.1, horizon=10, trials=4, seed=7, bursts=((2, 1),)),
-    "StreamResult": dict(times=np.arange(2), mse=np.array([0.5, 0.25]), stderr=np.array([0.1, 0.05]),
+    "StreamResult": dict(mse=np.array([0.5, 0.25]), stderr=np.array([0.1, 0.05]),
                          exact_mmse=np.array([0.5, 0.25]), erased=np.array([False, True])),
     "BurstSweepReport": dict(offsets=(0, 1), empirical=(0.5, 0.4), stderr=(0.01, 0.01), exact=(0.5, 0.4),
-                             decode_time=9, exact_nonincreasing=True, empirical_tracks_exact=True),
+                             decode_time=9),
     "BinningConfig": dict(n=8, q=0.1, rate=0.8, trials=100, seed=3),
-    "BinningResult": dict(errors=5, trials=100, p_hat=0.05, stderr=0.02, ci_low=0.01, ci_high=0.09),
+    "BinningResult": dict(errors=5, trials=100),
     "DistortionVector": dict(values=(0.1, 0.5)),
-    "LayerPlan": dict(tilde_rates=(0.5, 0.25), cum_rates=(0.75, 0.25), B=1, W=0),
+    "LayerPlan": dict(tilde_rates=(0.5, 0.25), W=0),
     "BaselineRates": dict(still_image=1.0, wyner_ziv=0.8, predictive_fec=0.9, gop=0.7),
     "DecodeReport": dict(passed=True, first_failure=None, steady_decodes=4, joint_decodes=1, checked_times=5),
 }
 NAMES = sorted(CASES)
-MUTABLE = {"VerificationReport"}  # assignable and unhashable
 ARRAYS = {"StreamResult"}  # numpy fields: unhashable, compared by value
+UNHASHABLE = ARRAYS | {"VerificationReport"}  # and list and dict fields
+# values a record derives from its fields: read-only properties, not fields
+DERIVED = {
+    "LayerPlan": ("B", "cum_rates"),
+    "BinningResult": ("p_hat", "stderr", "ci_low", "ci_high"),
+    "BurstSweepReport": ("exact_nonincreasing", "empirical_tracks_exact"),
+    "StreamResult": ("times",),
+}
 
 
 def record_type(name):
@@ -101,15 +112,16 @@ def test_repr_text():
 
 def test_defaults():
     assert sr.GmConfig(0.9, 1, 0.2).L == 1
-    bounds = sr.GmBounds(0.5, 0.6, 0.4, 0.3)
-    assert (bounds.upper_multi, bounds.sigma_z2_multi) == (None, None)
+    with pytest.raises(TypeError):
+        sr.GmBounds(0.5, 0.6, 0.4, 0.3)  # upper_multi is required
+    assert sr.GmBounds(0.5, 0.6, 0.4, 0.3, 0.7).sigma_z2_multi is None
     assert sr.SimConfig(0.9, 0.1, 10, 4, 7).bursts == ()
     report = sr.VerificationReport("check", True, 3, 0, 0.5, None)
     assert (report.notes, report.details) == ([], {})
     assert report.notes is not sr.VerificationReport("check", True, 3, 0, 0.5, None).notes
 
 
-@pytest.mark.parametrize("name", sorted(set(NAMES) - MUTABLE - ARRAYS))
+@pytest.mark.parametrize("name", sorted(set(NAMES) - UNHASHABLE))
 def test_equality_and_hash_follow_the_fields(name):
     a, b = build(name), build(name)
     assert a is not b and a == b and hash(a) == hash(b)
@@ -123,7 +135,7 @@ def test_field_changes_break_equality():
     assert sr.ErasurePattern(4, (3, 1, 0)) == build("ErasurePattern")  # received is normalised
 
 
-@pytest.mark.parametrize("name", sorted(set(NAMES) - MUTABLE))
+@pytest.mark.parametrize("name", NAMES)
 def test_assignment_is_attribute_error(name):
     record = build(name)
     field = next(iter(CASES[name]))
@@ -149,18 +161,82 @@ def test_stream_results_of_two_seeds_compare_unequal():
     assert build("StreamResult") != CASES["StreamResult"]
 
 
-def test_verification_report_is_assignable_and_unhashable():
+def test_verification_report_is_unhashable():
     report = build("VerificationReport")
-    report.passed = False
-    report.notes.append("another")
-    assert report.passed is False and report.notes == ["a note", "another"]
-    assert report != build("VerificationReport")
     with pytest.raises(TypeError):
         hash(report)
     assert report.to_dict() == {
-        "name": "check", "passed": False, "checks": 3, "violations": 0, "min_slack": 0.5,
-        "worst": {"t": 2}, "notes": ["a note", "another"], "details": {"k": 1},
+        "name": "check", "passed": True, "checks": 3, "violations": 0, "min_slack": 0.5,
+        "worst": {"t": 2}, "notes": ["a note"], "details": {"k": 1},
     }
+
+
+@pytest.mark.parametrize("name", sorted(DERIVED))
+def test_derived_values_are_read_only_properties(name):
+    record = build(name)
+    again = copy.copy(record)
+    for attr in DERIVED[name]:
+        assert attr not in record._fields
+        value = getattr(record, attr)
+        assert np.array_equal(getattr(again, attr), value)
+        with pytest.raises(AttributeError):
+            setattr(record, attr, value)
+
+
+def test_derived_values_of_the_cases():
+    plan = build("LayerPlan")
+    assert (plan.B, plan.cum_rates) == (1, (0.75, 0.25))
+    assert sr.BinningResult(5, 100).stderr == math.sqrt(0.05 * 0.95 / 100)
+    sweep = build("BurstSweepReport")
+    assert sweep.exact_nonincreasing and sweep.empirical_tracks_exact and sweep.passed
+    assert np.array_equal(build("StreamResult").times, np.arange(2))
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.lists(st.floats(1e-300, 1.0), min_size=1, max_size=70).map(sorted),
+    B=st.integers(0, 60),
+    W=st.integers(0, 8),
+)
+def test_layer_plan_properties_equal_the_layer_construction(d, B, W):
+    # layer 0 from d_{W+1} to d_0, layer j from d_{W+j+1} to d_{W+j}, layer B
+    # from 1 to d_{W+B}, and each cumulative rate a suffix sum, bit for bit
+    eff = sr.reduce_window(sr.DistortionVector(tuple(d)), B, W)
+    if B == 0:
+        tilde = [0.5 * math.log2(1.0 / eff[0])]
+    else:
+        tilde = [0.5 * math.log2(eff[W + 1] / eff[0])]
+        tilde += [0.5 * math.log2(eff[W + j + 1] / eff[W + j]) for j in range(1, B)]
+        tilde.append(0.5 * math.log2(1.0 / eff[W + B]))
+    plan = sr.layer_plan(sr.DistortionVector(tuple(d)), B, W)
+    assert plan.B == B
+    assert _bits(plan.tilde_rates) == _bits(tilde)
+    assert _bits(plan.cum_rates) == _bits([sum(tilde[j:]) for j in range(B + 1)])
+
+
+@given(trials=st.integers(1, 10**7), data=st.data())
+def test_binning_result_properties_equal_the_formulas(trials, data):
+    errors = data.draw(st.integers(0, trials))
+    p = errors / trials
+    se = math.sqrt(max(p * (1.0 - p), 0.0) / trials)
+    z = 1.959963984540054
+    res = sr.BinningResult(errors, trials)
+    assert _bits([res.p_hat, res.stderr, res.ci_low, res.ci_high]) == _bits(
+        [p, se, max(0.0, p - z * se), min(1.0, p + z * se)]
+    )
+
+
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), trials=st.integers(1, 40))
+def test_burst_sweep_properties_equal_the_checks(seed, trials):
+    rep = sr.sweep_burst_position(sr.SimConfig(0.9, 0.1, 14, trials, seed), 2)
+    emp, err, exact = rep.empirical, rep.stderr, rep.exact
+    assert rep.exact_nonincreasing == all(b <= a + 1e-12 for a, b in zip(exact, exact[1:]))
+    assert rep.empirical_tracks_exact == all(abs(e - x) <= 3.0 * s for e, s, x in zip(emp, err, exact))
 
 
 @pytest.mark.parametrize("name", NAMES)
