@@ -330,7 +330,8 @@ class BinningResult(Record):
     __slots__ = _fields = ("errors", "trials")
 
     def __init__(self, errors: int, trials: int):
-        Record.__init__(self, errors, trials)
+        trials = check_int("trials", trials, 1)
+        Record.__init__(self, check_int("errors", errors, 0, trials), trials)
 
     @property
     def p_hat(self) -> float:

@@ -77,6 +77,8 @@ class LayerPlan(Record):
     __slots__ = _fields + ("_cum",)
 
     def __init__(self, tilde_rates: tuple[float, ...], W: int):
+        if not tilde_rates:
+            raise ValidationError("a layer plan needs at least one layer")
         if any(r < -1e-12 for r in tilde_rates):
             raise ValidationError("layer rates must be nonnegative")
         Record.__init__(self, tilde_rates, W)

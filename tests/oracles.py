@@ -18,8 +18,6 @@ import struct
 import sys
 from decimal import Decimal, localcontext
 
-import numpy as np
-
 import streamrate.markov as markov
 from streamrate import (
     ConvergenceError,
@@ -339,10 +337,13 @@ def reference_bounds(cfg, solve) -> dict:
     }
 
 
-def reference_stationary(P) -> np.ndarray | None:
+def reference_stationary(P):
     """The unique probability vector in the null space of (P^T - I), by SVD,
-    or None when the rank test finds no unique one (more than one closed
-    class, or cross mass too small for the 1e-10 singular-value threshold)."""
+    as a numpy array, or None when the rank test finds no unique one (more
+    than one closed class, or cross mass too small for the 1e-10
+    singular-value threshold)."""
+    import numpy as np
+
     P = np.asarray(P, dtype=float)
     n = P.shape[0]
     _, s, vt = np.linalg.svd(P.T - np.eye(n))
@@ -384,6 +385,8 @@ def reference_matrix_power(P, k: int):
 
 def reference_lag_entropy(P, pi, lag: int) -> float:
     """H(s_lag | s_0) in bits from numpy's matrix power, all rows in one pass."""
+    import numpy as np
+
     Pk = np.linalg.matrix_power(np.asarray(P, dtype=float), lag)
     logs = np.zeros_like(Pk)
     np.log2(Pk, out=logs, where=Pk > 0.0)

@@ -9,13 +9,13 @@ longhand arithmetic, exhaustive enumeration) before being frozen here.
 import math
 import time
 
-import numpy as np
 import pytest
 
 import streamrate as sr
-from conftest import random_chain
+from conftest import numpy_or_none, random_chain
 from oracles import decodability_check
 
+np = numpy_or_none()
 CHAIN_GRID_SEED = 1234
 
 
@@ -30,6 +30,7 @@ def chain_grid():
     return [random_chain(rng, int(rng.integers(2, 4))) for _ in range(50)]
 
 
+@pytest.mark.needs_numpy
 def test_criterion_01_bound_ordering(chain_grid):
     start = time.perf_counter()
     ok = True
@@ -45,6 +46,7 @@ def test_criterion_01_bound_ordering(chain_grid):
     _line(1, ok, f"lossless bound ordering on 50 chains x 25 windows ({elapsed:.2f}s)")
 
 
+@pytest.mark.needs_numpy
 def test_criterion_02_amortization_identity(chain_grid):
     ok = True
     for chain in chain_grid:
@@ -56,6 +58,7 @@ def test_criterion_02_amortization_identity(chain_grid):
     _line(2, ok, "upper bound times W+1 equals the joint window entropy")
 
 
+@pytest.mark.needs_numpy
 def test_criterion_03_gauss_markov_cross_oracle():
     start = time.perf_counter()
     ok = True
@@ -74,6 +77,7 @@ def test_criterion_03_gauss_markov_cross_oracle():
     _line(3, ok, f"closed forms vs exact conditioning at t=40, 12 configs ({elapsed:.2f}s)")
 
 
+@pytest.mark.needs_numpy
 def test_criterion_04_quadratic_consistency():
     rng = np.random.default_rng(99)
     ok = True
@@ -169,6 +173,7 @@ def test_criterion_09_decodability_sweep():
     _line(9, ok, f"layer packing decodable for every burst placement ({elapsed:.1f}s)")
 
 
+@pytest.mark.needs_numpy
 def test_criterion_10_monte_carlo():
     start = time.perf_counter()
     cfg = sr.GmConfig(rho=0.9, B=1, D=0.2)

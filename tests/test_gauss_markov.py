@@ -4,9 +4,8 @@ from collections import Counter
 from decimal import Decimal, localcontext
 from unittest import mock
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import streamrate.gauss_markov as gm
@@ -31,6 +30,7 @@ from streamrate import (
     rate_upper_single,
     solve_test_channel_single,
 )
+from conftest import numpy_or_none
 from oracles import (
     converse_rate_decimal,
     reference_aged,
@@ -48,6 +48,8 @@ from streamrate.gauss_markov import (
     _solve_increasing,
     lower_bound_closed_form,
 )
+
+np = numpy_or_none()
 
 
 def quadratic_root_rate(rho: float, B: int, D: float) -> float:
@@ -91,12 +93,14 @@ class TestConfigValidation:
 
 
 class TestLowerBound:
+    @pytest.mark.needs_numpy
     def test_reference_point(self):
         cfg = GmConfig(rho=0.9, B=1, D=0.2)
         got = lower_bound_single(cfg)
         assert got == pytest.approx(0.560787614161078, abs=1e-12)
         assert got == pytest.approx(quadratic_root_rate(0.9, 1, 0.2), abs=1e-10)
 
+    @pytest.mark.needs_numpy
     def test_quadratic_oracle_grid(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
@@ -106,6 +110,7 @@ class TestLowerBound:
             got = lower_bound_single(GmConfig(rho=rho, B=B, D=D))
             assert got == pytest.approx(quadratic_root_rate(rho, B, D), abs=1e-10)
 
+    @pytest.mark.needs_numpy
     @settings(max_examples=300, deadline=None)
     @given(
         rho=st.floats(1e-6, 1 - 1e-6),
@@ -186,6 +191,7 @@ class TestSteadyStateFilter:
             want = float((b + (b * b + 4 * dq * ds).sqrt()) / 2)
         assert kalman_steady_sigma(rho, sigma_z2) == pytest.approx(want, rel=4e-16)
 
+    @pytest.mark.needs_numpy
     def test_riccati_agreement_random(self):
         rng = np.random.default_rng(11)
         for _ in range(100):
@@ -209,6 +215,7 @@ class TestSingleBurstChannel:
         sig_inf = kalman_steady_sigma(0.9, 1e12)
         assert top == pytest.approx(1 - 0.81 * (1 - sig_inf), rel=1e-6)
 
+    @pytest.mark.needs_numpy
     def test_gamma_strictly_increasing(self):
         cfg = GmConfig(rho=0.8, B=2, D=0.3)
         grid = np.exp(np.linspace(math.log(1e-8), math.log(1e8), 60))
@@ -248,6 +255,7 @@ class TestSingleBurstChannel:
         got = rate_upper_single(GmConfig(rho=1e-6, B=1, D=0.25))
         assert got == pytest.approx(1.0, abs=1e-5)
 
+    @pytest.mark.needs_numpy
     def test_dominates_lower_bound(self):
         rng = np.random.default_rng(7)
         for _ in range(30):
@@ -677,6 +685,7 @@ class TestMultiBurstChannel:
         got = eta_multi(cfg, TestChannel(1e12))
         assert got == pytest.approx(1 - 0.81 * 0.8, abs=1e-10)
 
+    @pytest.mark.needs_numpy
     def test_eta_matches_direct_schur(self):
         for rho in (0.05, 0.3, 0.6, 0.9, 0.99):
             for L in range(1, 13):
@@ -710,6 +719,7 @@ class TestMultiBurstChannel:
             assert rate <= prev + 1e-12
             prev = rate
 
+    @pytest.mark.needs_numpy
     def test_nonincreasing_in_guard_random_grid(self):
         rng = np.random.default_rng(31)
         for _ in range(25):
@@ -721,6 +731,7 @@ class TestMultiBurstChannel:
             longer, _ = rate_upper_multi(GmConfig(rho=rho, B=B, D=D, L=L + 1))
             assert longer <= shorter + 1e-9
 
+    @pytest.mark.needs_numpy
     def test_distortion_map_increasing_in_noise(self):
         # the bracketed root solve rests on this map being increasing
         rng = np.random.default_rng(33)
@@ -736,6 +747,7 @@ class TestMultiBurstChannel:
             vals = [mmse(s) for s in grid]
             assert all(b > a for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.needs_numpy
     @settings(max_examples=200, deadline=None)
     @given(
         rho=st.floats(1e-6, 1 - 1e-6),
@@ -777,12 +789,21 @@ class TestHighResolution:
         assert gaps_lo[0] > gaps_lo[1] > gaps_lo[2]
         assert gaps_mu[0] > gaps_mu[1] > gaps_mu[2]
 
-    @pytest.mark.parametrize("entry", [lower_bound_single, high_res_rate])
+    @pytest.mark.parametrize("entry", [
+        lower_bound_single, high_res_rate, rate_upper_single, rate_upper_multi, naive_wz_rate, compute_bounds,
+        finite_t_lower,
+    ])
     def test_subnormal_target_is_precision_error(self, entry):
-        # below the normal float range 1 / D overflows, and the rate read inf
+        # below the normal float range 1 / D overflows, and the converse and
+        # the asymptote read inf; the test channels' noise would underflow
+        def rate(D):
+            cfg = GmConfig(rho=0.9, B=1, D=D, L=2)
+            got = entry(cfg, 10) if entry is finite_t_lower else entry(cfg)
+            return got.upper_multi if isinstance(got, GmBounds) else got[0] if isinstance(got, tuple) else got
+
         with pytest.raises(PrecisionError, match="below the normal float range"):
-            entry(GmConfig(rho=0.9, B=1, D=1e-310))
-        assert math.isfinite(entry(GmConfig(rho=0.9, B=1, D=sys.float_info.min)))
+            rate(1e-310)
+        assert math.isfinite(rate(sys.float_info.min))
 
 
 class TestNaiveTwoPoint:
@@ -816,6 +837,7 @@ class TestNaiveTwoPoint:
 
     @settings(max_examples=300, deadline=None)
     @given(rho=st.floats(0.05, 0.99), B=st.integers(1, 5), log_d=st.floats(-10.0, -0.02))
+    @example(rho=0.9, B=1, log_d=-8.0)
     def test_ordered_above_asymptote_and_converse(self, rho, B, log_d):
         # an achievable rate: at least the converse, and at least the
         # asymptote, since the aged error 1 - c (1 - pre) is at least 1 - c
@@ -823,6 +845,11 @@ class TestNaiveTwoPoint:
         nwz = naive_wz_rate(cfg)
         assert nwz >= high_res_rate(cfg)
         assert nwz >= lower_bound_single(cfg) - 1e-14
+
+
+def _horizon_steps(B: int) -> list[int]:
+    """t - B - 1 for t = B + 1 to B + 99 and t = round(10**(k / 8)), k = 16 to 48."""
+    return sorted(set(range(99)) | {round(10 ** (k / 8)) - B - 1 for k in range(16, 49)})
 
 
 class TestFiniteHorizon:
@@ -855,11 +882,18 @@ class TestFiniteHorizon:
     @given(
         rho=st.one_of(st.floats(0.05, 0.99), st.floats(1.0, 12.0).map(lambda k: 1.0 - 10.0**-k)),
         B=st.integers(1, 5),
-        log_d=st.floats(math.log10(sys.float_info.min), 0.0),
+        D=st.floats(math.log10(sys.float_info.min), 0.0).map(lambda e: max(10.0**e, sys.float_info.min)),
         steps=st.lists(st.one_of(st.integers(0, 100), st.integers(0, 10**400)), min_size=1, max_size=6),
     )
-    def test_in_the_bracket_and_non_decreasing_in_t(self, rho, B, log_d, steps):
-        cfg = GmConfig(rho=rho, B=B, D=max(10.0**log_d, sys.float_info.min))
+    # near rho = 1 a damped fixed-point iteration stalled on the first row and
+    # overshot lower_bound_single on the second; each row over t = B + 1 to
+    # B + 99 and 100 to 10**6 at eight points a decade
+    @example(rho=0.9999999967691202, B=4, D=0.0005104807849912838, steps=_horizon_steps(4))
+    @example(rho=0.9999999993950323, B=5, D=3.151797898663912e-09, steps=_horizon_steps(5))
+    @example(rho=0.9, B=1, D=0.2, steps=_horizon_steps(1))
+    @example(rho=0.5, B=3, D=1e-6, steps=_horizon_steps(3))
+    def test_in_the_bracket_and_non_decreasing_in_t(self, rho, B, D, steps):
+        cfg = GmConfig(rho=rho, B=B, D=D)
         lo, hi = high_res_rate(cfg), lower_bound_single(cfg)
         rates = [finite_t_lower(cfg, B + 1 + k) for k in sorted(steps)]
         assert all(math.isfinite(r) and lo <= r <= hi for r in rates), (lo, hi, rates)
@@ -871,6 +905,7 @@ class TestFiniteHorizon:
 
 
 class TestBoundChain:
+    @pytest.mark.needs_numpy
     def test_grid_ordering(self):
         # lower <= upper_single <= upper_multi across a 200-point grid
         rng = np.random.default_rng(29)

@@ -13,31 +13,38 @@ import numbers
 from decimal import Decimal
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import streamrate as sr
+from conftest import numpy_or_none, numpy_params
 from oracles import decodability_check, riccati_prediction_error
 from streamrate import ConvergenceError, NumericalError, ValidationError, cli
 from streamrate.errors import (
     Record, check_int, check_open_unit, check_probability, check_real, check_seed, check_variance,
 )
 
+np = numpy_or_none()
+
 
 class TestRules:
-    @pytest.mark.parametrize("value", [0, 7, np.int64(7), np.int32(7), np.uint64(7), np.int8(0)])
+    @pytest.mark.parametrize("value", [
+        0, 7, *numpy_params(lambda np: [np.int64(7), np.int32(7), np.uint64(7), np.int8(0)]),
+    ])
     def test_int_accepts_python_and_numpy_integers(self, value):
         got = check_int("n", value, 0, 7)
         assert type(got) is int and got == int(value)
 
-    @pytest.mark.parametrize("value", [0.5, np.float64(0.5), np.float32(0.9), Fraction(1, 3)], ids=repr)
+    @pytest.mark.parametrize(
+        "value", [0.5, *numpy_params(lambda np: [np.float64(0.5), np.float32(0.9)]), Fraction(1, 3)], ids=repr,
+    )
     def test_real_rules_return_the_float(self, value):
         for rule in (check_real, check_open_unit, check_probability, check_variance):
             got = rule("x", value)
             assert type(got) is float and got == float(value)
 
+    @pytest.mark.needs_numpy
     def test_rules_range_test_the_converted_float(self):
         # Fraction(1, 10**400) is positive, and its float is 0.0
         assert check_real("x", Fraction(1, 10**400)) == 0.0
@@ -70,17 +77,23 @@ class TestRules:
             with pytest.raises(ValidationError, match="^seed must be an integer"):
                 rule(value)
 
-    @pytest.mark.parametrize("value", [True, False, 1.0, 1.5, "1", None, np.float64(1.0), math.nan])
+    @pytest.mark.parametrize(
+        "value", [True, False, 1.0, 1.5, "1", None, *numpy_params(lambda np: [np.float64(1.0)]), math.nan],
+    )
     def test_int_rejects_other_types(self, value):
         with pytest.raises(ValidationError, match="n must be an integer"):
             check_int("n", value)
 
-    @pytest.mark.parametrize("value, lo, hi", [(-1, 0, None), (8, 0, 7), (2, 3, 9), (np.int64(-1), 0, None)])
+    @pytest.mark.parametrize("value, lo, hi", [
+        (-1, 0, None), (8, 0, 7), (2, 3, 9), *numpy_params(lambda np: [(np.int64(-1), 0, None)], width=3),
+    ])
     def test_int_range(self, value, lo, hi):
         with pytest.raises(ValidationError, match="n must be an integer"):
             check_int("n", value, lo, hi)
 
-    @pytest.mark.parametrize("value", [0.5, 1e-300, 1 - 1e-16, np.float64(0.9), np.float32(0.5)])
+    @pytest.mark.parametrize("value", [
+        0.5, 1e-300, 1 - 1e-16, *numpy_params(lambda np: [np.float64(0.9), np.float32(0.5)]),
+    ])
     def test_open_unit_accepts(self, value):
         check_open_unit("rho", value)
 
@@ -101,6 +114,7 @@ class TestRules:
             with pytest.raises(ValidationError, match="nonnegative and finite"):
                 check_variance("sigma_z2", bad, zero_ok=True)
 
+    @pytest.mark.needs_numpy
     def test_seed_range(self):
         check_seed(0)
         check_seed(2**64 - 1)
@@ -204,15 +218,28 @@ LIBRARY_ROWS = {
     "multi-burst-B-True": lambda: sr.ErasurePattern.multi_burst(6, (0, 2, 3, 5), True, 1),
     "multi-burst-L-1.5": lambda: sr.ErasurePattern.multi_burst(6, (0, 2, 3, 5), 1, 1.5),
     "multi-burst-L-0": lambda: sr.ErasurePattern.multi_burst(6, (0, 2, 3, 5), 1, 0),
+    # records built directly: p_hat divided by zero trials, a count above
+    # its trials put ci_low above ci_high, and no layers had no amortized rate
+    "binning-result-trials-0": lambda: sr.BinningResult(5, 0),
+    "binning-result-errors-7-of-5": lambda: sr.BinningResult(7, 5),
+    "layer-plan-no-layers": lambda: sr.sliding.LayerPlan((), 0),
 }
 
 
-@pytest.mark.parametrize("call", LIBRARY_ROWS.values(), ids=LIBRARY_ROWS.keys())
+# the rows of these kinds reach streamrate.sim, which needs numpy
+SIM_ROWS = ("stream-", "binning-", "sweep-", "simconfig-")
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(call, marks=pytest.mark.needs_numpy) if name.startswith(SIM_ROWS) else call
+    for name, call in LIBRARY_ROWS.items()
+], ids=LIBRARY_ROWS.keys())
 def test_library_rejects(call):
     with pytest.raises(ValidationError):
         call()
 
 
+@pytest.mark.needs_numpy
 def test_sim_bursts_are_kept_as_a_tuple_of_int_pairs():
     listed, tupled = _sim_cfg(bursts=[[1, 2]]), _sim_cfg(bursts=((1, 2),))
     assert listed == tupled and hash(listed) == hash(tupled)
@@ -253,7 +280,10 @@ CLI_ROWS = {
 }
 
 
-@pytest.mark.parametrize("argv, doc", CLI_ROWS.values(), ids=CLI_ROWS.keys())
+@pytest.mark.parametrize("argv, doc", [
+    pytest.param(argv, doc, marks=pytest.mark.needs_numpy) if argv[0] == "simulate" else (argv, doc)
+    for argv, doc in CLI_ROWS.values()
+], ids=CLI_ROWS.keys())
 def test_cli_rejects_with_one_line(argv, doc, tmp_path, capsys):
     if doc is not None:
         path = tmp_path / "input.json"
@@ -293,11 +323,12 @@ def _results(i):
     ]
 
 
-@pytest.mark.parametrize("numpy_int", [np.int64, np.int32])
+@pytest.mark.parametrize("numpy_int", numpy_params(lambda np: [np.int64, np.int32]))
 def test_numpy_integers_give_the_python_results(numpy_int):
     assert _results(numpy_int) == _results(int)
 
 
+@pytest.mark.needs_numpy
 def test_float32_rho_gives_the_float_results():
     rho = np.float32(0.9)
     assert sr.compute_bounds(sr.GmConfig(rho=rho, B=1, D=0.2, L=2)) == sr.compute_bounds(
@@ -306,7 +337,8 @@ def test_float32_rho_gives_the_float_results():
     assert type(sr.kalman_steady_sigma(rho, np.float32(0.1))) is float
 
 
-@pytest.mark.parametrize("integer, real", [(np.int64, np.float32), (np.uint64, np.float32)])
+@pytest.mark.parametrize("integer, real", numpy_params(lambda np: [(np.int64, np.float32), (np.uint64, np.float32)],
+                                                     width=2))
 def test_reports_from_numpy_inputs_write_as_json(integer, real):
     reports = [
         (sr.verify_single_burst_worst_case, (0.9, 0.1), (2, 8), {}),
@@ -404,8 +436,6 @@ ENTRY_POINTS = {
     ),
     "sim": _sim,
 }
-INTEGER_KINDS = (np.int32, np.int64, np.uint64)
-REAL_KINDS = (np.float32, np.float64, Fraction)
 
 
 def _outcome(entry, n, values):
@@ -415,6 +445,7 @@ def _outcome(entry, n, values):
         return type(exc)
 
 
+@pytest.mark.needs_numpy
 @pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
 @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data(), values=st.fixed_dictionaries({
@@ -422,10 +453,11 @@ def _outcome(entry, n, values):
     "q": st.floats(0.01, 0.49),
 }))
 def test_numpy_and_fraction_inputs_give_the_python_results(entry, data, values):
+    integer_kinds, real_kinds = (np.int32, np.int64, np.uint64), (np.float32, np.float64, Fraction)
     drawn = []
 
     def kind_of(x):
-        kinds = INTEGER_KINDS if type(x) is int else REAL_KINDS
+        kinds = integer_kinds if type(x) is int else real_kinds
         drawn.append(data.draw(st.sampled_from(kinds))(x))
         return drawn[-1]
 

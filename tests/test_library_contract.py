@@ -127,6 +127,7 @@ def test_multiterminal_sum_rate(P):
         assert_finite(rate)
 
 
+@pytest.mark.needs_numpy
 @settings(max_examples=25, deadline=None)
 @given(rhos, noises, st.integers(1, 40), st.integers(1, 32), st.integers(0, 2**64 - 1), st.integers(1, 5))
 def test_sweep_burst_position(rho, sigma_z2, horizon, trials, seed, B):

@@ -2,13 +2,12 @@ import json
 import math
 import warnings
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 from conftest import (
+    numpy_or_none,
     oracle_conditional_entropy,
     oracle_lag_entropy,
     oracle_lossless_bounds,
@@ -31,6 +30,8 @@ from streamrate import (
     window_conditional_entropy,
 )
 
+np = numpy_or_none()
+
 
 def hb(q: float) -> float:
     """Binary entropy in bits."""
@@ -40,23 +41,28 @@ def hb(q: float) -> float:
 
 
 class TestStationaryDistribution:
+    @pytest.mark.needs_numpy
     def test_symmetric_flip_is_uniform(self):
         pi = stationary_distribution(np.array([[0.9, 0.1], [0.1, 0.9]]))
         assert np.allclose(pi, [0.5, 0.5], atol=1e-12)
 
+    @pytest.mark.needs_numpy
     def test_identity_is_reducible(self):
         with pytest.raises(ConvergenceError):
             stationary_distribution(np.eye(2))
 
+    @pytest.mark.needs_numpy
     def test_hand_solved_two_state(self):
         # pi P = pi gives pi = (0.4, 0.6) for this matrix
         pi = stationary_distribution(np.array([[0.7, 0.3], [0.2, 0.8]]))
         assert np.allclose(pi, [0.4, 0.6], atol=1e-10)
 
+    @pytest.mark.needs_numpy
     def test_non_stochastic_row_rejected(self):
         with pytest.raises(ValidationError):
             stationary_distribution(np.array([[0.5, 0.4], [0.5, 0.5]]))
 
+    @pytest.mark.needs_numpy
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_entry_rejected(self, bad):
         # NaN passes every range comparison, so it must be rejected by name
@@ -65,6 +71,7 @@ class TestStationaryDistribution:
         with pytest.raises(ValidationError):
             MarkovChain.from_transition([[bad, 1.0], [0.0, 1.0]])
 
+    @pytest.mark.needs_numpy
     @pytest.mark.parametrize(
         "P, expected",
         [
@@ -78,10 +85,12 @@ class TestStationaryDistribution:
         pi = stationary_distribution(np.array(P))
         assert np.allclose(pi, expected, rtol=0, atol=1e-12)
 
+    @pytest.mark.needs_numpy
     def test_single_closed_class_with_transient_state(self):
         pi = stationary_distribution(np.array([[1.0, 0.0], [0.5, 0.5]]))
         assert np.allclose(pi, [1.0, 0.0], rtol=0, atol=1e-12)
 
+    @pytest.mark.needs_numpy
     def test_two_blocks_with_tiny_cross_mass(self):
         # cross mass far below any singular-value threshold: still one closed class
         eps = 1e-200
@@ -108,6 +117,7 @@ class TestStationaryDistribution:
 
 
 class TestMarkovChainType:
+    @pytest.mark.needs_numpy
     def test_from_json_roundtrip(self, tmp_path):
         doc = {"alphabet_size": 2, "transition": [[0.7, 0.3], [0.2, 0.8]]}
         path = tmp_path / "chain.json"
@@ -152,6 +162,7 @@ class TestMarkovChainType:
         with pytest.raises(ValidationError, match="finite"):
             MarkovChain(2, [[0.5, 0.5], [0.5, 0.5]], [bad, 1.0])
 
+    @pytest.mark.needs_numpy
     def test_bad_stationary_rejected(self):
         with pytest.raises(ValidationError):
             MarkovChain(2, np.array([[0.7, 0.3], [0.2, 0.8]]), np.array([0.5, 0.5]))
@@ -166,6 +177,7 @@ class TestConditionalEntropyLag:
     def test_fair_coin(self):
         assert conditional_entropy_lag(binary_symmetric_chain(0.5), 1) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.needs_numpy
     def test_lag_one_binary(self):
         chain = binary_symmetric_chain(0.1)
         got = conditional_entropy_lag(chain, 1)
@@ -173,6 +185,7 @@ class TestConditionalEntropyLag:
         assert got == pytest.approx(oracle_conditional_entropy(chain, [1], [0]), abs=1e-12)
         assert got == pytest.approx(0.4689955935892812, abs=1e-12)
 
+    @pytest.mark.needs_numpy
     def test_lag_two_binary(self):
         # two-step flip probability 2 q (1 - q) = 0.18
         chain = binary_symmetric_chain(0.1)
@@ -186,6 +199,7 @@ class TestConditionalEntropyLag:
 
 
 class TestWindowEntropy:
+    @pytest.mark.needs_numpy
     def test_binary_window(self):
         chain = binary_symmetric_chain(0.1)
         got = window_conditional_entropy(chain, 1, 1)
@@ -211,6 +225,7 @@ class TestLosslessBounds:
         assert b.upper == pytest.approx(b.lower, abs=1e-12)
         assert b.upper == pytest.approx(hb(0.18), abs=1e-12)
 
+    @pytest.mark.needs_numpy
     def test_b1_w1_binary(self):
         chain = binary_symmetric_chain(0.1)
         b = lossless_bounds(chain, 1, 1)
@@ -274,6 +289,7 @@ class TestMultiterminalSumRate:
     def test_iid(self):
         assert multiterminal_sum_rate(binary_symmetric_chain(0.5)) == pytest.approx(2.0, abs=1e-12)
 
+    @pytest.mark.needs_numpy
     def test_binary_q01(self):
         chain = binary_symmetric_chain(0.1)
         got = multiterminal_sum_rate(chain)
@@ -304,6 +320,7 @@ class TestIsSymmetric:
         with pytest.raises(ValidationError):
             is_symmetric(binary_symmetric_chain(0.1), tol)
 
+    @pytest.mark.needs_numpy
     def test_cycle_not_reversible(self):
         P = np.full((3, 3), 0.0)
         for a in range(3):
@@ -311,6 +328,7 @@ class TestIsSymmetric:
             P[a, a] = 0.1
         assert not is_symmetric(MarkovChain.from_transition(P), 1e-6)
 
+    @pytest.mark.needs_numpy
     def test_matches_pairwise_joint_exchange(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
@@ -320,6 +338,7 @@ class TestIsSymmetric:
             assert is_symmetric(chain, 1e-10) == exchangeable
 
 
+@pytest.mark.needs_numpy
 class TestOracleAgreement:
     def test_random_chains_against_joint_pmf(self):
         rng = np.random.default_rng(17)
@@ -358,7 +377,7 @@ class TestOracleAgreement:
             )
 
 
-def _stochastic(raw: np.ndarray) -> np.ndarray:
+def _stochastic(raw):
     raw = np.asarray(raw, dtype=float)
     return raw / raw.sum(axis=1, keepdims=True)
 
@@ -367,13 +386,17 @@ _positive = st.floats(0.01, 1.0)
 
 
 @st.composite
-def _positive_block(draw, rows: int, cols: int) -> np.ndarray:
+def _positive_block(draw, rows: int, cols: int):
+    from hypothesis.extra import numpy as hnp
+
     return _stochastic(draw(hnp.arrays(float, (rows, cols), elements=_positive)))
 
 
 @st.composite
-def random_stochastic(draw) -> np.ndarray:
+def random_stochastic(draw):
     """Any n x n stochastic matrix, n = 1..8; zeros allowed, so some are reducible."""
+    from hypothesis.extra import numpy as hnp
+
     n = draw(st.integers(1, 8))
     raw = draw(hnp.arrays(float, (n, n), elements=st.one_of(st.just(0.0), st.floats(0.0, 1.0))))
     empty = raw.sum(axis=1) == 0.0
@@ -382,7 +405,7 @@ def random_stochastic(draw) -> np.ndarray:
 
 
 @st.composite
-def bipartite_periodic(draw) -> np.ndarray:
+def bipartite_periodic(draw):
     """Period-2 chain that alternates between parts of unequal sizes."""
     a, b = draw(st.tuples(st.integers(1, 4), st.integers(1, 4)).filter(lambda ab: ab[0] != ab[1]))
     P = np.zeros((a + b, a + b))
@@ -392,7 +415,7 @@ def bipartite_periodic(draw) -> np.ndarray:
 
 
 @st.composite
-def nearly_reducible(draw) -> np.ndarray:
+def nearly_reducible(draw):
     """Two positive blocks joined by cross mass eps in [1e-6, 0.1]."""
     a, b = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     eps = 10.0 ** draw(st.floats(-6.0, -1.0))
@@ -405,7 +428,7 @@ def nearly_reducible(draw) -> np.ndarray:
 
 
 @st.composite
-def block_diagonal(draw) -> np.ndarray:
+def block_diagonal(draw):
     """Two closed classes: no unique stationary law."""
     a, b = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     P = np.zeros((a + b, a + b))
@@ -414,7 +437,7 @@ def block_diagonal(draw) -> np.ndarray:
     return P
 
 
-def _assert_law_and_ordered_bounds(P: np.ndarray) -> None:
+def _assert_law_and_ordered_bounds(P) -> None:
     """A chain either raises a typed error or has a valid law and ordered bounds."""
     try:
         chain = MarkovChain.from_transition(P)
@@ -434,6 +457,7 @@ def _assert_law_and_ordered_bounds(P: np.ndarray) -> None:
 _chain_settings = settings(max_examples=40, deadline=None)
 
 
+@pytest.mark.needs_numpy
 class TestStationaryProperties:
     @_chain_settings
     @given(random_stochastic())
@@ -460,6 +484,7 @@ class TestStationaryProperties:
             stationary_distribution(P)
 
 
+@pytest.mark.needs_numpy
 class TestClosedClass:
     """The closed class against Warshall's closure: all-positive chains take
     the one-step class, chains with zeros the closure itself."""
@@ -476,7 +501,7 @@ class TestClosedClass:
             assert markov._closed_class(P) == want
 
 
-def _assert_matches_reference(P: np.ndarray) -> None:
+def _assert_matches_reference(P) -> None:
     """Wherever the SVD reference solves, the chain has its law and bounds.
 
     They agree within 1e-12 plus a hundred times the reference's own error:
@@ -496,6 +521,7 @@ def _assert_matches_reference(P: np.ndarray) -> None:
             assert np.max(np.abs(np.subtract((b.predictive_rate, b.lower, b.upper), want))) <= tol
 
 
+@pytest.mark.needs_numpy
 class TestAgainstReference:
     """GTH and the stdlib lag entropies against the SVD null space and numpy's
     matrix power."""
@@ -526,6 +552,7 @@ def _outcome(fn, *args):
 class TestEntropyKernel:
     """The one-pass lag entropy against the row-by-row loop it replaced."""
 
+    @pytest.mark.needs_numpy
     @settings(max_examples=100, deadline=None)
     @given(random_stochastic(), st.integers(1, 12), st.integers(0, 4), st.integers(0, 4))
     def test_matches_row_loop(self, P, lag, B, W):
@@ -560,6 +587,7 @@ class TestEntropyKernel:
         assert len(lags) == len(set(lags)) == powers
         assert len(calls) == products
 
+    @pytest.mark.needs_numpy
     def test_sum_rate_powers_each_lag_once(self, monkeypatch):
         # H(s3|s0) was computed twice: once for the sum, once in its cross-check;
         # now lags 1, 2, 3 take one squaring and one product, P^2 P
@@ -571,6 +599,7 @@ class TestEntropyKernel:
         assert multiterminal_sum_rate(chain) == expected
         assert len(calls) == 2
 
+    @pytest.mark.needs_numpy
     @settings(max_examples=30, deadline=None)
     @given(random_stochastic(), st.sets(st.integers(1, 70), min_size=1, max_size=4))
     def test_ladder_powers_are_the_per_lag_powers(self, P, lags):

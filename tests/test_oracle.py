@@ -1,7 +1,6 @@
 import math
 import random
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -26,6 +25,7 @@ from streamrate import (
     verify_multi_burst_worst_case,
     verify_single_burst_worst_case,
 )
+from conftest import numpy_or_none
 from oracles import (
     reference_dominating_pairs,
     reference_exchange_report,
@@ -42,6 +42,8 @@ from streamrate.oracle import (
     _SlackTracker,
     _stars,
 )
+
+np = numpy_or_none()
 
 
 def _walk_multi_burst(filt, B, L, t_max):
@@ -121,6 +123,7 @@ class TestErasurePattern:
         assert len(received_sets) == len(pats)
 
 
+@pytest.mark.needs_numpy
 class TestConditionalVariance:
     def test_prior(self):
         sys = GaussianSystem(0.9, 0.1, 5)
@@ -152,6 +155,7 @@ class TestConditionalVariance:
             assert GaussianSystem(rho, s2, t).min_eigenvalue() >= -1e-10
 
 
+@pytest.mark.needs_numpy
 class TestDecodeQuantities:
     def test_rate_at_stream_start(self):
         sys = GaussianSystem(0.9, 0.1, 0)
@@ -226,6 +230,8 @@ class TestWorstCaseVerification:
         rep = verify_single_burst_worst_case(0.9, 0.1, B=3, t_max=ENUM_T_CAP)
         assert rep.passed and rep.violations == 0
         assert rep.details[f"t{ENUM_T_CAP}"]["patterns"] == 1 + sum(ENUM_T_CAP - bl + 1 for bl in (1, 2, 3))
+        rep = verify_multi_burst_worst_case(0.9, 0.1, B=3, L=1, t_max=ENUM_T_CAP)
+        assert rep.passed and rep.violations == 0
 
     def test_multi_burst_small(self):
         rep = verify_multi_burst_worst_case(0.7, 0.3, B=1, L=2, t_max=14)
@@ -310,6 +316,7 @@ def _filter_values(filt, pred):
     return pred + filt.s2, pred, filt.mmse(pred)
 
 
+@pytest.mark.needs_numpy
 class TestFilterAgainstDense:
     """The scalar filter behind the checks against the dense Schur complement."""
 
@@ -358,14 +365,14 @@ class TestFilterAgainstDense:
 def _dense_multi_report(rho, s2, B, L, t_max):
     """The multi-burst check written directly on the dense decode quantities."""
     checks = violations = 0
-    min_slack = np.inf
+    min_slack = math.inf
     details = {"rho": rho, "sigma_z2": s2, "B": B, "L": L, "t_max": t_max}
     prev = None
     for t in range(1, t_max + 1):
         sys = GaussianSystem(rho, s2, t)
         star = worst_multi_burst(t, B, L)
         star_vals = (decode_rate(sys, star), decode_mmse(sys, star))
-        best = [(-np.inf, None), (-np.inf, None)]
+        best = [(-math.inf, None), (-math.inf, None)]
         slacks = []
         pats = enumerate_multi_burst(t, B, L)
         for pat in pats:
@@ -391,6 +398,7 @@ def _dense_multi_report(rho, s2, B, L, t_max):
     return violations == 0, checks, violations, min_slack, details
 
 
+@pytest.mark.needs_numpy
 @pytest.mark.parametrize(
     "rho,s2,B,L,t_max",
     [
@@ -431,7 +439,7 @@ def test_multi_burst_long_horizon():
         assert info["argmax_mmse_received"] == info["star_received"]
     filt = _Filter(0.9, 0.1)
     star = rep.details["t22"]["star_received"]
-    best_runs, best = None, -np.inf
+    best_runs, best = None, -math.inf
     for t, runs, pred in _walk_multi_burst(filt, 2, 3, 22):
         if t == 22 and filt.rate(pred) > best:
             best_runs, best = runs, filt.rate(pred)
@@ -495,7 +503,7 @@ def _walk_multi_report(rho, s2, B, L, t_max):
     for t, runs, pred in _walk_multi_burst(filt, B, L, t_max):
         walked[t].append((_received(t, runs), pred))
     checks = violations = 0
-    min_slack = np.inf
+    min_slack = math.inf
     details = {"rho": rho, "sigma_z2": s2, "B": B, "L": L, "t_max": t_max}
     prev = None
     for t in range(1, t_max + 1):
@@ -590,6 +598,7 @@ def _rebuilt_burst_preds(filt, t_max, B):
     ]
 
 
+@pytest.mark.needs_numpy
 @pytest.mark.parametrize("seed", range(6))
 def test_single_and_exchange_reports_equal_pattern_rebuild(seed, monkeypatch):
     """Seeded configurations: the single-burst tables and the exchange report

@@ -11,13 +11,15 @@ import copy
 import math
 import pickle
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import streamrate as sr
+from conftest import numpy_or_none
 from oracles import DecodeReport
+
+np = numpy_or_none()
 
 CASES = {
     "GmConfig": dict(rho=0.9, B=1, D=0.2, L=2),
@@ -32,7 +34,7 @@ CASES = {
                                worst={"t": 2}, notes=["a note"], details={"k": 1}),
     "SimConfig": dict(rho=0.9, sigma_z2=0.1, horizon=10, trials=4, seed=7, bursts=((2, 1),)),
     "StreamResult": dict(mse=np.array([0.5, 0.25]), stderr=np.array([0.1, 0.05]),
-                         exact_mmse=np.array([0.5, 0.25]), erased=np.array([False, True])),
+                         exact_mmse=np.array([0.5, 0.25]), erased=np.array([False, True])) if np else None,
     "BurstSweepReport": dict(offsets=(0, 1), empirical=(0.5, 0.4), stderr=(0.01, 0.01), exact=(0.5, 0.4),
                              decode_time=9),
     "BinningConfig": dict(n=8, q=0.1, rate=0.8, trials=100, seed=3),
@@ -43,6 +45,8 @@ CASES = {
     "DecodeReport": dict(passed=True, first_failure=None, steady_decodes=4, joint_decodes=1, checked_times=5),
 }
 NAMES = sorted(CASES)
+# the records of streamrate.sim, and GaussianSystem's covariance, need numpy
+NUMPY_RECORDS = {"BinningConfig", "BinningResult", "BurstSweepReport", "GaussianSystem", "SimConfig", "StreamResult"}
 ARRAYS = {"StreamResult"}  # numpy fields: unhashable, compared by value
 UNHASHABLE = ARRAYS | {"VerificationReport"}  # and list and dict fields
 # values a record derives from its fields: read-only properties, not fields
@@ -52,6 +56,11 @@ DERIVED = {
     "BurstSweepReport": ("exact_nonincreasing", "empirical_tracks_exact"),
     "StreamResult": ("times",),
 }
+
+
+def params(names):
+    """names as test parameters, those of NUMPY_RECORDS marked needs_numpy."""
+    return [pytest.param(name, marks=pytest.mark.needs_numpy) if name in NUMPY_RECORDS else name for name in names]
 
 
 def record_type(name):
@@ -76,7 +85,7 @@ def test_every_record_type_is_covered():
     assert all(name in sr.__all__ for name in set(CASES) - {"DecodeReport"})
 
 
-@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("name", params(NAMES))
 def test_positional_and_keyword_construction_agree(name):
     kwargs = CASES[name]
     positional = record_type(name)(*kwargs.values())
@@ -86,7 +95,7 @@ def test_positional_and_keyword_construction_agree(name):
         assert np.array_equal(got, value) if name in ARRAYS else got == value
 
 
-@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("name", params(NAMES))
 def test_missing_or_unknown_argument_is_type_error(name):
     cls, kwargs = record_type(name), CASES[name]
     first = next(iter(kwargs))
@@ -98,7 +107,7 @@ def test_missing_or_unknown_argument_is_type_error(name):
         cls(*kwargs.values(), 1)
 
 
-@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("name", params(NAMES))
 def test_repr_lists_the_fields(name):
     fields = ", ".join(f"{k}={v!r}" for k, v in CASES[name].items())
     assert repr(build(name)) == f"{name}({fields})"
@@ -110,6 +119,7 @@ def test_repr_text():
     assert repr(sr.TestChannel(0.5)) == "TestChannel(sigma_z2=0.5)"
 
 
+@pytest.mark.needs_numpy
 def test_defaults():
     assert sr.GmConfig(0.9, 1, 0.2).L == 1
     with pytest.raises(TypeError):
@@ -121,7 +131,7 @@ def test_defaults():
     assert report.notes is not sr.VerificationReport("check", True, 3, 0, 0.5, None).notes
 
 
-@pytest.mark.parametrize("name", sorted(set(NAMES) - UNHASHABLE))
+@pytest.mark.parametrize("name", params(sorted(set(NAMES) - UNHASHABLE)))
 def test_equality_and_hash_follow_the_fields(name):
     a, b = build(name), build(name)
     assert a is not b and a == b and hash(a) == hash(b)
@@ -135,7 +145,7 @@ def test_field_changes_break_equality():
     assert sr.ErasurePattern(4, (3, 1, 0)) == build("ErasurePattern")  # received is normalised
 
 
-@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("name", params(NAMES))
 def test_assignment_is_attribute_error(name):
     record = build(name)
     field = next(iter(CASES[name]))
@@ -149,11 +159,13 @@ def test_assignment_is_attribute_error(name):
     assert getattr(record, field) is before
 
 
+@pytest.mark.needs_numpy
 def test_arrays_make_an_unhashable_record():
     with pytest.raises(TypeError):
         hash(build("StreamResult"))
 
 
+@pytest.mark.needs_numpy
 def test_stream_results_of_two_seeds_compare_unequal():
     a, b = (sr.simulate_gm_stream(sr.SimConfig(0.9, 0.1, 5, 4, seed)) for seed in (0, 1))
     assert a != b and not a == b
@@ -171,6 +183,7 @@ def test_verification_report_is_unhashable():
     }
 
 
+@pytest.mark.needs_numpy
 @pytest.mark.parametrize("name", sorted(DERIVED))
 def test_derived_values_are_read_only_properties(name):
     record = build(name)
@@ -183,6 +196,7 @@ def test_derived_values_are_read_only_properties(name):
             setattr(record, attr, value)
 
 
+@pytest.mark.needs_numpy
 def test_derived_values_of_the_cases():
     plan = build("LayerPlan")
     assert (plan.B, plan.cum_rates) == (1, (0.75, 0.25))
@@ -218,6 +232,7 @@ def test_layer_plan_properties_equal_the_layer_construction(d, B, W):
     assert _bits(plan.cum_rates) == _bits([sum(tilde[j:]) for j in range(B + 1)])
 
 
+@pytest.mark.needs_numpy
 @given(trials=st.integers(1, 10**7), data=st.data())
 def test_binning_result_properties_equal_the_formulas(trials, data):
     errors = data.draw(st.integers(0, trials))
@@ -230,6 +245,7 @@ def test_binning_result_properties_equal_the_formulas(trials, data):
     )
 
 
+@pytest.mark.needs_numpy
 @settings(max_examples=5, deadline=None)
 @given(seed=st.integers(0, 2**64 - 1), trials=st.integers(1, 40))
 def test_burst_sweep_properties_equal_the_checks(seed, trials):
@@ -239,7 +255,7 @@ def test_burst_sweep_properties_equal_the_checks(seed, trials):
     assert rep.empirical_tracks_exact == all(abs(e - x) <= 3.0 * s for e, s, x in zip(emp, err, exact))
 
 
-@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("name", params(NAMES))
 @pytest.mark.parametrize("round_trip", [
     lambda r: pickle.loads(pickle.dumps(r)),
     copy.copy,
@@ -252,6 +268,7 @@ def test_pickle_and_copy_round_trips(name, round_trip):
     assert_same(name, again, record)
 
 
+@pytest.mark.needs_numpy
 def test_gaussian_system_copy_rebuilds_its_covariance():
     system = build("GaussianSystem")
     again = copy.copy(system)

@@ -1,7 +1,8 @@
 import math
 
-import numpy as np
 import pytest
+
+np = pytest.importorskip("numpy")  # streamrate.sim runs on numpy
 
 from streamrate import (
     BinningConfig,

@@ -8,6 +8,7 @@ bits); the helper's (1 - rho)(1 + rho) and -expm1(n log rho) do not.
 import math
 from decimal import Decimal, localcontext
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -39,6 +40,7 @@ def test_complements_within_3_ulps_of_decimal(rho, n):
         assert one_m_c == q
 
 
+@pytest.mark.needs_numpy
 def test_filter_kernels_share_q_near_unit_correlation():
     # 1 - rho**2 reads 0x1.12e0be0000000p-29 here: 24 of its bits are lost
     rho = 1.0 - 1e-9
