@@ -198,23 +198,27 @@ def json_text(doc) -> str:
     CPython runs its C encoder only without indent, so this writer recurses
     itself: strings go through the C `encode_basestring_ascii`, a list of plain
     ints is one join, and a list object met twice at one depth is encoded once
-    (the worst-case reports share their received lists).  Other types raise
+    (the worst-case reports share their received lists).  A value is written
+    by its exact type; None, a bool or a subclass is written by the first
+    type it is an instance of, as `json.dumps` does.  Other types raise
     TypeError, as `json.dumps` does; a cycle raises RecursionError.
     """
     from json.encoder import encode_basestring_ascii as quote
 
     done = {}  # (id, depth) -> text; the document keeps every list alive
 
-    def text(o, pad):
-        if isinstance(o, str):
+    def text(o, pad, kind=None):
+        if kind is None:
+            kind = type(o)
+        if kind is str:
             return quote(o)
-        if isinstance(o, dict):
+        if kind is dict:
             if not o:
                 return "{}"
             inner = pad + "  "
             body = ("," + inner).join([quote(k) + ": " + text(v, inner) for k, v in o.items()])
             return "{" + inner + body + pad + "}"
-        if isinstance(o, (list, tuple)):
+        if kind is list or kind is tuple:
             if not o:
                 return "[]"
             out = done.get((id(o), len(pad)))
@@ -226,18 +230,21 @@ def json_text(doc) -> str:
                     body = ("," + inner).join([text(v, inner) for v in o])
                 out = done[id(o), len(pad)] = "[" + inner + body + pad + "]"
             return out
+        if kind is float:
+            if o != o:
+                return "NaN"
+            return "Infinity" if o == math.inf else "-Infinity" if o == -math.inf else float.__repr__(o)
+        if kind is int:
+            return int.__repr__(o)
         if o is None:
             return "null"
         if o is True:
             return "true"
         if o is False:
             return "false"
-        if isinstance(o, int):
-            return int.__repr__(o)
-        if isinstance(o, float):
-            if o != o:
-                return "NaN"
-            return "Infinity" if o == math.inf else "-Infinity" if o == -math.inf else float.__repr__(o)
+        for kind in (str, dict, list, tuple, float, int):
+            if isinstance(o, kind):
+                return text(o, pad, kind)
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
     return text(doc, "\n")

@@ -160,10 +160,17 @@ def _steady_sigma(q: float, s: float) -> float:
 
 
 def _eta(a: float, q: float, p: float, steps: int, s: float) -> float:
-    """`eta_multi` from error p over `steps` guard steps at noise s; a = rho^2, q = 1 - a."""
+    """`eta_multi` from error p over `steps` guard steps at noise s; a = rho^2, q = 1 - a.
+
+    A step that returns the float it was given returns it ever after, so the
+    loop stops there with the value of every remaining step: a handful of
+    steps at moderate rho, the full guard near rho = 1."""
     for _ in range(steps):
-        p = a * p + q
-        p = p * s / (p + s)
+        x = a * p + q
+        x = x * s / (x + s)
+        if x == p:
+            break
+        p = x
     return p
 
 
@@ -439,8 +446,8 @@ def _single_burst(cfg: GmConfig) -> tuple[float, float, float, float]:
     converse, the single-burst solve and its rate, none of which depends on
     the guard interval L."""
     lower = lower_bound_single(cfg)
-    tc = solve_test_channel_single(cfg)
-    return lower, _rate(_single_channel(cfg), cfg.D, tc.sigma_z2), high_res_rate(cfg), tc.sigma_z2
+    upper, sigma_z2 = _solve(_single_channel(cfg), cfg.D, "single-burst test channel")
+    return lower, upper, high_res_rate(cfg), TestChannel(sigma_z2).sigma_z2
 
 
 def _with_guard(cfg: GmConfig, single: tuple[float, float, float, float]) -> GmBounds:

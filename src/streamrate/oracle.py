@@ -32,8 +32,10 @@ listing the patterns:
   continuation.  Keeping the top two P per automaton state, with the path
   that reached each, gives per horizon the largest P over all patterns and
   the largest P of any other pattern, which is all the check needs; a
-  counting pass gives the exact number of patterns.  The cost is
-  O(t (B + L)) filter steps for all horizons up to t, where the patterns
+  counting pass gives the exact number of patterns.  Guard states that can
+  no longer reach a full guard before the last horizon are merged into
+  one, so the cost is O(t (B + min(L, t - L + 1))) filter steps for all
+  horizons up to t, O(t B) for the single-burst check, where the patterns
   number up to 2^t.  Ties go to the star, and a failing report counts
   failing (horizon, side) checks, not patterns (see
   `verify_multi_burst_worst_case`).
@@ -70,7 +72,7 @@ EXCHANGE_T_CAP = 30  # exchange check horizon
 ENUM_T_CAP = 500  # worst-case check horizon: the report alone grows as t^2
 LIST_T_CAP = 22  # enumerate_multi_burst, which returns every pattern as a list
 MAX_SET_SIZE = 6  # largest conditioning set the exchange check samples
-SAMPLES_CAP = 10**4  # exchange samples, about 6 us each at t = 30 (2 vCPU Xeon, CPython 3.11)
+SAMPLES_CAP = 10**4  # exchange samples, about 5.5 us each at t = 30 (2 vCPU Xeon, CPython 3.11)
 
 VarId = tuple[str, int]
 
@@ -462,35 +464,57 @@ def _multi_burst_tops(filt: _Filter, B: int, L: int, t_max: int):
     Both filter steps are non-decreasing in P, so the two largest P among the
     paths into a state, after one more step, are the two largest among the
     paths out of it (up to the rounding noted in the module docstring).
-    Each state therefore keeps at most two entries, and a
-    count of its paths: `guard` holds entries (P, path, g) and `runs`
+    Each state therefore keeps at most two entries, and a count of its
+    paths.  A guard state g < L whose paths cannot reach g = L by slot
+    t_max - 1 only ever receives, so the DP merges all such states into one,
+    `dead`; a run closed at slot i is dead from birth when i > t_max - L,
+    which leaves the single-burst check (L = t_max) O(B) entries per slot.
+    `guard` holds the other entries (P, path, g) with g < L, oldest first,
+    `dead` and `full` (the state g = L) entries (P, path, 0), and `runs`
     entries (P, path, r), where `path` links the closed runs as (start,
-    length, earlier path).  `patterns` is the exact number of patterns of
-    horizon t, and `top` holds the two largest P over all of them, largest
-    first, as (P, path, length of the open run) for `_path_received`.
+    length, earlier path).  Each horizon lists them guard, dead, full, runs:
+    the order of the DP with one state per guard length, so every tie-break
+    is that DP's.
+    `patterns` is the exact number of patterns of horizon t, and `top` holds
+    the two largest P over all of them, largest first, as (P, path, length
+    of the open run) for `_path_received`.
     """
     B, L = min(B, t_max), max(1, min(L, t_max))  # longer runs and guards do not fit
     a, q, s2 = filt.a, filt.q, filt.s2
-    guard, runs = [(0.0, None, L)], []
-    guard_n, runs_n = [0] * L, [0] * B  # paths per state, by g - 1 and r - 1
-    guard_n[-1] = 1
+    guard, dead, full, runs = [], [], [(0.0, None, 0)], []
+    # paths into the full guard and into each run length r (runs_n[r - 1]), and
+    # born_n[j] into the guard states of the runs closed at slot j <= t_max - L
+    full_n, runs_n, born_n, patterns = 1, [0] * B, [], 1
     for i in range(t_max):
-        guard = [(a * p + q, path, g) for p, path, g in guard]
+        full = [(a * p + q, path, 0) for p, path, _ in full]
         runs = [(a * p + q, path, r) for p, path, r in runs]
         # slot i received: the guard grows, or the run of length r over [i - r, i) closes
-        received = [(p * s2 / (p + s2), path, g + (g < L)) for p, path, g in guard]
-        received += _top_two([(p * s2 / (p + s2), (i - r, r, path), 1) for p, path, r in runs])
+        closed = _top_two([(p * s2 / (p + s2), (i - r, r, path), 0) for p, path, r in runs])
+        closed_n = sum(runs_n)
+        dead = [((p := a * x + q) * s2 / (p + s2), path, 0) for x, path, _ in dead]
+        guard = [((p := a * x + q) * s2 / (p + s2), path, g + 1) for x, path, g in guard]
+        grown = [(p * s2 / (p + s2), path, 0) for p, path, _ in full]
+        grown_n = full_n
+        if L == 1:
+            grown += closed
+            grown_n += closed_n
+        else:
+            if i >= L - 1:  # the guard of the runs closed at slot i - L + 1 is full
+                grown = [(p, path, 0) for p, path, g in guard if g == L] + grown
+                guard = [e for e in guard if e[2] < L]
+                grown_n += born_n[i - L + 1]
+            if i <= t_max - L:
+                guard += [(p, path, 1) for p, path, _ in closed]
+                born_n.append(closed_n)
+            else:
+                dead = _top_two(dead + closed)
         # slot i erased: a run starts after a full guard, or grows
-        runs = [(p, path, 1) for p, path, g in guard if B and g == L] + [
-            (p, path, r + 1) for p, path, r in runs if r < B
-        ]
-        guard = [e for e in received if e[2] < L] + _top_two([e for e in received if e[2] == L])
-        full = guard_n[-1]
-        guard_n = [sum(runs_n)] + guard_n[:-1]
-        guard_n[-1] += full
-        runs_n = ([full] + runs_n)[:B]
-        ends = [(p, path, 0) for p, path, _ in guard] + runs
-        yield i + 1, sum(guard_n) + sum(runs_n), sorted(ends, key=_VALUE, reverse=True)[:2]
+        runs = [(p, path, 1) for p, path, _ in full if B] + [(p, path, r + 1) for p, path, r in runs if r < B]
+        runs_n = ([full_n] + runs_n)[:B]
+        full, full_n = _top_two(grown), grown_n
+        patterns += sum(runs_n)  # each pattern goes on received, and erased where a run may start or grow
+        ends = [(p, path, 0) for p, path, _ in guard] + dead + full + runs
+        yield i + 1, patterns, sorted(ends, key=_VALUE, reverse=True)[:2]
 
 
 _VALUE = itemgetter(0)
@@ -577,9 +601,13 @@ def verify_multi_burst_worst_case(
     e.g. from t = 22 on at rho = 0.9, sigma_z2 = 0.1, B = 2, L = 3; such a
     pattern has slack exactly 0.0, which is not a violation.
 
-    Cost: O(t_max (B + L)) filter steps, with B and L clipped at t_max, for
-    the DP and as many for the stars; the report's received lists hold
-    O(t_max^2) integers, which is what ENUM_T_CAP bounds.
+    Cost: O(t_max (B + min(L, t_max - L + 1))) filter steps, with B and L
+    clipped at t_max, for the DP, so O(t_max B) at the single-burst guard
+    L = t_max, and at most O(t_max (B + L)) for the stars, O(t_max) at
+    L = t_max; the report's received lists hold O(t_max^2) integers, which
+    is what ENUM_T_CAP bounds.  At t_max = 500, B = 3 the single-burst DP
+    takes about 3 ms and the whole report about 12 ms; writing its 4.8 MB
+    of JSON takes about 40 ms more (2 vCPU Xeon, CPython 3.11).
     """
     t_max = check_int("t_max", t_max, 1, ENUM_T_CAP)
     B, L = check_int("B", B), check_int("L", L, 1)
@@ -595,23 +623,24 @@ def _worst_case_report(name: str, rho: float, sigma_z2: float, B: int, L: int, t
     details = {"rho": filt.rho, "sigma_z2": filt.s2, **keys}
 
     stars_received, star_preds = _stars(filt, B, L, t_max)
+    a, q, s2 = filt.a, filt.q, filt.s2
+
+    def sides(pred: float) -> tuple[float, float]:
+        """`filt.rate(pred)` and `filt.mmse(pred)`, by the same float steps."""
+        return 0.5 * math.log2((pred + s2) / s2), pred * s2 / (pred + s2)
 
     track = _SlackTracker()
     prev = None
     for t, patterns, top in _multi_burst_tops(filt, B, L, t_max):
         star_received, star_pred = stars_received[t], star_preds[t]
-        star = (filt.rate(star_pred), filt.mmse(star_pred))
-        preds = [filt.predict(p) for p, _, _ in top]
-        first_is_star = patterns > 1 and preds[0] == star_pred and _path_received(t, top[0]) == star_received
-        argmax = []
-        for side, value, star_value in (("rate", filt.rate, star[0]), ("mmse", filt.mmse, star[1])):
-            best = [value(pred) for pred in preds]
-            if patterns > 1:
-                other = best[1] if first_is_star else best[0]
-                track.add(
-                    star_value - other, _other_instance, side, t, top, star_received, checks=patterns - 1
-                )
-            argmax.append(star_received if star_value >= best[0] else _path_received(t, top[0]))
+        star = sides(star_pred)
+        pred = a * top[0][0] + q
+        best = other = sides(pred)
+        if patterns > 1:
+            if pred == star_pred and _path_received(t, top[0]) == star_received:
+                other = sides(a * top[1][0] + q)
+            track.add(star[0] - other[0], _other_instance, "rate", t, top, star_received, checks=patterns - 1)
+            track.add(star[1] - other[1], _other_instance, "mmse", t, top, star_received, checks=patterns - 1)
         if prev is not None:
             track.add(star[0] - prev[0], _MONOTONE, "rate-monotone", t)
             track.add(star[1] - prev[1], _MONOTONE, "mmse-monotone", t)
@@ -619,8 +648,8 @@ def _worst_case_report(name: str, rho: float, sigma_z2: float, B: int, L: int, t
         details[f"t{t}"] = {
             "patterns": patterns,
             "star_received": star_received,
-            "argmax_rate_received": argmax[0],
-            "argmax_mmse_received": argmax[1],
+            "argmax_rate_received": star_received if star[0] >= best[0] else _path_received(t, top[0]),
+            "argmax_mmse_received": star_received if star[1] >= best[1] else _path_received(t, top[0]),
         }
 
     notes = []
@@ -639,45 +668,52 @@ def _dominating_pairs(getrandbits, t: int, samples: int):
     The pairs are those that, for `rng = random.Random(seed)`, the calls
     r = rng.randint(1, MAX_SET_SIZE), later = sorted(rng.sample(range(1, t), r))
     and, per later index b, rng.randint(prev + 1, b) give on CPython 3.10 to
-    3.13, drawn here from `rng.getrandbits` alone, without the calls.
-    `below(m)` is CPython's `_randbelow`: it draws getrandbits(m.bit_length())
-    until the draw is below m.  `sample` takes r from a pool that it shrinks
-    while the population is no larger than its set-size threshold, and
-    otherwise draws indices into the population until r are distinct.
+    3.13, drawn here from `rng.getrandbits` alone, without the calls.  Each
+    draw below m is CPython's `_randbelow(m)`, written out: getrandbits of
+    m.bit_length() bits until the draw is below m.  `sample` takes r from a
+    pool that it shrinks while the population is no larger than its set-size
+    threshold, and otherwise draws indices into the population until r are
+    distinct.
     """
     n = t - 1  # the population size
     bits = [w.bit_length() for w in range(max(n, MAX_SET_SIZE) + 1)]
     # `sample`'s threshold: below it a list of n costs less than a set of r
     pooled = [n <= 21 + (4 ** math.ceil(math.log(3 * r, 4)) if r > 5 else 0) for r in range(MAX_SET_SIZE + 1)]
-
-    def below(m: int) -> int:
-        k = bits[m]
-        j = getrandbits(k)
-        while j >= m:
-            j = getrandbits(k)
-        return j
+    k_size, k_n = bits[MAX_SET_SIZE], bits[n]
+    population = list(range(1, n + 1))
 
     for _ in range(samples):
-        r = below(MAX_SET_SIZE) + 1
+        j = getrandbits(k_size)
+        while j >= MAX_SET_SIZE:
+            j = getrandbits(k_size)
+        r = j + 1
         if pooled[r]:
-            pool = list(range(1, n + 1))
+            pool = population[:]
             later = []
             for m in range(n, n - r, -1):
-                j = below(m)
+                k = bits[m]
+                j = getrandbits(k)
+                while j >= m:
+                    j = getrandbits(k)
                 later.append(pool[j])
                 pool[j] = pool[m - 1]
         else:
             chosen = set()
             for _ in range(r):
-                j = below(n)
-                while j in chosen:
-                    j = below(n)
+                j = getrandbits(k_n)
+                while j >= n or j in chosen:  # a draw below n, again while it repeats
+                    j = getrandbits(k_n)
                 chosen.add(j)
             later = [j + 1 for j in chosen]
         later.sort()
         earlier, prev = [], 0
         for b in later:
-            prev += below(b - prev) + 1
+            m = b - prev
+            k = bits[m]
+            j = getrandbits(k)
+            while j >= m:
+                j = getrandbits(k)
+            prev += j + 1
             earlier.append(prev)
         yield earlier, later
 
@@ -713,19 +749,22 @@ def verify_exchange_inequalities(
 
     horizons = sorted({max(4, t // 3), max(6, (2 * t) // 3), t})
     preds = _burst_preds(filt, horizons[-1], 3)
+    add = track.add
     for tt in horizons:
         for bl in range(1, min(3, tt) + 1):
+            row = preds[bl][tt]
             for k in range(1, tt - bl + 1):
                 # old: the burst erases [tt-bl-k, tt-k); new: it moves one slot later
-                old, new = preds[bl][tt][k], preds[bl][tt][k - 1]
-                track.add((new + s2) - (old + s2), _REPLACE, "replace-u", tt, bl, k)
-                track.add(filt.mmse(new) - filt.mmse(old), _REPLACE, "replace-s", tt, bl, k)
+                old, new = row[k], row[k - 1]
+                add((new + s2) - (old + s2), _REPLACE, "replace-u", tt, bl, k)
+                add(new * s2 / (new + s2) - old * s2 / (old + s2), _REPLACE, "replace-s", tt, bl, k)  # the MMSEs
 
+    predicted = filt.predicted
     for earlier, later in _dominating_pairs(random.Random(seed).getrandbits, t, samples):
-        v_a = filt.predicted(t, earlier)
-        v_b = filt.predicted(t, later)
-        track.add(v_a - v_b, _DOMINATE, "dominate-s", earlier, later)
-        track.add((v_a + s2) - (v_b + s2), _DOMINATE, "dominate-u", earlier, later)
+        v_a = predicted(t, earlier)
+        v_b = predicted(t, later)
+        add(v_a - v_b, _DOMINATE, "dominate-s", earlier, later)
+        add((v_a + s2) - (v_b + s2), _DOMINATE, "dominate-u", earlier, later)
 
     return track.report(
         "exchange-inequalities",

@@ -30,7 +30,8 @@ from streamrate import (
 from streamrate.errors import Record, check_int, check_open_unit, check_variance
 from streamrate.gauss_markov import _bracket
 from streamrate.oracle import (
-    _DOMINATE, _REPLACE, EXCHANGE_T_CAP, MAX_SET_SIZE, SAMPLES_CAP, _burst_preds, _Filter, _SlackTracker,
+    _DOMINATE, _MONOTONE, _REPLACE, EXCHANGE_T_CAP, MAX_SET_SIZE, SAMPLES_CAP, _burst_preds, _check_rate_noise,
+    _Filter, _other_instance, _path_received, _SlackTracker, _stars,
 )
 from streamrate.sliding import _check_bw
 
@@ -132,6 +133,88 @@ def reference_exchange_report(rho: float, sigma_z2: float, t: int = 20, samples:
         "exchange-inequalities",
         details={"rho": rho, "sigma_z2": sigma_z2, "t": t, "samples": samples, "seed": seed},
     )
+
+
+def _largest_two(entries: list) -> list:
+    """The two largest entries by P, stably; fewer than three stay as they are."""
+    return entries if len(entries) < 3 else sorted(entries, key=lambda e: e[0], reverse=True)[:2]
+
+
+def reference_multi_burst_tops(filt: _Filter, B: int, L: int, t_max: int):
+    """`oracle._multi_burst_tops` with one state per guard length g <= L:
+    the DP before it merged the guard states that can no longer reach g = L.
+
+    Every state keeps its entries (P, path, g) apart: the states g < L keep
+    all of theirs, two per closed run, and only g = L and the closing runs
+    keep their two largest.  A count per state gives the patterns.  The
+    library's merged DP must give the same (t, patterns, top) per horizon,
+    tie-breaks included."""
+    B, L = min(B, t_max), max(1, min(L, t_max))
+    a, q, s2 = filt.a, filt.q, filt.s2
+    guard, runs = [(0.0, None, L)], []
+    guard_n, runs_n = [0] * L, [0] * B  # paths per state, by g - 1 and r - 1
+    guard_n[-1] = 1
+    for i in range(t_max):
+        guard = [(a * p + q, path, g) for p, path, g in guard]
+        runs = [(a * p + q, path, r) for p, path, r in runs]
+        # slot i received: the guard grows, or the run of length r over [i - r, i) closes
+        received = [(p * s2 / (p + s2), path, g + (g < L)) for p, path, g in guard]
+        received += _largest_two([(p * s2 / (p + s2), (i - r, r, path), 1) for p, path, r in runs])
+        # slot i erased: a run starts after a full guard, or grows
+        runs = [(p, path, 1) for p, path, g in guard if B and g == L] + [
+            (p, path, r + 1) for p, path, r in runs if r < B
+        ]
+        guard = [e for e in received if e[2] < L] + _largest_two([e for e in received if e[2] == L])
+        full = guard_n[-1]
+        guard_n = [sum(runs_n)] + guard_n[:-1]
+        guard_n[-1] += full
+        runs_n = ([full] + runs_n)[:B]
+        ends = [(p, path, 0) for p, path, _ in guard] + runs
+        yield i + 1, sum(guard_n) + sum(runs_n), sorted(ends, key=lambda e: e[0], reverse=True)[:2]
+
+
+def reference_worst_case_report(rho: float, sigma_z2: float, B: int, L: int, t_max: int, single: bool = False):
+    """The single-burst (`single`, at L = t_max) or multi-burst report from
+    `reference_multi_burst_tops`, with the filter's own `rate`, `mmse` and
+    `predict` calls."""
+    filt = _Filter(rho, _check_rate_noise(sigma_z2))
+    if single:
+        name, L, keys = "single-burst-worst-case", t_max, {"B": B, "t_max": t_max}
+    else:
+        name, keys = "multi-burst-worst-case", {"B": B, "L": L, "t_max": t_max}
+    details = {"rho": filt.rho, "sigma_z2": filt.s2, **keys}
+    stars_received, star_preds = _stars(filt, B, L, t_max)
+    track = _SlackTracker()
+    prev = None
+    for t, patterns, top in reference_multi_burst_tops(filt, B, L, t_max):
+        star_received, star_pred = stars_received[t], star_preds[t]
+        star = (filt.rate(star_pred), filt.mmse(star_pred))
+        preds = [filt.predict(p) for p, _, _ in top]
+        first_is_star = patterns > 1 and preds[0] == star_pred and _path_received(t, top[0]) == star_received
+        argmax = []
+        for side, value, star_value in (("rate", filt.rate, star[0]), ("mmse", filt.mmse, star[1])):
+            best = [value(pred) for pred in preds]
+            if patterns > 1:
+                other = best[1] if first_is_star else best[0]
+                track.add(star_value - other, _other_instance, side, t, top, star_received, checks=patterns - 1)
+            argmax.append(star_received if star_value >= best[0] else _path_received(t, top[0]))
+        if prev is not None:
+            track.add(star[0] - prev[0], _MONOTONE, "rate-monotone", t)
+            track.add(star[1] - prev[1], _MONOTONE, "mmse-monotone", t)
+        prev = star
+        details[f"t{t}"] = {
+            "patterns": patterns,
+            "star_received": star_received,
+            "argmax_rate_received": argmax[0],
+            "argmax_mmse_received": argmax[1],
+        }
+    notes = []
+    if track.violations:
+        notes.append(
+            "violations count failing (horizon, side) checks, each standing for every "
+            "pattern compared with the star there, and failing monotone checks; not patterns"
+        )
+    return track.report(name, notes=notes, details=details)
 
 
 def converse_rate_decimal(rho: float, B: int, D: float, digits: int = 50) -> float:

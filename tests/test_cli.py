@@ -292,9 +292,11 @@ class TestOracleCommand:
         "argv, name",
         [
             (["--check", "single", "--B", "2", "--tmax", "20"], "single_rho0.9_B2_t20.json"),
+            # rounding ties: monotone slack 0.0 from t = 18, old bursts equal to no burst
+            (["--check", "single", "--B", "3", "--tmax", "40"], "single_rho0.9_B3_t40.json"),
             (["--check", "multi", "--B", "2", "--L", "3", "--tmax", "18"], "multi_rho0.9_B2_L3_t18.json"),
         ],
-        ids=["single", "multi"],
+        ids=["single", "single-ties", "multi"],
     )
     def test_worst_case_report_is_frozen(self, argv, name, capsys):
         # the per-horizon received lists, bytes and all, as `json.dumps(doc, indent=2)` wrote them

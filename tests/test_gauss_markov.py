@@ -36,6 +36,7 @@ from oracles import (
     reference_aged,
     reference_bounds,
     reference_brentq,
+    reference_eta_multi,
     reference_mmse,
     reference_solve,
     riccati_prediction_error,
@@ -481,6 +482,17 @@ class TestKernelParity:
     def test_solves_match_reference_chain(self, rho, B, L, D):
         cfg = GmConfig(rho=rho, B=B, D=D, L=L)
         assert production_bounds(cfg) == reference_bounds(cfg, _solve_increasing)
+
+    @pytest.mark.parametrize("rho", [0.5, 0.9, 0.999999])
+    def test_longest_guard_matches_reference_chain(self, rho):
+        # the guard recursion stops where a step returns its own float: after
+        # a few steps at rho 0.5, never within 10^4 at rho 0.999999; the
+        # reference runs every step
+        cfg = GmConfig(rho=rho, B=2, D=0.05, L=gm.GUARD_CAP)
+        assert production_bounds(cfg) == reference_bounds(cfg, _solve_increasing)
+        for sigma_z2 in (1e-6, 0.05, 1.0, 1e6):
+            tc = TestChannel(sigma_z2)
+            assert eta_multi(cfg, tc).hex() == reference_eta_multi(cfg, tc).hex()
 
     @settings(max_examples=150, deadline=None)
     @given(

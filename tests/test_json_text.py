@@ -41,6 +41,30 @@ def _containers(children):
 documents = st.recursive(scalars, _containers, max_leaves=20)
 
 
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+class _List(list):
+    pass
+
+
+class _Tuple(tuple):
+    pass
+
+
 @settings(max_examples=250, deadline=None)
 @given(documents)
 def test_same_text_as_indented_dumps(doc):
@@ -68,6 +92,9 @@ EDGE = {
     "-2**600": -(2**600),
     "bools-among-ints": [True, 1, False, 0],
     "float-among-ints": [1.0, 1],
+    # subclasses are written by the type they are an instance of, not their own
+    "subclasses": _Dict(a=_List([_Str("b"), _Int(2), _Float(0.5), _Float("nan"), _Tuple((1, _Int(3)))])),
+    "int-subclasses-only": [_Int(1), _Int(-2)],
 }
 
 

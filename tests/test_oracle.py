@@ -29,7 +29,9 @@ from conftest import numpy_or_none
 from oracles import (
     reference_dominating_pairs,
     reference_exchange_report,
+    reference_multi_burst_tops,
     reference_predicted,
+    reference_worst_case_report,
     worst_multi_burst,
 )
 from streamrate.oracle import (
@@ -452,7 +454,7 @@ def test_multi_burst_long_horizon():
     rho=st.floats(0.05, 0.99),
     s2=st.floats(1e-4, 2.0),
     B=st.integers(0, 4),
-    L=st.integers(1, 4),
+    L=st.integers(1, 16),  # past t_max too, where the DP merges every closed run's guard states
     t_max=st.integers(1, 14),
 )
 def test_dp_top_two_equals_walk(rho, s2, B, L, t_max):
@@ -637,6 +639,25 @@ def test_single_burst_report_is_the_dp_with_one_burst(rho, s2, B_t):
     assert multi.pop("name") == "multi-burst-worst-case"
     assert multi["details"].pop("L") == t_max
     assert single == multi
+
+
+@settings(max_examples=100, deadline=None)
+@given(rho=_RHO, s2=_NOISE, B=st.integers(0, 6), L=st.integers(1, 45), t_max=st.integers(1, 40))
+@example(rho=0.9, s2=0.1, B=3, L=40, t_max=40)  # tied patterns from t = 22 on
+@example(rho=0.9, s2=0.1, B=2, L=3, t_max=40)
+def test_merged_dp_reports_equal_unmerged_reference(rho, s2, B, L, t_max):
+    """The DP that merges the guard states which can no longer reach a full
+    guard gives, per horizon, the count and top entries of the DP with one
+    state per guard length, so the multi-burst report at L, and the
+    single-burst report where t_max > B, are the reference's byte for byte,
+    tie-breaks included."""
+    filt = _Filter(rho, s2)
+    assert list(_multi_burst_tops(filt, B, L, t_max)) == list(reference_multi_burst_tops(filt, B, L, t_max))
+    got = verify_multi_burst_worst_case(rho, s2, B, L, t_max).to_json()
+    assert got == reference_worst_case_report(rho, s2, B, L, t_max).to_json()
+    if t_max > B:
+        got = verify_single_burst_worst_case(rho, s2, B, t_max).to_json()
+        assert got == reference_worst_case_report(rho, s2, B, L, t_max, single=True).to_json()
 
 
 @settings(max_examples=100, deadline=None)
