@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
+import io
 import math
 import os
 import sys
@@ -73,16 +73,31 @@ def _output(path: str | None):
 
 
 def _write_csv(path: str | None, header: list[str], rows) -> None:
-    rows = list(rows)
-    with _output(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+    """Write the header and the rows as comma-separated lines ending in "\n".
+
+    Every field is an int, a float, a bool or a header name without a comma,
+    a quote or a line break.  For those `str` is what `csv.writer(fh,
+    lineterminator="\n")` writes (it writes a float by repr, which str
+    equals), and no field needs quoting.  The whole text is formatted before
+    the output opens, so a row that fails leaves no file."""
+    _write_text(path, "\n".join([",".join(map(str, row)) for row in (header, *rows)]) + "\n")
 
 
 def _write_json(path: str | None, text: str) -> None:
+    _write_text(path, text + "\n")
+
+
+def _write_text(path: str | None, text: str) -> None:
+    """Write the ASCII text to `_output(path)` in pieces of at most one buffer.
+    A text stream passes a longer piece to its buffer in one call, and where
+    the system takes only part of it (a reader that closed the pipe, a full
+    disk) the buffer returns the count written and the stream drops the rest
+    without an error; a shorter piece goes through the buffer's flush, which
+    writes the rest or raises."""
+    step = io.DEFAULT_BUFFER_SIZE
     with _output(path) as fh:
-        fh.write(text + "\n")
+        for i in range(0, len(text), step):
+            fh.write(text[i:i + step])
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -172,6 +187,20 @@ def _cmd_sliding(args) -> int:
     return EXIT_OK
 
 
+def _read_flags(args, choice: str, table: dict) -> dict:
+    """The flags that table lists for the value of --choice, by dest, over
+    their defaults there.  A flag that table lists only for other values and
+    that the command line gave raises ValidationError.  The parser default of
+    every flag in table is None."""
+    reads = table[getattr(args, choice)]
+    names = dict.fromkeys(k for flags in table.values() for k in flags)
+    given = {k: getattr(args, k) for k in names if getattr(args, k) is not None}
+    unread = [f"--{k.replace('_', '-')}" for k in given if k not in reads]
+    if unread:
+        raise ValidationError(f"--{choice} {getattr(args, choice)} does not read {', '.join(unread)}")
+    return {**reads, **given}
+
+
 # the flags each check reads beside --rho, --sigma-z2 and --tmax, with their defaults
 _ORACLE_FLAGS = {"single": {"B": 1}, "multi": {"B": 1, "L": 1}, "exchange": {"samples": 500, "seed": 0}}
 
@@ -179,12 +208,7 @@ _ORACLE_FLAGS = {"single": {"B": 1}, "multi": {"B": 1, "L": 1}, "exchange": {"sa
 def _cmd_oracle(args) -> int:
     from . import oracle
 
-    given = {k: v for k, v in vars(args).items() if k in ("B", "L", "samples", "seed") and v is not None}
-    reads = _ORACLE_FLAGS[args.check]
-    unread = [f"--{k}" for k in given if k not in reads]
-    if unread:
-        raise ValidationError(f"--check {args.check} does not read {', '.join(unread)}")
-    flags = {**reads, **given}
+    flags = _read_flags(args, "check", _ORACLE_FLAGS)
     if args.check == "single":
         report = oracle.verify_single_burst_worst_case(args.rho, args.sigma_z2, t_max=args.tmax, **flags)
     elif args.check == "multi":
@@ -204,37 +228,51 @@ def _burst(spec: str) -> tuple[int, int]:
     return start, length
 
 
+# the flags each kind reads, with their defaults; gm reads exactly one of
+# --sigma-z2 and --D, and --B only with --D
+_SIMULATE_FLAGS = {
+    "gm": {"rho": 0.9, "sigma_z2": None, "D": None, "B": 1, "T": 100, "burst": None, "trials": 10000, "seed": 0},
+    "binning": {"n": 8, "q": 0.1, "rate": 0.8, "trials": 10000, "seed": 0},
+}
+
+
 def _cmd_simulate(args) -> int:
+    flags = _read_flags(args, "kind", _SIMULATE_FLAGS)
+    if args.kind == "gm":
+        sigma_z2, D = flags["sigma_z2"], flags["D"]
+        if sigma_z2 is None and D is None:
+            raise ValidationError("simulate gm needs --sigma-z2 or --D")
+        if sigma_z2 is not None and D is not None:
+            raise ValidationError("simulate gm reads one of --sigma-z2 and --D, not both")
+        if D is None and args.B is not None:
+            raise ValidationError("simulate gm reads --B only with --D")
     from . import sim
 
     if args.kind == "gm":
-        sigma_z2 = args.sigma_z2
         if sigma_z2 is None:
-            if args.D is None:
-                raise ValidationError("simulate gm needs --sigma-z2 or --D")
             from . import gauss_markov as gm
 
-            cfg0 = gm.GmConfig(rho=args.rho, B=args.B, D=args.D)
+            cfg0 = gm.GmConfig(rho=flags["rho"], B=flags["B"], D=D)
             sigma_z2 = gm.solve_test_channel_single(cfg0).sigma_z2
         cfg = sim.SimConfig(
-            rho=args.rho,
+            rho=flags["rho"],
             sigma_z2=sigma_z2,
-            horizon=args.T,
-            trials=args.trials,
-            seed=args.seed,
-            bursts=[_burst(spec) for spec in args.burst or []],
+            horizon=flags["T"],
+            trials=flags["trials"],
+            seed=flags["seed"],
+            bursts=[_burst(spec) for spec in flags["burst"] or []],
         )
         res = sim.simulate_gm_stream(cfg)
         _write_csv(args.out, ["time", "mse", "stderr", "exact_mmse", "erased"], res.rows())
         return EXIT_OK
-    cfg = sim.BinningConfig(n=args.n, q=args.q, rate=args.rate, trials=args.trials, seed=args.seed)
+    cfg = sim.BinningConfig(**flags)
     res = sim.simulate_binning(cfg)
     _write_json(
         args.out,
         json_text({
-            "n": args.n,
-            "q": args.q,
-            "rate": args.rate,
+            "n": flags["n"],
+            "q": flags["q"],
+            "rate": flags["rate"],
             "bins": cfg.bin_count,
             "trials": res.trials,
             "errors": res.errors,
@@ -368,17 +406,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte-Carlo experiments")
     p.add_argument("--kind", choices=["gm", "binning"], required=True)
-    p.add_argument("--rho", type=float, default=0.9)
-    p.add_argument("--sigma-z2", dest="sigma_z2", type=float, default=None)
-    p.add_argument("--D", type=float, default=None, help="solve the test channel for this target")
-    p.add_argument("--B", type=int, default=1)
-    p.add_argument("--T", type=int, default=100)
+    p.add_argument("--rho", type=float)  # the defaults of --rho to --seed are in _SIMULATE_FLAGS
+    p.add_argument("--sigma-z2", dest="sigma_z2", type=float)
+    p.add_argument("--D", type=float, help="solve the test channel for this target")
+    p.add_argument("--B", type=int)
+    p.add_argument("--T", type=int)
     p.add_argument("--burst", action="append", help="erased run start:length (repeatable)")
-    p.add_argument("--n", type=int, default=8)
-    p.add_argument("--q", type=float, default=0.1)
-    p.add_argument("--rate", type=float, default=0.8)
-    p.add_argument("--trials", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=int)
+    p.add_argument("--q", type=float)
+    p.add_argument("--rate", type=float)
+    p.add_argument("--trials", type=int)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_simulate)
 

@@ -19,8 +19,6 @@ import math
 import numbers
 import os
 
-_set = object.__setattr__
-
 
 class ValidationError(ValueError):
     """Inputs violate a documented precondition or type invariant."""
@@ -47,10 +45,17 @@ class Record:
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _setters: tuple = ()  # the `__set__` of each field's slot descriptor, in `_fields` order
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # the descriptors' own setters skip the attribute lookup of
+        # object.__setattr__ and the class's refusing __setattr__
+        cls._setters = tuple([getattr(cls, name).__set__ for name in cls._fields])
 
     def __init__(self, *values):
-        for name, value in zip(self._fields, values):
-            _set(self, name, value)
+        for setter, value in zip(self._setters, values):
+            setter(self, value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import struct
 import sys
-from functools import partial
 
 from .errors import (
     ConvergenceError,
@@ -35,6 +34,7 @@ from .errors import (
 )
 
 _SEARCH_STEPS = 64  # steps of each bracket search in `_bracket`
+_NARROW = 4.0 * sys.float_info.epsilon  # `_root` stops its regula falsi within this relative width
 _FLOAT, _BITS = struct.Struct("<d"), struct.Struct("<q")
 GUARD_CAP = 10**4  # eta_multi steps through the guard, once per objective evaluation
 # B enters the bounds only through rho^(2B), 1 - rho^(2B) and the same at
@@ -174,38 +174,65 @@ def _eta(a: float, q: float, p: float, steps: int, s: float) -> float:
     return p
 
 
-def _burst(pre, c: float):
-    """(pre, aged, mmse) of the noise s alone: the pre-burst error pre(s) aged by
-    c = rho^(2n) over n lost slots, and the MMSE with the fresh observation."""
-    def aged(s: float) -> float:
-        return 1.0 - c * (1.0 - pre(s))
-
-    def mmse(s: float) -> float:
-        return 1.0 / (1.0 / s + 1.0 / aged(s))
-
-    return pre, aged, mmse
+# The three burst channels.  Each builder binds its configuration's constants
+# once per solve and returns aged(s), the pre-burst error at noise s aged over
+# the lost slots, 1 - c (1 - pre(s)): the one function the solver evaluates.
+# The single- and multi-burst closures carry their own copies of
+# `_steady_sigma` and `_eta`, so that an evaluation is one Python call; the
+# tests hold each copy to its kernel bit for bit.
 
 
 def _single_channel(cfg: GmConfig):
+    """aged(s) of the single burst: the steady-state filter error
+    `_steady_sigma(q, s)` aged by c = rho^(2B)."""
     _, q, c, _ = source_constants(cfg.rho, 2 * cfg.B)
-    return _burst(partial(_steady_sigma, q), c)
+    q2, sqrt, hypot = q**2, math.sqrt, math.hypot
+
+    def aged(s: float) -> float:
+        if s <= 1.0:  # `_steady_sigma`, expression for expression
+            return 1.0 - c * (1.0 - (0.5 * sqrt((1.0 - s) ** 2 * q2 + 4.0 * s * q) + 0.5 * q * (1.0 - s)))
+        r = q * (s - 1.0)
+        return 1.0 - c * (1.0 - 2.0 * q * s / (hypot(r, 2.0 * sqrt(q * s)) + r))
+
+    return aged
 
 
 def _multi_channel(cfg: GmConfig):
+    """aged(s) of repeated bursts: `_eta(a, q, D, L - 1, s)`, the error after
+    the guard interval, aged by c = rho^(2(B+1))."""
     a, q, c, _ = source_constants(cfg.rho, 2 * (cfg.B + 1))
-    return _burst(partial(_eta, a, q, cfg.D, cfg.L - 1), c)
+    D, steps = cfg.D, range(cfg.L - 1)
+
+    def aged(s: float) -> float:
+        p = D
+        for _ in steps:  # `_eta`, step for step
+            x = a * p + q
+            x = x * s / (x + s)
+            if x == p:
+                break
+            p = x
+        return 1.0 - c * (1.0 - p)
+
+    return aged
 
 
 def _two_point_channel(cfg: GmConfig):
-    # s / (1 + s): the error of s_{t-B-1} given u_{t-B-1} alone
-    return _burst(lambda s: s / (1.0 + s), source_constants(cfg.rho, 2 * (cfg.B + 1))[2])
+    """aged(s) of the two-point reference: s / (1 + s), the error of
+    s_{t-B-1} given u_{t-B-1} alone, aged by c = rho^(2(B+1))."""
+    c = source_constants(cfg.rho, 2 * (cfg.B + 1))[2]
+
+    def aged(s: float) -> float:
+        return 1.0 - c * (1.0 - s / (1.0 + s))
+
+    return aged
 
 
 def gamma_single(cfg: GmConfig, tc: TestChannel) -> float:
     """Steady-state decoder MMSE for the single-burst worst case: harmonic sum
     of the fresh observation and the aged pre-burst estimate.  Strictly
     increasing in the test-channel noise."""
-    return _single_channel(cfg)[2](tc.sigma_z2)
+    s = tc.sigma_z2
+    return 1.0 / (1.0 / s + 1.0 / _single_channel(cfg)(s))
 
 
 def _bracket(aged, D: float, what: str) -> tuple[float, float, float, float]:
@@ -253,35 +280,45 @@ def _bracket(aged, D: float, what: str) -> tuple[float, float, float, float]:
     raise ConvergenceError(f"{what}: no upper end for target {D!r} in {_SEARCH_STEPS} steps")
 
 
-def _solve_increasing(aged, D: float, what: str) -> float:
-    """A float sigma_z2 where the burst-channel MMSE 1 / (1/s + 1/aged(s))
-    crosses D: mmse(s) >= D > mmse(the float below s).
+def _solve_increasing(aged, D: float, what: str) -> tuple[float, float]:
+    """(s, aged(s)) for a float sigma_z2 s where the burst-channel MMSE
+    1 / (1/s + 1/aged(s)) crosses D: mmse(s) >= D > mmse(the float below s).
 
     The float MMSE is not monotone to the last ulp, and near D = 1 it equals D
     over thousands of consecutive floats, so more than one float can meet
     that contract; the search path chooses among them.  `_bracket` gives the
-    analytic bracket and `_root` narrows it to a crossing.  aged is a
-    plain-float kernel: a float in, a float out, no validation per
-    evaluation, the configuration's constants computed once.  A D below the
-    normal float range raises PrecisionError: there 1/D overflows.
+    analytic bracket and `_root` narrows it to a crossing.  aged is one of
+    the channel closures (or any increasing float function): a float in, a
+    float out, no validation per evaluation.  aged(s) is the value the
+    search computed at s, kept by the objective at each point where the MMSE
+    reached D, so the rate costs no evaluation of its own; only a root at
+    the bracket's upper end, which `_root` never evaluates, is evaluated
+    once more.  A D below the normal float range raises PrecisionError:
+    there 1/D overflows.
     """
     _check_normal(what, D, "the required noise would underflow")
+    kept = None  # aged at the last point where the MMSE reached D: `_root`'s root
 
     def f(s: float) -> float:
-        f_s = 1.0 / (1.0 / s + 1.0 / aged(s)) - D
-        if f_s != f_s:
+        nonlocal kept
+        a = aged(s)
+        f_s = 1.0 / (1.0 / s + 1.0 / a) - D
+        if f_s >= 0.0:
+            kept = a
+        elif f_s != f_s:
             raise NumericalError(f"objective is NaN at {s!r}")
         return f_s
 
     s, f_s = _root(f, *_bracket(aged, D, what))
     if not f_s <= 1e-10:
         raise NumericalError(f"{what}: solver residual {f_s:.3e} exceeds 1e-10")
-    return s
+    return s, aged(s) if kept is None else kept
 
 
 def _root(f, lo: float, hi: float, f_lo: float, f_hi: float) -> tuple[float, float]:
     """(x, f(x)) for a float x in (lo, hi] where f crosses zero: f(x) >= 0 >
-    f(the float below x), given 0 <= lo < hi and f(lo) < 0 <= f(hi).
+    f(the float below x), given 0 <= lo < hi and f(lo) < 0 <= f(hi).  x is
+    the last point evaluated with f >= 0, or hi itself where there is none.
 
     The Anderson-Bjorck regula falsi (BIT 13, 1973) narrows the bracket to a
     few ulps, and a search on the float bit patterns, which order
@@ -295,7 +332,7 @@ def _root(f, lo: float, hi: float, f_lo: float, f_hi: float) -> tuple[float, flo
     # stall; after 100 the bisection below ends in at most 64 more.
     w_lo, w_hi, moved = f_lo, f_hi, 0
     for _ in range(100):
-        if f_hi == 0.0 or hi - lo <= 4.0 * sys.float_info.epsilon * hi:
+        if f_hi == 0.0 or hi - lo <= _NARROW * hi:
             break
         s = hi - w_hi * (hi - lo) / (w_hi - w_lo)
         if not lo < s < hi:
@@ -327,22 +364,19 @@ def _root(f, lo: float, hi: float, f_lo: float, f_hi: float) -> tuple[float, flo
     return hi, f_hi
 
 
-def _rate(channel, D: float, s: float) -> float:
-    """I(s_t; u_t | the past) = (1/2) log2((aged + s) / s), at a root of mmse(s) = D."""
-    return 0.5 * math.log2(channel[1](s) / D)  # there (aged + s) / s = aged / D
-
-
-def _solve(channel, D: float, what: str) -> tuple[float, float]:
-    """(rate, sigma_z2) of the burst channel whose MMSE is D."""
-    s = _solve_increasing(channel[1], D, what)
-    return _rate(channel, D, s), s
+def _solve(aged, D: float, what: str) -> tuple[float, float]:
+    """(rate, sigma_z2) of the burst channel with aged error aged whose MMSE
+    is D.  The rate is I(s_t; u_t | the past) = (1/2) log2((aged + s) / s),
+    which at the root, where (aged + s) / s = aged / D, is (1/2) log2(aged / D)."""
+    s, aged_s = _solve_increasing(aged, D, what)
+    return 0.5 * math.log2(aged_s / D), s
 
 
 def solve_test_channel_single(cfg: GmConfig) -> TestChannel:
     """Noise variance whose steady-state single-burst MMSE equals D."""
     if cfg.D >= 1.0:
         raise ValidationError("D >= 1 needs no test channel (rate is zero)")
-    return TestChannel(_solve_increasing(_single_channel(cfg)[1], cfg.D, "single-burst test channel"))
+    return TestChannel(_solve_increasing(_single_channel(cfg), cfg.D, "single-burst test channel")[0])
 
 
 def rate_upper_single(cfg: GmConfig) -> float:
@@ -363,7 +397,8 @@ def eta_multi(cfg: GmConfig, tc: TestChannel) -> float:
     """
     if cfg.D >= 1.0:
         raise ValidationError("eta is defined for D < 1")
-    return _multi_channel(cfg)[0](tc.sigma_z2)
+    a, q, _, _ = source_constants(cfg.rho, 2)
+    return _eta(a, q, cfg.D, cfg.L - 1, tc.sigma_z2)
 
 
 def rate_upper_multi(cfg: GmConfig) -> tuple[float, TestChannel | None]:

@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import csv
 import importlib.util
 import io
@@ -9,6 +10,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import streamrate as sr
 from conftest import numpy_or_none, run_without_numpy
@@ -529,6 +532,53 @@ class TestOutputFile:
         assert done.stderr == f"validation error: cannot write {path!r}: No space left on device\n"
 
 
+
+def csv_module_bytes(header, rows) -> bytes:
+    """What `csv.writer(fh, lineterminator="\n")` writes for the header and the rows."""
+    fh = io.StringIO()
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return fh.getvalue().encode()
+
+
+class TestCsvWriter:
+    """`cli._write_csv` joins str of each field with commas; for the fields the
+    commands write, that is the csv module's output, byte for byte."""
+
+    EDGE_ROWS = [
+        [0, 1, -7, 2**70, True, False],
+        [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 1e22, 0.1, 1 / 3, -1.5e-300, 1.7976931348623157e308],
+    ]
+    HEADERS = [
+        ["B", "W", "predictive_rate", "lower", "upper"],
+        cli._GM_HEADER,
+        ["time", "mse", "stderr", "exact_mmse", "erased"],
+    ]
+
+    @pytest.mark.parametrize("header", HEADERS)
+    def test_edge_fields_equal_the_csv_module(self, header, tmp_path):
+        out = tmp_path / "out.csv"
+        cli._write_csv(str(out), header, self.EDGE_ROWS)
+        assert out.read_bytes() == csv_module_bytes(header, self.EDGE_ROWS)
+
+    @pytest.mark.parametrize("fig", ["fig2", "fig3", "fig4", "fig5", "fig9"])
+    def test_figures_equal_the_csv_module(self, fig, tmp_path):
+        header, rows = cli._figure_rows(fig)
+        out = tmp_path / "out.csv"
+        cli._write_csv(str(out), header, iter(rows))
+        assert out.read_bytes() == csv_module_bytes(header, rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.lists(st.lists(st.one_of(st.integers(), st.floats(), st.booleans()), min_size=1, max_size=6),
+                         max_size=6))
+    def test_drawn_rows_equal_the_csv_module(self, rows):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli._write_csv(None, ["a", "b"], rows)
+        assert out.getvalue().encode() == csv_module_bytes(["a", "b"], rows)
+
+
 def modules_loaded_by(run_it):
     """The modules that a fresh interpreter loads to run the code run_it, so
     that modules loaded by the test run do not count."""
@@ -675,21 +725,38 @@ class TestUsage:
         assert first.startswith("B,W,predictive_rate,lower,upper\n2,1,")
 
 
-@pytest.mark.needs_numpy
 class TestClosedPipe:
-    def test_reader_closing_after_one_line_ends_quietly(self):
-        # 10,001 lines: far more than the pipe buffer, so the writer is still
-        # writing when the reader goes away
-        argv = ["simulate", "--kind", "gm", "--sigma-z2", "0.1", "--T", "10000", "--trials", "2"]
+    @staticmethod
+    def closed_after_one_line(argv) -> tuple[bytes, int, bytes]:
+        """(first line, exit code, stderr) of the command when its reader
+        closes standard output after one line."""
         src = os.path.dirname(os.path.dirname(sr.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         proc = subprocess.Popen(
             [sys.executable, "-m", "streamrate.cli", *argv],
             env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         )
-        assert proc.stdout.readline() == b"time,mse,stderr,exact_mmse,erased\n"
+        first = proc.stdout.readline()
         proc.stdout.close()
         stderr = proc.stderr.read()
         proc.stderr.close()
-        assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE == 141
+        return first, proc.wait(timeout=60), stderr
+
+    @pytest.mark.needs_numpy
+    def test_reader_closing_after_one_line_ends_quietly(self):
+        # 10,001 lines: far more than the pipe buffer, so the writer is still
+        # writing when the reader goes away
+        argv = ["simulate", "--kind", "gm", "--sigma-z2", "0.1", "--T", "10000", "--trials", "2"]
+        first, code, stderr = self.closed_after_one_line(argv)
+        assert first == b"time,mse,stderr,exact_mmse,erased\n"
+        assert code == cli.EXIT_BROKEN_PIPE == 141
+        assert stderr == b""
+
+    def test_reader_closing_during_a_long_json_report(self):
+        # a 0.18 MB report: written as one piece, the part the pipe took was
+        # kept and the rest dropped without an error, and the command exited 0
+        argv = ["oracle", "--check", "single", "--B", "3", "--rho", "0.9", "--sigma-z2", "0.1", "--tmax", "100"]
+        first, code, stderr = self.closed_after_one_line(argv)
+        assert first == b"{\n"
+        assert code == cli.EXIT_BROKEN_PIPE == 141
         assert stderr == b""

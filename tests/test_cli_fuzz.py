@@ -128,6 +128,13 @@ def test_cli_fuzz(chain_path, data):
     if argv[0] == "oracle":  # a flag that the check does not read only exits 1
         reads = cli._ORACLE_FLAGS[argv[argv.index("--check") + 1]]
         typed = {f: s for f, s in typed.items() if f in ("--rho", "--sigma-z2", "--tmax") or f[2:] in reads}
+    elif argv[0] == "simulate":  # so does one that the kind does not read
+        reads = {f"--{k.replace('_', '-')}" for k in cli._SIMULATE_FLAGS[argv[argv.index("--kind") + 1]]}
+        if "--sigma-z2" in argv:  # gm reads one of --sigma-z2 and --D, and --B only with --D
+            reads -= {"--D", "--B"}
+        elif "--D" in argv:
+            reads.discard("--sigma-z2")
+        typed = {f: s for f, s in typed.items() if f in reads}
     for flag in data.draw(st.lists(st.sampled_from(sorted(typed)), min_size=1, max_size=3, unique=True), label="flags"):
         argv = _set_flag(argv, flag, data.draw(typed[flag], label=flag))
     out, err = io.StringIO(), io.StringIO()

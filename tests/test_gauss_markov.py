@@ -342,6 +342,16 @@ def analytic_bracket(aged, D):
     return lo, 1.0 / (1.0 / D - 1.0 / aged(lo))
 
 
+def mmse_of(aged):
+    """The burst-channel MMSE 1 / (1/s + 1/aged(s)) of the aged error aged."""
+    return lambda s: 1.0 / (1.0 / s + 1.0 / aged(s))
+
+
+def solved_noise(aged, D, what):
+    """The noise of `_solve_increasing`'s (noise, aged error) pair."""
+    return _solve_increasing(aged, D, what)[0]
+
+
 class TestRootFinder:
     def test_nan_objective(self):
         with pytest.raises(NumericalError):
@@ -367,18 +377,21 @@ class TestRootFinder:
         assert not set(ends) & set(seen[2:])
 
     def test_root_evaluated_once(self):
+        # through the rate: the rate reads the aged error that the search
+        # computed at the root, so no point is evaluated twice
         seen = []
-        root = _solve_increasing(lambda s: seen.append(s) or burst_aged(s), 0.3, "burst")
+        rate, root = gm._solve(lambda s: seen.append(s) or burst_aged(s), 0.3, "burst")
         assert seen.count(root) == 1
         assert len(seen) == len(set(seen))
+        assert rate == 0.5 * math.log2(burst_aged(root) / 0.3)
 
     def test_upward_search(self):
         # aged(D / (1 - D)) <= D: no analytic upper end, so the search steps up
         def aged(s):
             return 1.0 - 0.9 / (1.0 + 0.01 * s)
 
-        root = _solve_increasing(aged, 0.9, "slow channel")
-        assert aged(0.9 / 0.1) <= 0.9
+        root, aged_root = _solve_increasing(aged, 0.9, "slow channel")
+        assert aged_root == aged(root) and aged(0.9 / 0.1) <= 0.9
         assert 1.0 / (1.0 / root + 1.0 / aged(root)) >= 0.9
         below = math.nextafter(root, 0.0)
         assert 1.0 / (1.0 / below + 1.0 / aged(below)) < 0.9
@@ -394,9 +407,10 @@ class TestRootFinder:
         # regula falsi stalls; after its 100 steps the bisection on the float
         # bit patterns ends on the root the Brent-based solve found
         cfg = GmConfig(rho=0.9999999745332029, B=4, D=5.022044321876795e-07, L=6)
-        _, aged, mmse = _multi_channel(cfg)
+        aged = _multi_channel(cfg)
+        mmse = mmse_of(aged)
         seen = []
-        root = _solve_increasing(lambda s: seen.append(s) or aged(s), cfg.D, "multi-burst")
+        root, _ = _solve_increasing(lambda s: seen.append(s) or aged(s), cfg.D, "multi-burst")
         assert 102 < len(seen) <= 102 + 64
         assert mmse(root) >= cfg.D > mmse(math.nextafter(root, 0.0))
         assert root == reference_solve(reference_aged(cfg)["multi"], cfg.D, "multi-burst")
@@ -406,10 +420,11 @@ class TestRootFinder:
         # but their reciprocals round equal, so the analytic end
         # 1 / (1/D - 1/aged(b)) would divide by zero: the search goes on up
         cfg = GmConfig(rho=0.8489506257621932, B=1, D=0.9999999999999989, L=2)
-        _, aged, mmse = gm._single_channel(cfg)
+        aged = gm._single_channel(cfg)
+        mmse = mmse_of(aged)
         b = 2.0 * cfg.D / (1.0 - cfg.D)
         assert aged(b) > cfg.D and 1.0 / aged(b) == 1.0 / cfg.D
-        root = _solve_increasing(aged, cfg.D, "single-burst")
+        root, _ = _solve_increasing(aged, cfg.D, "single-burst")
         assert mmse(root) >= cfg.D > mmse(math.nextafter(root, 0.0))
         bounds = compute_bounds(cfg)
         assert 0.0 <= bounds.lower <= bounds.upper_single <= bounds.upper_multi
@@ -448,8 +463,9 @@ def production_bounds(cfg: GmConfig) -> dict:
     solve = gm._solve_increasing
 
     def record(fn, target, what):
-        sigmas[what] = solve(fn, target, what)
-        return sigmas[what]
+        result = solve(fn, target, what)
+        sigmas[what] = result[0]
+        return result
 
     with mock.patch.object(gm, "_solve_increasing", record):
         bounds, nwz = compute_bounds(cfg), naive_wz_rate(cfg)
@@ -479,9 +495,53 @@ class TestKernelParity:
         L=st.integers(1, 8),
         D=st.floats(1e-3, 0.95),
     )
+    # D near 1 takes the upward bracket search, and there and near rho = 1
+    # the noise passes 1, the hypot branch of the single-burst closure
+    @example(rho=0.9, B=2, L=3, D=0.99)
+    @example(rho=0.5, B=1, L=4, D=1 - 1e-9)
+    @example(rho=0.8489506257621932, B=3, L=8, D=1 - 1e-12)
+    @example(rho=1 - 1e-6, B=2, L=5, D=0.3)
     def test_solves_match_reference_chain(self, rho, B, L, D):
         cfg = GmConfig(rho=rho, B=B, D=D, L=L)
-        assert production_bounds(cfg) == reference_bounds(cfg, _solve_increasing)
+        assert production_bounds(cfg) == reference_bounds(cfg, solved_noise)
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        # near rho = 1, where c = rho^(2B) is near 1, aging keeps the copy's last bits
+        rho=st.one_of(st.floats(1e-9, 1 - 1e-12), st.floats(0.99, 1 - 1e-12)),
+        B=st.integers(1, 8),
+        L=st.integers(1, 60),
+        D=st.floats(1e-12, 1.0, exclude_max=True),
+        s=st.one_of(st.floats(0.0, 1.0, exclude_min=True), st.floats(1.0, allow_infinity=False)),
+    )
+    @example(rho=0.9, B=1, L=3, D=0.2, s=1.0)
+    @example(rho=0.9, B=1, L=3, D=0.2, s=math.nextafter(1.0, 2.0))
+    @example(rho=1 - 1e-12, B=2, L=40, D=1e-9, s=5e-324)
+    @example(rho=0.5, B=1, L=2, D=0.5, s=sys.float_info.max)
+    def test_closures_copy_their_kernels(self, rho, B, L, D, s):
+        # the channel closures carry copies of `_steady_sigma` and `_eta`,
+        # so that an evaluation is one call; each copy equals its kernel
+        cfg = GmConfig(rho=rho, B=B, D=D, L=L)
+        _, q, c, _ = source_constants(rho, 2 * B)
+        assert gm._single_channel(cfg)(s).hex() == (1.0 - c * (1.0 - gm._steady_sigma(q, s))).hex()
+        a, q, c, _ = source_constants(rho, 2 * (B + 1))
+        assert gm._multi_channel(cfg)(s).hex() == (1.0 - c * (1.0 - gm._eta(a, q, D, L - 1, s))).hex()
+        assert eta_multi(cfg, TestChannel(s)).hex() == gm._eta(a, q, D, L - 1, s).hex()
+
+    def test_closures_copy_their_kernels_on_a_grid(self):
+        # the aging 1 - c (1 - pre) drops the last bits of most pre-burst
+        # errors, so a copy that rounds differently shows in few draws; a
+        # grid over 24 decades of noise and rho from 0.3 to 1 - 1e-12 shows it
+        noises = [10.0 ** (k / 8) for k in range(-96, 97)] + [1.0, math.nextafter(1.0, 0.0)]
+        for rho in [0.3, 0.9] + [1 - 10.0**-k for k in range(2, 13)]:
+            for B, L in ((1, 1), (2, 3), (4, 9)):
+                cfg = GmConfig(rho=rho, B=B, D=0.3, L=L)
+                single, multi = gm._single_channel(cfg), gm._multi_channel(cfg)
+                _, q, c, _ = source_constants(rho, 2 * B)
+                a, _, c_multi, _ = source_constants(rho, 2 * (B + 1))
+                for s in noises:
+                    assert single(s) == 1.0 - c * (1.0 - gm._steady_sigma(q, s)), (rho, B, s)
+                    assert multi(s) == 1.0 - c_multi * (1.0 - gm._eta(a, q, 0.3, L - 1, s)), (rho, B, L, s)
 
     @pytest.mark.parametrize("rho", [0.5, 0.9, 0.999999])
     def test_longest_guard_matches_reference_chain(self, rho):
@@ -489,7 +549,7 @@ class TestKernelParity:
         # a few steps at rho 0.5, never within 10^4 at rho 0.999999; the
         # reference runs every step
         cfg = GmConfig(rho=rho, B=2, D=0.05, L=gm.GUARD_CAP)
-        assert production_bounds(cfg) == reference_bounds(cfg, _solve_increasing)
+        assert production_bounds(cfg) == reference_bounds(cfg, solved_noise)
         for sigma_z2 in (1e-6, 0.05, 1.0, 1e6):
             tc = TestChannel(sigma_z2)
             assert eta_multi(cfg, tc).hex() == reference_eta_multi(cfg, tc).hex()
@@ -509,7 +569,7 @@ class TestKernelParity:
         for key in ("upper_single", "upper_multi", "nwz"):
             assert abs(got[key] - want[key]) <= 1e-14, key
         for key, channel in CHANNELS.items():
-            mmse = channel(cfg)[2]
+            mmse = mmse_of(channel(cfg))
             for s in (got[key], want[key]):
                 assert mmse(s) >= D > mmse(math.nextafter(s, 0.0)), key
 
@@ -613,6 +673,11 @@ CHANNELS = {
     "sigma_multi": gm._multi_channel,
     "sigma_two_point": gm._two_point_channel,
 }
+SOLVES = [
+    (gm._single_channel, "single-burst test channel"),
+    (gm._multi_channel, "multi-burst test channel"),
+    (gm._two_point_channel, "two-point test channel"),
+]
 
 
 class TestRootContract:
@@ -632,14 +697,43 @@ class TestRootContract:
         cfg = GmConfig(rho=rho, B=B, D=D, L=L)
         got = production_bounds(cfg)
         for key, channel in CHANNELS.items():
-            mmse, s = channel(cfg)[2], got[key]
+            mmse, s = mmse_of(channel(cfg)), got[key]
             assert mmse(s) >= D > mmse(math.nextafter(s, 0.0)), key
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rho=st.floats(1e-9, 1 - 1e-6),
+        B=st.integers(1, 6),
+        L=st.integers(1, 10),
+        D=st.one_of(st.floats(1e-9, 1 - 1e-9), st.floats(1 - 1e-9, 1.0, exclude_max=True)),
+    )
+    # the stalled regula falsi of `test_stalled_steps_end_in_bisection`
+    @example(rho=0.9999999745332029, B=4, L=6, D=5.022044321876795e-07)
+    # f is exactly 0.0 at the bracket's upper end, and every probe below it
+    # is negative, so the root is that end, which `_root` never evaluates
+    @example(rho=0.04222331254897838, B=6, L=5, D=0.243495134875217)
+    @example(rho=0.13436411061379286, B=4, L=4, D=0.27979642591549525)
+    # the upward bracket search of `test_equal_reciprocals_search_upward`
+    @example(rho=0.8489506257621932, B=1, L=2, D=0.9999999999999989)
+    def test_rate_is_the_roots_own_evaluation(self, rho, B, L, D):
+        # each rate is (1/2) log2(aged(s) / D) at its own solved noise s, bit
+        # for bit, whether the search ends on a point it evaluated or on the
+        # bracket's end
+        cfg = GmConfig(rho=rho, B=B, D=D, L=L)
+        for channel, what in SOLVES:
+            aged = channel(cfg)
+            try:
+                rate, s = gm._solve(aged, D, what)
+            except PrecisionError as exc:  # rho and D both near 1: aged never exceeds D in floats
+                assert "never exceeds D" in str(exc)
+                continue
+            assert rate == 0.5 * math.log2(aged(s) / D), what
 
     def test_crossing_is_not_unique(self):
         # two floats six ulps apart both cross D; the Brent-based solve
         # returned the upper one, the regula falsi returns the lower
         cfg = GmConfig(rho=0.6343273418349201, B=1, D=0.8727693852104255)
-        mmse = gm._single_channel(cfg)[2]
+        mmse = mmse_of(gm._single_channel(cfg))
         got = solve_test_channel_single(cfg).sigma_z2
         brent = reference_solve(reference_aged(cfg)["single"], cfg.D, "single-burst test channel")
         assert (got, brent) == (8.36392280270143, 8.36392280270144)
@@ -755,7 +849,7 @@ class TestMultiBurstChannel:
                 L=int(rng.integers(1, 7)),
             )
             grid = np.exp(np.linspace(math.log(1e-8), math.log(1e8), 40))
-            mmse = _multi_channel(cfg)[2]
+            mmse = mmse_of(_multi_channel(cfg))
             vals = [mmse(s) for s in grid]
             assert all(b > a for a, b in zip(vals, vals[1:]))
 
@@ -772,7 +866,7 @@ class TestMultiBurstChannel:
         # in rate_upper_multi's docstring
         cfg = GmConfig(rho=rho, B=B, D=D, L=L)
         probe = np.exp(np.linspace(math.log(1e-12), math.log(1e12), 9))
-        mmse = _multi_channel(cfg)[2]
+        mmse = mmse_of(_multi_channel(cfg))
         vals = [mmse(float(s)) for s in probe]
         assert all(b - a >= -1e-12 for a, b in zip(vals, vals[1:]))
 

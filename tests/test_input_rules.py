@@ -277,6 +277,18 @@ CLI_ROWS = {
     "multi-reads-no-seed": ([*_ORACLE, "multi", "--seed", "0"], None),
     "exchange-reads-no-B": ([*_ORACLE, "exchange", "--B", "1"], None),
     "exchange-reads-no-L": ([*_ORACLE, "exchange", "--L", "1"], None),
+    # a flag that the chosen simulate kind does not read, even at its default value
+    "stream-noise-and-target": (["simulate", "--kind", "gm", "--sigma-z2", "0.1", "--D", "0.2"], None),
+    "stream-B-without-target": (["simulate", "--kind", "gm", "--sigma-z2", "0.1", "--B", "1"], None),
+    "stream-reads-no-n": (["simulate", "--kind", "gm", "--sigma-z2", "0.1", "--n", "8"], None),
+    "stream-reads-no-q": (["simulate", "--kind", "gm", "--D", "0.2", "--q", "0.1"], None),
+    "stream-reads-no-rate": (["simulate", "--kind", "gm", "--sigma-z2", "0.1", "--rate", "0.8"], None),
+    "binning-reads-no-rho": (["simulate", "--kind", "binning", "--rho", "0.9"], None),
+    "binning-reads-no-sigma-z2": (["simulate", "--kind", "binning", "--sigma-z2", "0.1"], None),
+    "binning-reads-no-D": (["simulate", "--kind", "binning", "--D", "0.2"], None),
+    "binning-reads-no-B": (["simulate", "--kind", "binning", "--B", "1"], None),
+    "binning-reads-no-T": (["simulate", "--kind", "binning", "--T", "100"], None),
+    "binning-reads-no-burst": (["simulate", "--kind", "binning", "--burst", "2:1"], None),
 }
 
 
