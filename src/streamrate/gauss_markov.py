@@ -235,10 +235,10 @@ def gamma_single(cfg: GmConfig, tc: TestChannel) -> float:
     return 1.0 / (1.0 / s + 1.0 / _single_channel(cfg)(s))
 
 
-def _bracket(aged, D: float, what: str) -> tuple[float, float, float, float]:
-    """(a, b, f(a), f(b)) with f(a) < 0 <= f(b), for f(s) = mmse(s) - D, the
-    burst-channel MMSE 1 / (1/s + 1/aged(s)), aged increasing in s with values
-    in (0, 1].
+def _bracket(aged, D: float, what: str) -> tuple[float, float, float, float, float]:
+    """(a, b, f(a), f(b), aged(b)) with f(a) < 0 <= f(b), for f(s) = mmse(s) - D,
+    the burst-channel MMSE 1 / (1/s + 1/aged(s)), aged increasing in s with
+    values in (0, 1].
 
     The bracket is analytic.  aged <= 1 puts the root at or above
     a = D / (1 - D).  Where aged(a) > D the root is at most
@@ -273,7 +273,7 @@ def _bracket(aged, D: float, what: str) -> tuple[float, float, float, float]:
         b_aged = aged(b)
         f_b = 1.0 / (1.0 / b + 1.0 / b_aged) - D
         if f_b >= 0.0:
-            return a, b, f_a, f_b
+            return a, b, f_a, f_b, b_aged
         if f_b != f_b:
             raise NumericalError(f"objective is NaN at {b!r}")
         a, f_a, a_aged = b, f_b, b_aged
@@ -291,13 +291,14 @@ def _solve_increasing(aged, D: float, what: str) -> tuple[float, float]:
     the channel closures (or any increasing float function): a float in, a
     float out, no validation per evaluation.  aged(s) is the value the
     search computed at s, kept by the objective at each point where the MMSE
-    reached D, so the rate costs no evaluation of its own; only a root at
-    the bracket's upper end, which `_root` never evaluates, is evaluated
-    once more.  A D below the normal float range raises PrecisionError:
-    there 1/D overflows.
+    reached D, so the rate costs no evaluation of its own: a root at the
+    bracket's upper end, which `_root` never evaluates, keeps the aged error
+    that `_bracket` computed there.  A D below the normal float range raises
+    PrecisionError: there 1/D overflows.
     """
     _check_normal(what, D, "the required noise would underflow")
-    kept = None  # aged at the last point where the MMSE reached D: `_root`'s root
+    # kept: aged at the last point where the MMSE reached D, `_root`'s root
+    lo, hi, f_lo, f_hi, kept = _bracket(aged, D, what)
 
     def f(s: float) -> float:
         nonlocal kept
@@ -309,10 +310,10 @@ def _solve_increasing(aged, D: float, what: str) -> tuple[float, float]:
             raise NumericalError(f"objective is NaN at {s!r}")
         return f_s
 
-    s, f_s = _root(f, *_bracket(aged, D, what))
+    s, f_s = _root(f, lo, hi, f_lo, f_hi)
     if not f_s <= 1e-10:
         raise NumericalError(f"{what}: solver residual {f_s:.3e} exceeds 1e-10")
-    return s, aged(s) if kept is None else kept
+    return s, kept
 
 
 def _root(f, lo: float, hi: float, f_lo: float, f_hi: float) -> tuple[float, float]:

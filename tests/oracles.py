@@ -299,7 +299,7 @@ def reference_solve(aged, D: float, what: str) -> float:
     def f(s: float) -> float:
         return 1.0 / (1.0 / s + 1.0 / aged(s)) - D
 
-    x, f_x, y, f_y = reference_brentq(f, *_bracket(aged, D, what))
+    x, f_x, y, f_y = reference_brentq(f, *_bracket(aged, D, what)[:4])
     lo, hi, f_hi = (y, x, f_x) if f_x >= 0.0 else (x, y, f_y)
     i, j = _BITS.unpack(_FLOAT.pack(lo))[0], _BITS.unpack(_FLOAT.pack(hi))[0]
     gap = 1 if f_hi == 0.0 else j - i

@@ -307,6 +307,25 @@ class TestOracleCommand:
         with open(os.path.join(FROZEN, name), "rb") as fh:
             assert capsys.readouterr().out.encode() == fh.read()
 
+    def test_frozen_multi_copies_agree(self):
+        # the benchmark's multi summary and the frozen multi report are two
+        # copies of one run: re-freezing one without the other fails here
+        with open(os.path.join(GOLDEN, "multi_B2_L3_t18.json"), encoding="utf-8") as fh:
+            summary = json.load(fh)
+        with open(os.path.join(FROZEN, "multi_rho0.9_B2_L3_t18.json"), encoding="utf-8") as fh:
+            report = json.load(fh)
+        argv, details = summary["argv"], report["details"]
+        assert (argv[0], dict(zip(argv[1::2], argv[2::2]))) == ("oracle", {
+            "--check": "multi", "--B": str(details["B"]), "--L": str(details["L"]),
+            "--rho": str(details["rho"]), "--sigma-z2": str(details["sigma_z2"]),
+            "--tmax": str(details["t_max"]),
+        })
+        assert (summary["passed"], summary["checks"]) == (report["passed"], report["checks"])
+        fields = ("star_received", "argmax_rate_received", "argmax_mmse_received")
+        assert summary["horizons"] == {
+            f"t{t}": {k: details[f"t{t}"][k] for k in fields} for t in range(1, details["t_max"] + 1)
+        }
+
     def test_exchange_without_numpy(self, without_numpy):
         # the domination sampler draws from the standard library's random
         assert json.loads(without_numpy[1]["oracle-exchange"][1])["passed"] is True

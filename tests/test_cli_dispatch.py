@@ -2,10 +2,9 @@
 parser; every argv must give the exit code, standard output and standard
 error of the full top-level `parse_args` route of a freshly built parser.
 
-argparse's messages differ between Python versions, so this file runs on the
-standard library alone, under pytest and as
-`PYTHONPATH=src python -m unittest tests.test_cli_dispatch` on a bare
-interpreter.
+argparse's messages differ between Python versions; tier-1 runs this file on
+CPython 3.10 to 3.13.  It needs the standard library alone, so it also runs
+without pytest, as `PYTHONPATH=src python -m unittest tests.test_cli_dispatch`.
 """
 
 import contextlib

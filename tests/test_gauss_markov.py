@@ -44,7 +44,6 @@ from oracles import (
 )
 from streamrate.errors import source_constants
 from streamrate.gauss_markov import (
-    _bracket,
     _multi_channel,
     _solve_increasing,
     lower_bound_closed_form,
@@ -711,6 +710,7 @@ class TestRootContract:
     @example(rho=0.9999999745332029, B=4, L=6, D=5.022044321876795e-07)
     # f is exactly 0.0 at the bracket's upper end, and every probe below it
     # is negative, so the root is that end, which `_root` never evaluates
+    # (on all three channels in the first row)
     @example(rho=0.04222331254897838, B=6, L=5, D=0.243495134875217)
     @example(rho=0.13436411061379286, B=4, L=4, D=0.27979642591549525)
     # the upward bracket search of `test_equal_reciprocals_search_upward`
@@ -718,15 +718,25 @@ class TestRootContract:
     def test_rate_is_the_roots_own_evaluation(self, rho, B, L, D):
         # each rate is (1/2) log2(aged(s) / D) at its own solved noise s, bit
         # for bit, whether the search ends on a point it evaluated or on the
-        # bracket's end
+        # bracket's end, and `_solve` evaluates aged no more once `_root`
+        # has returned
         cfg = GmConfig(rho=rho, B=B, D=D, L=L)
+        root = gm._root
         for channel, what in SOLVES:
-            aged = channel(cfg)
+            aged, seen, at_root = channel(cfg), [], []
+
+            def counted_root(*args):
+                found = root(*args)
+                at_root.append(len(seen))
+                return found
+
             try:
-                rate, s = gm._solve(aged, D, what)
+                with mock.patch.object(gm, "_root", counted_root):
+                    rate, s = gm._solve(lambda s: seen.append(s) or aged(s), D, what)
             except PrecisionError as exc:  # rho and D both near 1: aged never exceeds D in floats
                 assert "never exceeds D" in str(exc)
                 continue
+            assert at_root == [len(seen)], what
             assert rate == 0.5 * math.log2(aged(s) / D), what
 
     def test_crossing_is_not_unique(self):
