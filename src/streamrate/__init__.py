@@ -18,9 +18,9 @@ __version__ = "0.1.0"
 # API alone.  module -> the names the package re-exports from it
 _LAZY = {
     "gauss_markov": (
-        "GmBounds", "GmConfig", "TestChannel", "compute_bounds", "eta_multi", "finite_t_lower",
-        "gamma_single", "high_res_rate", "kalman_steady_sigma", "lower_bound_single", "naive_wz_rate",
-        "rate_upper_multi", "rate_upper_single", "solve_test_channel_single",
+        "BOUND_COLUMNS", "GmBounds", "GmConfig", "TestChannel", "bound_rows", "compute_bounds", "eta_multi",
+        "finite_t_lower", "gamma_single", "high_res_rate", "kalman_steady_sigma", "lower_bound_single",
+        "naive_wz_rate", "rate_upper_multi", "rate_upper_single", "solve_test_channel_single",
     ),
     "markov": (
         "LosslessBounds", "MarkovChain", "binary_symmetric_chain", "conditional_entropy_lag",

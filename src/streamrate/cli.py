@@ -121,22 +121,6 @@ def _cmd_lossless(args) -> int:
     return EXIT_OK
 
 
-def _gm_row(gm, rho: float, B: int, L: int, D: float) -> list[float]:
-    cfg = gm.GmConfig(rho=rho, B=B, D=D, L=L)
-    bounds = gm.compute_bounds(cfg)
-    return [
-        rho,
-        B,
-        L,
-        D,
-        bounds.lower,
-        bounds.upper_single,
-        bounds.upper_multi,
-        bounds.high_res,
-        gm.naive_wz_rate(cfg),
-    ]
-
-
 _GM_HEADER = ["rho", "B", "L", "D", "lower", "upper_single", "upper_multi", "high_res", "nwz"]
 
 
@@ -147,14 +131,16 @@ def _cmd_gm(args) -> int:
         doc = read_json_object(args.sweep, "rho", "B", "D")
         rhos = doc["rho"] if isinstance(doc["rho"], list) else [doc["rho"]]
         ds = doc["D"] if isinstance(doc["D"], list) else [doc["D"]]
-        # passed as read, so GmConfig rejects a string or a bool as it rejects a fractional B
-        rows = [_gm_row(gm, r, doc["B"], doc.get("L", 1), d) for r in rhos for d in ds]
+        # passed as read, so a string or a bool fails its check as a fractional B does,
+        # and each row prints the values as the file holds them
+        cells = [(r, doc["B"], doc.get("L", 1), d) for r in rhos for d in ds]
     else:
         if args.rho is None or args.D is None:
             raise ValidationError("gm needs --rho and --D (or --sweep file.json)")
-        rows = [_gm_row(gm, args.rho, args.B, args.L, args.D)]
-    k = _unit_scale(args.nats)
-    rows = [r[:4] + [v * k for v in r[4:]] for r in rows]
+        cells = [(args.rho, args.B, args.L, args.D)]
+    rows = gm.bound_rows(cells, _GM_HEADER)
+    if args.nats:
+        rows = [(*r[:4], *[v * LN2 for v in r[4:]]) for r in rows]
     _write_csv(args.out, _GM_HEADER, rows)
     return EXIT_OK
 
@@ -307,52 +293,23 @@ def _figure_rows(fig: str):
 
     from . import gauss_markov as gm
 
-    if fig in ("fig2", "fig3"):
-        if fig == "fig2":
-            cells = [(rho, B, D) for B in (1, 2) for D in (0.2, 0.3) for rho in _FIG2_RHO]
-        else:
-            cells = [(rho, B, D) for rho in (0.7, 0.9) for B in (1, 2) for D in _FIG3_D]
-
-        def row(cell):
-            rho, B, D = cell
-            cfg = gm.GmConfig(rho=rho, B=B, D=D)
-            return [rho, B, D, gm.lower_bound_single(cfg), gm.rate_upper_single(cfg)]
-
-        return ["rho", "B", "D", "lower", "upper"], [row(c) for c in cells]
-
-    if fig == "fig4":
-        # `compute_bounds` per cell, with the converse and the single-burst
-        # solve, which do not depend on L, made once per (rho, D)
-        rows = []
-        for D in (0.8, 0.5):
-            singles = [gm._single_burst(gm.GmConfig(rho=rho, B=1, D=D)) for rho in _FIG4_RHO]
-            for L in (1, 2, 3, 4):
-                for rho, single in zip(_FIG4_RHO, singles):
-                    b = gm._with_guard(gm.GmConfig(rho=rho, B=1, D=D, L=L), single)
-                    rows.append([rho, 1, L, D, b.lower, b.upper_single, b.upper_multi])
-        return ["rho", "B", "L", "D", "lower", "upper_single", "upper_multi"], rows
-
-    if fig == "fig5":
+    # each figure is one grid: its rows share the checks, the (rho, B) constants and
+    # each (rho, B, D) single-burst solve (fig4 solves it once for its four L)
+    columns = ["rho", "B", "D", "lower", "upper_single"]  # fig2 and fig3 print upper_single as "upper"
+    if fig == "fig2":
+        cells = [(rho, B, 1, D) for B in (1, 2) for D in (0.2, 0.3) for rho in _FIG2_RHO]
+    elif fig == "fig3":
+        cells = [(rho, B, 1, D) for rho in (0.7, 0.9) for B in (1, 2) for D in _FIG3_D]
+    elif fig == "fig4":
+        cells = [(rho, 1, L, D) for D in (0.8, 0.5) for L in (1, 2, 3, 4) for rho in _FIG4_RHO]
+        columns = ["rho", "B", "L", "D", "lower", "upper_single", "upper_multi"]
+    elif fig == "fig5":
         cells = [(rho, 1, 4, D) for rho in (0.9, 0.5) for D in _FIG5_D]
-
-        def row(cell):
-            rho, B, L, D = cell
-            cfg = gm.GmConfig(rho=rho, B=B, D=D, L=L)
-            multi, _ = gm.rate_upper_multi(cfg)
-            return [
-                rho,
-                B,
-                L,
-                D,
-                gm.lower_bound_single(cfg),
-                multi,
-                gm.naive_wz_rate(cfg),
-                gm.high_res_rate(cfg),
-            ]
-
-        return ["rho", "B", "L", "D", "lower", "upper_multi", "nwz", "high_res"], [row(c) for c in cells]
-
-    raise ValidationError(f"unknown figure id {fig!r}")
+        columns = ["rho", "B", "L", "D", "lower", "upper_multi", "nwz", "high_res"]
+    else:
+        raise ValidationError(f"unknown figure id {fig!r}")
+    rows = gm.bound_rows(cells, columns)
+    return (["rho", "B", "D", "lower", "upper"] if fig in ("fig2", "fig3") else columns), rows
 
 
 def _cmd_figure(args) -> int:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import struct
 import sys
+from operator import itemgetter
 
 from .errors import (
     ConvergenceError,
@@ -113,8 +114,12 @@ def lower_bound_closed_form(rho: float, B: int, D: float) -> float:
     where rounding puts the formula an ulp below it (small rho), R is the
     asymptote's own float.
     """
-    x, one_m_x, y, one_m_y = source_constants(rho, 2 * B)
-    tail = source_constants(rho, 2 * (B + 1))[3]
+    return _converse(source_constants(rho, 2 * B), source_constants(rho, 2 * (B + 1))[3], D)
+
+
+def _converse(lo: tuple, tail: float, D: float) -> float:
+    """`lower_bound_closed_form` with lo = `source_constants(rho, 2B)` and tail = 1 - rho^(2(B+1))."""
+    x, one_m_x, y, one_m_y = lo
     b = D * x + tail
     delta = (x * D + y * one_m_x - one_m_y) ** 2 + 4.0 * y * one_m_y * one_m_x
     return max(0.5 * math.log2((b + math.sqrt(delta)) / (2.0 * D)), 0.5 * math.log2(tail / D))
@@ -131,10 +136,15 @@ def lower_bound_single(cfg: GmConfig) -> float:
     tests check the closed form against a generic polynomial root finder.
     A D below the normal float range raises PrecisionError.
     """
-    if cfg.D >= 1.0:
+    return _lower(source_constants(cfg.rho, 2 * cfg.B), source_constants(cfg.rho, 2 * (cfg.B + 1))[3], cfg.D)
+
+
+def _lower(lo: tuple, tail: float, D: float) -> float:
+    """`lower_bound_single` from the constants of `_converse`."""
+    if D >= 1.0:
         return 0.0
-    _check_normal("converse", cfg.D)
-    return max(0.0, lower_bound_closed_form(cfg.rho, cfg.B, cfg.D))
+    _check_normal("converse", D)
+    return max(0.0, _converse(lo, tail, D))
 
 
 def kalman_steady_sigma(rho: float, sigma_z2: float) -> float:
@@ -174,18 +184,19 @@ def _eta(a: float, q: float, p: float, steps: int, s: float) -> float:
     return p
 
 
-# The three burst channels.  Each builder binds its configuration's constants
-# once per solve and returns aged(s), the pre-burst error at noise s aged over
-# the lost slots, 1 - c (1 - pre(s)): the one function the solver evaluates.
+# The three burst channels.  Each builder binds the `source_constants` of its
+# power of rho, once per solve or grid, and returns aged(s), the pre-burst
+# error at noise s aged over the lost slots, 1 - c (1 - pre(s)): the one
+# function the solver evaluates.
 # The single- and multi-burst closures carry their own copies of
 # `_steady_sigma` and `_eta`, so that an evaluation is one Python call; the
 # tests hold each copy to its kernel bit for bit.
 
 
-def _single_channel(cfg: GmConfig):
+def _single_channel(lo: tuple):
     """aged(s) of the single burst: the steady-state filter error
-    `_steady_sigma(q, s)` aged by c = rho^(2B)."""
-    _, q, c, _ = source_constants(cfg.rho, 2 * cfg.B)
+    `_steady_sigma(q, s)` aged by c = rho^(2B); lo = `source_constants(rho, 2B)`."""
+    _, q, c, _ = lo
     q2, sqrt, hypot = q**2, math.sqrt, math.hypot
 
     def aged(s: float) -> float:
@@ -197,11 +208,11 @@ def _single_channel(cfg: GmConfig):
     return aged
 
 
-def _multi_channel(cfg: GmConfig):
+def _multi_channel(hi: tuple, D: float, L: int):
     """aged(s) of repeated bursts: `_eta(a, q, D, L - 1, s)`, the error after
-    the guard interval, aged by c = rho^(2(B+1))."""
-    a, q, c, _ = source_constants(cfg.rho, 2 * (cfg.B + 1))
-    D, steps = cfg.D, range(cfg.L - 1)
+    the guard interval, aged by c = rho^(2(B+1)); hi = `source_constants(rho, 2(B+1))`."""
+    a, q, c, _ = hi
+    steps = range(L - 1)
 
     def aged(s: float) -> float:
         p = D
@@ -216,10 +227,10 @@ def _multi_channel(cfg: GmConfig):
     return aged
 
 
-def _two_point_channel(cfg: GmConfig):
+def _two_point_channel(hi: tuple):
     """aged(s) of the two-point reference: s / (1 + s), the error of
-    s_{t-B-1} given u_{t-B-1} alone, aged by c = rho^(2(B+1))."""
-    c = source_constants(cfg.rho, 2 * (cfg.B + 1))[2]
+    s_{t-B-1} given u_{t-B-1} alone, aged by c = rho^(2(B+1)); hi as for `_multi_channel`."""
+    c = hi[2]
 
     def aged(s: float) -> float:
         return 1.0 - c * (1.0 - s / (1.0 + s))
@@ -232,11 +243,11 @@ def gamma_single(cfg: GmConfig, tc: TestChannel) -> float:
     of the fresh observation and the aged pre-burst estimate.  Strictly
     increasing in the test-channel noise."""
     s = tc.sigma_z2
-    return 1.0 / (1.0 / s + 1.0 / _single_channel(cfg)(s))
+    return 1.0 / (1.0 / s + 1.0 / _single_channel(source_constants(cfg.rho, 2 * cfg.B))(s))
 
 
-def _bracket(aged, D: float, what: str) -> tuple[float, float, float, float, float]:
-    """(a, b, f(a), f(b), aged(b)) with f(a) < 0 <= f(b), for f(s) = mmse(s) - D,
+def _bracket(aged, D: float, what: str) -> tuple[float, float, float, float, float, dict]:
+    """(a, b, f(a), f(b), aged(b), tried) with f(a) < 0 <= f(b), for f(s) = mmse(s) - D,
     the burst-channel MMSE 1 / (1/s + 1/aged(s)), aged increasing in s with
     values in (0, 1].
 
@@ -248,9 +259,10 @@ def _bracket(aged, D: float, what: str) -> tuple[float, float, float, float, flo
     8, ..., to a point where aged exceeds D or the MMSE reaches it; where in
     floats aged never exceeds D, the search overflows and raises
     PrecisionError.  Either end that rounding puts on the wrong side moves out
-    by 1, 2, 4, ... ulps.
+    by 1, 2, 4, ... ulps.  tried maps each point the lower end moved down
+    from to its aged error; the search evaluates none of them again.
     """
-    a, step = D / (1.0 - D), sys.float_info.epsilon
+    a, step, tried = D / (1.0 - D), sys.float_info.epsilon, {}
     for _ in range(_SEARCH_STEPS):
         a_aged = aged(a)
         f_a = 1.0 / (1.0 / a + 1.0 / a_aged) - D
@@ -258,6 +270,7 @@ def _bracket(aged, D: float, what: str) -> tuple[float, float, float, float, flo
             break
         if f_a != f_a:
             raise NumericalError(f"objective is NaN at {a!r}")
+        tried[a] = a_aged
         a, step = a - a * step, min(2.0 * step, 0.5)
     else:
         raise PrecisionError(f"{what}: the MMSE reaches target {D:.3e} at every noise tried")
@@ -270,10 +283,10 @@ def _bracket(aged, D: float, what: str) -> tuple[float, float, float, float, flo
         if b == math.inf:
             raise PrecisionError(f"{what}: the MMSE stays below target {D!r} up to the largest "
                                  "float noise; in floats the aged error never exceeds D")
-        b_aged = aged(b)
+        b_aged = tried[b] if b in tried else aged(b)
         f_b = 1.0 / (1.0 / b + 1.0 / b_aged) - D
         if f_b >= 0.0:
-            return a, b, f_a, f_b, b_aged
+            return a, b, f_a, f_b, b_aged, tried
         if f_b != f_b:
             raise NumericalError(f"objective is NaN at {b!r}")
         a, f_a, a_aged = b, f_b, b_aged
@@ -298,7 +311,9 @@ def _solve_increasing(aged, D: float, what: str) -> tuple[float, float]:
     """
     _check_normal(what, D, "the required noise would underflow")
     # kept: aged at the last point where the MMSE reached D, `_root`'s root
-    lo, hi, f_lo, f_hi, kept = _bracket(aged, D, what)
+    lo, hi, f_lo, f_hi, kept, tried = _bracket(aged, D, what)
+    if tried:  # `_root` may probe a point that the bracket search stepped down from
+        aged = lambda s, aged=aged: tried[s] if s in tried else aged(s)
 
     def f(s: float) -> float:
         nonlocal kept
@@ -377,7 +392,8 @@ def solve_test_channel_single(cfg: GmConfig) -> TestChannel:
     """Noise variance whose steady-state single-burst MMSE equals D."""
     if cfg.D >= 1.0:
         raise ValidationError("D >= 1 needs no test channel (rate is zero)")
-    return TestChannel(_solve_increasing(_single_channel(cfg), cfg.D, "single-burst test channel")[0])
+    aged = _single_channel(source_constants(cfg.rho, 2 * cfg.B))
+    return TestChannel(_solve_increasing(aged, cfg.D, "single-burst test channel")[0])
 
 
 def rate_upper_single(cfg: GmConfig) -> float:
@@ -385,7 +401,7 @@ def rate_upper_single(cfg: GmConfig) -> float:
     (1/2) log2((1 - rho^(2B) (1 - Sigma)) / D) at the solved test channel."""
     if cfg.D >= 1.0:
         return 0.0
-    return _solve(_single_channel(cfg), cfg.D, "single-burst test channel")[0]
+    return _solve(_single_channel(source_constants(cfg.rho, 2 * cfg.B)), cfg.D, "single-burst test channel")[0]
 
 
 def eta_multi(cfg: GmConfig, tc: TestChannel) -> float:
@@ -417,7 +433,8 @@ def rate_upper_multi(cfg: GmConfig) -> tuple[float, TestChannel | None]:
     """
     if cfg.D >= 1.0:
         return 0.0, None
-    rate, sigma = _solve(_multi_channel(cfg), cfg.D, "multi-burst test channel")
+    aged = _multi_channel(source_constants(cfg.rho, 2 * (cfg.B + 1)), cfg.D, cfg.L)
+    rate, sigma = _solve(aged, cfg.D, "multi-burst test channel")
     return rate, TestChannel(sigma)
 
 
@@ -425,8 +442,13 @@ def high_res_rate(cfg: GmConfig) -> float:
     """Shared small-D asymptote (1/2) log2((1 - rho^(2(B+1))) / D); independent
     of the guard interval, clamped at zero.  A D below the normal float range
     raises PrecisionError."""
-    _check_normal("high-resolution asymptote", cfg.D)
-    return max(0.0, 0.5 * math.log2(source_constants(cfg.rho, 2 * (cfg.B + 1))[3] / cfg.D))
+    return _high_res(source_constants(cfg.rho, 2 * (cfg.B + 1))[3], cfg.D)
+
+
+def _high_res(tail: float, D: float) -> float:
+    """`high_res_rate` with tail = 1 - rho^(2(B+1))."""
+    _check_normal("high-resolution asymptote", D)
+    return max(0.0, 0.5 * math.log2(tail / D))
 
 
 def naive_wz_rate(cfg: GmConfig) -> float:
@@ -434,7 +456,7 @@ def naive_wz_rate(cfg: GmConfig) -> float:
     I(s_t; u_t | u_{t-B-1}) with sigma_z2 matched so the two-point MMSE is D."""
     if cfg.D >= 1.0:
         return 0.0
-    return _solve(_two_point_channel(cfg), cfg.D, "two-point test channel")[0]
+    return _solve(_two_point_channel(source_constants(cfg.rho, 2 * (cfg.B + 1))), cfg.D, "two-point test channel")[0]
 
 
 def finite_t_lower(cfg: GmConfig, t: int) -> float:
@@ -477,46 +499,72 @@ def finite_t_lower(cfg: GmConfig, t: int) -> float:
     return min(_root(f, lo, hi, f_lo, f_hi)[0], top)
 
 
-def _single_burst(cfg: GmConfig) -> tuple[float, float, float, float]:
-    """(lower, upper_single, high_res, sigma_z2_single) for D < 1: the
-    converse, the single-burst solve and its rate, none of which depends on
-    the guard interval L."""
-    lower = lower_bound_single(cfg)
-    upper, sigma_z2 = _solve(_single_channel(cfg), cfg.D, "single-burst test channel")
-    return lower, upper, high_res_rate(cfg), TestChannel(sigma_z2).sigma_z2
-
-
-def _with_guard(cfg: GmConfig, single: tuple[float, float, float, float]) -> GmBounds:
-    """The bound chain at cfg's guard interval from `_single_burst` of the
-    same (rho, B, D): the multi-burst solve, the order check and the clamp."""
-    lower, upper, high_res, sigma_z2 = single
-    multi, tc_multi = rate_upper_multi(cfg)
-    _check_order(lower, upper, "lower bound exceeds single-burst upper bound", 1e-12)
-    _check_order(upper, multi, "single-burst upper bound exceeds multi-burst upper bound", 1e-12)
-    return GmBounds(
-        lower=min(lower, upper),
-        upper_single=upper,
-        high_res=high_res,
-        sigma_z2_single=sigma_z2,
-        upper_multi=max(multi, upper),
-        sigma_z2_multi=tc_multi.sigma_z2,
-    )
-
-
 def compute_bounds(cfg: GmConfig) -> GmBounds:
-    """Assemble the full bound chain for one configuration.  A misorder of at
-    most 1e-12 max(1, rate) is rounding: lower falls to upper_single and
-    upper_multi rises to it, which leaves both valid bounds.  A larger gap
-    raises NumericalError.
+    """Assemble the full bound chain for one configuration: `bound_rows` of
+    its one cell.  A misorder of at most 1e-12 max(1, rate) is rounding:
+    lower falls to upper_single and upper_multi rises to it, which leaves
+    both valid bounds.  A larger gap raises NumericalError."""
+    return GmBounds(*bound_rows([(cfg.rho, cfg.B, cfg.L, cfg.D)], GmBounds._fields)[0])
 
-    The chain is two parts: `_single_burst`, which depends on (rho, B, D)
-    only, and `_with_guard`, the multi-burst solve at L with the order check
-    and the clamp.  A grid over L (the `fig4` figure) solves the first part
-    once per (rho, B, D) and keeps it for that one command; nothing is cached
-    across calls."""
-    if cfg.D >= 1.0:
-        return GmBounds(
-            lower=0.0, upper_single=0.0, high_res=high_res_rate(cfg), sigma_z2_single=None,
-            upper_multi=0.0, sigma_z2_multi=None,
-        )
-    return _with_guard(cfg, _single_burst(cfg))
+
+BOUND_COLUMNS = ("rho", "B", "L", "D", *GmBounds._fields, "nwz")
+
+
+def bound_rows(cells, columns=BOUND_COLUMNS) -> list[tuple]:
+    """One row per cell (rho, B, L, D), in order: the named `BOUND_COLUMNS`
+    of GmConfig(rho, B, D, L).
+
+    rho, B, L and D are the cell's values as given; lower, high_res and nwz
+    are `lower_bound_single`, `high_res_rate` and `naive_wz_rate`, and
+    upper_multi is the rate of `rate_upper_multi`.  Where the columns need
+    the single-burst solve (upper_single, sigma_z2_single), its rate orders
+    the others as `compute_bounds` orders them, with the same clamp and the
+    same NumericalError.  Each cell checks its values as GmConfig does (rho,
+    D, B, L) and raises what the per-cell calls raise, in their order; the
+    first cell that raises ends the call.
+
+    One call shares what its cells have in common, and keeps nothing after
+    it returns: rho and B are checked once per (rho, B), whose constants and
+    single-burst and two-point closures are made once; the converse, the
+    asymptote and the single-burst solve are made once per (rho, B, D); the
+    repeated-burst closure is made per cell from those constants.
+    """
+    index = [BOUND_COLUMNS.index(name) for name in columns]
+    pick = itemgetter(*index) if len(index) > 1 else lambda row: (row[index[0]],)
+    single = not {"upper_single", "sigma_z2_single"}.isdisjoint(columns)
+    multi = not {"upper_multi", "sigma_z2_multi"}.isdisjoint(columns)
+    asymptote, two_point = "high_res" in columns, "nwz" in columns
+    sources, rows = {}, []
+    for rho, B, L, D in cells:
+        key = (type(rho), rho, type(B), B)  # by type too: True, 1 and 1.0 are equal keys
+        try:
+            source = sources.get(key)
+        except TypeError:  # an unhashable rho or B, which no rule passes
+            source = None
+        if source is None:
+            r = check_open_unit("rho", rho)
+            d = check_probability("D", D, zero_ok=False)
+            b = check_int("B", B, 1, BURST_CAP)
+            lo, hi = source_constants(r, 2 * b), source_constants(r, 2 * (b + 1))
+            source = sources[key] = (lo, hi, {}, single and _single_channel(lo), two_point and _two_point_channel(hi))
+        else:
+            d = check_probability("D", D, zero_ok=False)
+        guard = check_int("L", L, 1, GUARD_CAP)
+        lo, hi, by_d, single_aged, two_point_aged = source
+        part = by_d.get(d)
+        if part is None:  # what depends on (rho, B, D) only
+            lower, upper = _lower(lo, hi[3], d), (0.0, None)
+            if single and d < 1.0:
+                upper = _solve(single_aged, d, "single-burst test channel")
+            part = by_d[d] = (lower, asymptote and _high_res(hi[3], d), *upper)
+        lower, high_res, upper, sigma_z2 = part
+        upper_multi, sigma_z2_multi = upper, None
+        if multi and d < 1.0:
+            upper_multi, sigma_z2_multi = _solve(_multi_channel(hi, d, guard), d, "multi-burst test channel")
+        if single and (lower > upper or upper > upper_multi):  # as `compute_bounds`: clamp rounding, raise past it
+            _check_order(lower, upper, "lower bound exceeds single-burst upper bound", 1e-12)
+            _check_order(upper, upper_multi, "single-burst upper bound exceeds multi-burst upper bound", 1e-12)
+            lower, upper_multi = min(lower, upper), max(upper_multi, upper)
+        rate = _solve(two_point_aged, d, "two-point test channel")[0] if two_point and d < 1.0 else 0.0
+        rows.append(pick((rho, B, L, D, lower, upper, high_res, sigma_z2, upper_multi, sigma_z2_multi, rate)))
+    return rows

@@ -570,7 +570,7 @@ def verify_single_burst_worst_case(
     room for one burst only, and its report without `L`.  That offset 0 is
     also the worst among the bursts of each shorter length is a property
     the tests check, not this report."""
-    B = check_int("B", B)
+    B = check_int("B", B, 0, ENUM_T_CAP - 1)  # first, so that no range below is empty
     t_max = check_int("t_max", t_max, B + 1, ENUM_T_CAP)
     keys = {"B": B, "t_max": t_max}
     return _worst_case_report("single-burst-worst-case", rho, sigma_z2, B, t_max, t_max, keys)

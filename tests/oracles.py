@@ -7,7 +7,9 @@ compare the two.  The
 reference test-channel objectives are the plain forms of the library's
 per-solve kernels, which must match them bit for bit.  `reference_solve` is
 the Brent-based test-channel solve that the library's regula falsi
-replaced; the two must agree to rounding.
+replaced; the two must agree to rounding.  `reference_gm_rows` is the
+per-cell loop that `gauss_markov.bound_rows` replaced; the two must agree
+bit for bit, errors included.
 """
 
 from __future__ import annotations
@@ -28,7 +30,10 @@ from streamrate import (
     ValidationError,
 )
 from streamrate.errors import Record, check_int, check_open_unit, check_variance
-from streamrate.gauss_markov import _bracket
+from streamrate.gauss_markov import (
+    GmConfig, _bracket, _check_order, high_res_rate, lower_bound_single, naive_wz_rate, rate_upper_multi,
+    rate_upper_single,
+)
 from streamrate.oracle import (
     _DOMINATE, _MONOTONE, _REPLACE, EXCHANGE_T_CAP, MAX_SET_SIZE, SAMPLES_CAP, _burst_preds, _check_rate_noise,
     _Filter, _other_instance, _path_received, _SlackTracker, _stars,
@@ -418,6 +423,27 @@ def reference_bounds(cfg, solve) -> dict:
         "upper_multi": 0.5 * math.log2(_reference_multi_aged(cfg, multi) / cfg.D),
         "nwz": 0.5 * math.log2(_reference_two_point_aged(cfg, TestChannel(two)) / cfg.D),
     }
+
+
+def reference_gm_rows(cells) -> list[tuple]:
+    """`gm`'s rows (rho, B, L, D, lower, upper_single, upper_multi, high_res,
+    nwz), one cell at a time, as the CLI made them before `bound_rows`: a
+    GmConfig per cell, then the bound chain of `compute_bounds` from the
+    per-quantity public calls (the converse, the single-burst solve, the
+    asymptote, the repeated-burst solve, then the order checks and the clamp)
+    and `naive_wz_rate`.  rho, B, L and D are the cell's values as given."""
+    rows = []
+    for rho, B, L, D in cells:
+        cfg = GmConfig(rho=rho, B=B, D=D, L=L)
+        if cfg.D >= 1.0:
+            rows.append((rho, B, L, D, 0.0, 0.0, 0.0, high_res_rate(cfg), 0.0))
+            continue
+        lower, upper, high_res = lower_bound_single(cfg), rate_upper_single(cfg), high_res_rate(cfg)
+        multi = rate_upper_multi(cfg)[0]
+        _check_order(lower, upper, "lower bound exceeds single-burst upper bound", 1e-12)
+        _check_order(upper, multi, "single-burst upper bound exceeds multi-burst upper bound", 1e-12)
+        rows.append((rho, B, L, D, min(lower, upper), upper, max(multi, upper), high_res, naive_wz_rate(cfg)))
+    return rows
 
 
 def reference_stationary(P):

@@ -8,13 +8,16 @@ import math
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import streamrate as sr
+import streamrate.gauss_markov as gm
 from conftest import numpy_or_none, run_without_numpy
+from oracles import reference_gm_rows
 from streamrate import cli
 
 np = numpy_or_none()
@@ -338,11 +341,18 @@ class TestOracleCommand:
                           ["--check", "exchange"])
             for s2 in ("nan", "inf")
         ]
-        + [["--check", "exchange", "--sigma-z2", "0.1", "--samples", "-1"]],
+        + [["--check", "exchange", "--sigma-z2", "0.1", "--samples", "-1"]]
+        # no horizon up to ENUM_T_CAP = 500 leaves room for a burst of 500
+        + [["--check", "single", "--B", "500", "--sigma-z2", "0.1", "--tmax", "500"]],
     )
     def test_bad_input_is_validation_error(self, argv, capsys):
         assert run(["oracle", "--rho", "0.9", "--tmax", "10", *argv]) == 1
         assert_validation_error(capsys)
+
+    def test_burst_beyond_every_horizon_names_B(self, capsys):
+        assert run(["oracle", "--check", "single", "--B", "500", "--tmax", "500", "--rho", "0.9",
+                    "--sigma-z2", "0.1"]) == 1
+        assert capsys.readouterr().err == "validation error: B must be an integer in [0, 499], got 500\n"
 
 
 class TestSimulateCommand:
@@ -463,6 +473,129 @@ class TestFigureCommand:
 
     def test_unknown_figure(self):
         assert run(["figure", "--id", "fig7"]) == 1
+
+
+# sweep documents: legal values (int-valued, near 1, D = 1, subnormal D,
+# rows that raise NumericalError), then zero to two values replaced by a
+# string, a bool, a list or an out-of-range value at a random position
+NEAR_ONE = st.floats(1 - 1e-9, 1.0, exclude_max=True)
+LEGAL = {
+    "rho": st.one_of(st.floats(1e-9, 1.0, exclude_min=True, exclude_max=True), NEAR_ONE,
+                     st.sampled_from([0.5, 0.9999999988205923, 0.9453081488354617])),
+    "D": st.one_of(st.floats(1e-9, 1.0, exclude_min=True), st.floats(1e-9, 1.0, exclude_min=True), NEAR_ONE,
+                   st.sampled_from([1, 1.0, 5e-324, 1e-310, 2.2250738585072014e-308, 3.18120098594214e-10,
+                                    0.9999999999999999])),
+    "B": st.one_of(st.integers(1, 6), st.sampled_from([4, 2**62])),
+    "L": st.one_of(st.integers(1, 12), st.just(8)),
+}
+ILLEGAL = {
+    "rho": st.sampled_from([0, 1, 0.0, 1.0, -0.5, 1.5, math.nan, "0.5", True, False, None, [0.5], {"rho": 0.5}]),
+    "D": st.sampled_from([2, 1.0000000000000002, 0, 0.0, -0.2, math.inf, math.nan, "0.2", True, False, None, [0.2]]),
+    "B": st.sampled_from([0, -1, 2**62 + 1, 1.0, 1.5, True, "1", None, [1]]),
+    "L": st.sampled_from([0, -2, 10**4 + 1, 2.0, True, "2", None]),
+}
+
+
+@st.composite
+def sweeps(draw):
+    doc = {key: draw(st.lists(LEGAL[key], min_size=1, max_size=4)) for key in ("rho", "D")}
+    for key in ("rho", "D"):  # a one-value list may also be the value itself
+        if len(doc[key]) == 1 and draw(st.booleans()):
+            doc[key] = doc[key][0]
+    for key in ("B", "L")[:draw(st.integers(1, 2))]:  # without "L", the guard is 1
+        doc[key] = draw(LEGAL[key])
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        key = draw(st.sampled_from(sorted(doc)))
+        if isinstance(doc[key], list):
+            doc[key][draw(st.integers(0, len(doc[key]) - 1))] = draw(ILLEGAL[key])
+        else:
+            doc[key] = draw(ILLEGAL[key])
+    return doc
+
+
+def sweep_output(path, doc, bound_rows=None):
+    """(exit code, stdout, stderr) of `gm --sweep` on doc, through bound_rows
+    when given in place of `gauss_markov.bound_rows`."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(contextlib.redirect_stdout(out))
+        stack.enter_context(contextlib.redirect_stderr(err))
+        if bound_rows is not None:
+            stack.enter_context(mock.patch.object(gm, "bound_rows", bound_rows))
+        code = run(["gm", "--sweep", str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+def reference_bound_rows(cells, columns):
+    assert columns == cli._GM_HEADER
+    return reference_gm_rows(cells)
+
+
+@pytest.fixture(scope="module")
+def sweep_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("sweep") / "sweep.json"
+
+
+class TestBoundGrid:
+    """`gm`, `gm --sweep` and fig2 to fig5 make their rows through one grid,
+    `gauss_markov.bound_rows`, which shares the checks, the (rho, B)
+    constants and each (rho, B, D) single-burst solve among its cells.  Its
+    rows, errors and their order are those of the per-cell public calls."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(doc=sweeps())
+    # the repeated-burst solve misorders by 6.6e-9 (exit 2); the aged error never exceeds D in floats
+    @example(doc={"rho": [0.5, 0.9999999988205923], "B": 4, "L": 8, "D": [0.2, 3.18120098594214e-10]})
+    @example(doc={"rho": [0.9453081488354617], "B": 1, "L": 3, "D": [0.5, 0.9999999999999999]})
+    @example(doc={"rho": [], "B": "x", "D": [0.2]})  # no cell: nothing is checked
+    def test_sweep_equals_per_cell_reference(self, sweep_path, doc):
+        got = sweep_output(sweep_path, doc)
+        assert got == sweep_output(sweep_path, doc, reference_bound_rows)
+        assert got[0] in (0, 1, 2)
+
+    @pytest.mark.parametrize("doc, code, text", [
+        # checked lazily, in the per-cell order: the converse rejects the subnormal D before "x" is read
+        ({"rho": [0.5], "B": 1, "D": [1e-310, "x"]}, 2,
+         "numerical error: converse: target 1.000e-310 is below the normal float range; 1 / D overflows\n"),
+        # each value prints as the file holds it
+        ({"rho": [0.5], "B": 1, "D": [1, 1.0]}, 0,
+         "rho,B,L,D,lower,upper_single,upper_multi,high_res,nwz\n0.5,1,1,1,0.0,0.0,0.0,0.0,0.0\n"
+         "0.5,1,1,1.0,0.0,0.0,0.0,0.0,0.0\n"),
+        # a checked 1 does not let True pass
+        ({"rho": [0.5], "B": 1, "D": [1, True]}, 1, "validation error: D must lie in (0, 1], got True\n"),
+        ({"rho": [0.5, 0.7], "B": 1, "L": True, "D": [0.2]}, 1, "validation error: L must be an integer, got True\n"),
+    ], ids=["subnormal-before-string", "values-as-given", "true-after-one", "true-guard"])
+    def test_traps(self, sweep_path, doc, code, text):
+        got = sweep_output(sweep_path, doc)
+        assert got == sweep_output(sweep_path, doc, reference_bound_rows)
+        assert got[0] == code and text in (got[1], got[2])
+
+    def test_cells_check_by_type(self):
+        # equal keys, different checks: True and 1.0 are no burst length, 1 is
+        for B in (True, 1.0):
+            with pytest.raises(sr.ValidationError, match="B must be an integer"):
+                gm.bound_rows([(0.5, 1, 1, 0.2), (0.5, B, 1, 0.2)])
+
+    def test_one_column(self):
+        rows = gm.bound_rows([(0.9, 1, 2, 0.2), (0.9, 1, 3, 0.2)], ["upper_multi"])
+        assert rows == [(sr.rate_upper_multi(sr.GmConfig(rho=0.9, B=1, D=0.2, L=L))[0],) for L in (2, 3)]
+
+    @pytest.mark.parametrize("fig", ["fig2", "fig3", "fig4", "fig5"])
+    def test_figure_rows_equal_per_cell_calls(self, fig):
+        header, rows = cli._figure_rows(fig)
+        for row in rows:
+            cell = dict(zip(header, row))
+            cfg = sr.GmConfig(rho=cell["rho"], B=cell["B"], D=cell["D"], L=cell.get("L", 1))
+            if fig in ("fig2", "fig3"):
+                want = [sr.lower_bound_single(cfg), sr.rate_upper_single(cfg)]
+            elif fig == "fig4":
+                want = list(reference_gm_rows([(cfg.rho, cfg.B, cfg.L, cfg.D)])[0][4:7])
+            else:
+                want = [sr.lower_bound_single(cfg), sr.rate_upper_multi(cfg)[0], sr.naive_wz_rate(cfg),
+                        sr.high_res_rate(cfg)]
+            assert list(map(float.hex, row[-len(want):])) == list(map(float.hex, want)), row
 
 
 class TestInputFiles:

@@ -44,7 +44,6 @@ from oracles import (
 )
 from streamrate.errors import source_constants
 from streamrate.gauss_markov import (
-    _multi_channel,
     _solve_increasing,
     lower_bound_closed_form,
 )
@@ -341,6 +340,21 @@ def analytic_bracket(aged, D):
     return lo, 1.0 / (1.0 / D - 1.0 / aged(lo))
 
 
+def single_channel(cfg: GmConfig):
+    """cfg's single-burst closure, as `rate_upper_single` builds it."""
+    return gm._single_channel(source_constants(cfg.rho, 2 * cfg.B))
+
+
+def multi_channel(cfg: GmConfig):
+    """cfg's repeated-burst closure, as `rate_upper_multi` builds it."""
+    return gm._multi_channel(source_constants(cfg.rho, 2 * (cfg.B + 1)), cfg.D, cfg.L)
+
+
+def two_point_channel(cfg: GmConfig):
+    """cfg's two-point closure, as `naive_wz_rate` builds it."""
+    return gm._two_point_channel(source_constants(cfg.rho, 2 * (cfg.B + 1)))
+
+
 def mmse_of(aged):
     """The burst-channel MMSE 1 / (1/s + 1/aged(s)) of the aged error aged."""
     return lambda s: 1.0 / (1.0 / s + 1.0 / aged(s))
@@ -406,7 +420,7 @@ class TestRootFinder:
         # regula falsi stalls; after its 100 steps the bisection on the float
         # bit patterns ends on the root the Brent-based solve found
         cfg = GmConfig(rho=0.9999999745332029, B=4, D=5.022044321876795e-07, L=6)
-        aged = _multi_channel(cfg)
+        aged = multi_channel(cfg)
         mmse = mmse_of(aged)
         seen = []
         root, _ = _solve_increasing(lambda s: seen.append(s) or aged(s), cfg.D, "multi-burst")
@@ -419,7 +433,7 @@ class TestRootFinder:
         # but their reciprocals round equal, so the analytic end
         # 1 / (1/D - 1/aged(b)) would divide by zero: the search goes on up
         cfg = GmConfig(rho=0.8489506257621932, B=1, D=0.9999999999999989, L=2)
-        aged = gm._single_channel(cfg)
+        aged = single_channel(cfg)
         mmse = mmse_of(aged)
         b = 2.0 * cfg.D / (1.0 - cfg.D)
         assert aged(b) > cfg.D and 1.0 / aged(b) == 1.0 / cfg.D
@@ -522,9 +536,9 @@ class TestKernelParity:
         # so that an evaluation is one call; each copy equals its kernel
         cfg = GmConfig(rho=rho, B=B, D=D, L=L)
         _, q, c, _ = source_constants(rho, 2 * B)
-        assert gm._single_channel(cfg)(s).hex() == (1.0 - c * (1.0 - gm._steady_sigma(q, s))).hex()
+        assert single_channel(cfg)(s).hex() == (1.0 - c * (1.0 - gm._steady_sigma(q, s))).hex()
         a, q, c, _ = source_constants(rho, 2 * (B + 1))
-        assert gm._multi_channel(cfg)(s).hex() == (1.0 - c * (1.0 - gm._eta(a, q, D, L - 1, s))).hex()
+        assert multi_channel(cfg)(s).hex() == (1.0 - c * (1.0 - gm._eta(a, q, D, L - 1, s))).hex()
         assert eta_multi(cfg, TestChannel(s)).hex() == gm._eta(a, q, D, L - 1, s).hex()
 
     def test_closures_copy_their_kernels_on_a_grid(self):
@@ -535,7 +549,7 @@ class TestKernelParity:
         for rho in [0.3, 0.9] + [1 - 10.0**-k for k in range(2, 13)]:
             for B, L in ((1, 1), (2, 3), (4, 9)):
                 cfg = GmConfig(rho=rho, B=B, D=0.3, L=L)
-                single, multi = gm._single_channel(cfg), gm._multi_channel(cfg)
+                single, multi = single_channel(cfg), multi_channel(cfg)
                 _, q, c, _ = source_constants(rho, 2 * B)
                 a, _, c_multi, _ = source_constants(rho, 2 * (B + 1))
                 for s in noises:
@@ -668,14 +682,14 @@ class TestKernelParity:
 
 
 CHANNELS = {
-    "sigma_single": gm._single_channel,
-    "sigma_multi": gm._multi_channel,
-    "sigma_two_point": gm._two_point_channel,
+    "sigma_single": single_channel,
+    "sigma_multi": multi_channel,
+    "sigma_two_point": two_point_channel,
 }
 SOLVES = [
-    (gm._single_channel, "single-burst test channel"),
-    (gm._multi_channel, "multi-burst test channel"),
-    (gm._two_point_channel, "two-point test channel"),
+    (single_channel, "single-burst test channel"),
+    (multi_channel, "multi-burst test channel"),
+    (two_point_channel, "two-point test channel"),
 ]
 
 
@@ -739,11 +753,32 @@ class TestRootContract:
             assert at_root == [len(seen)], what
             assert rate == 0.5 * math.log2(aged(s) / D), what
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        # small rho^(2B): the aged error rounds to 1 near D / (1 - D), where f can be >= 0
+        rho=st.floats(1e-9, 0.2),
+        B=st.integers(1, 8),
+        L=st.integers(1, 10),
+        D=st.floats(1e-6, 1 - 1e-6),
+    )
+    # f >= 0 at D / (1 - D): the bracket's first upper end is a point the lower
+    # end stepped down from (first row), or `_root` probes one (second row);
+    # in the third row the lower end steps down twice
+    @example(rho=0.027868792489366287, B=4, L=6, D=0.3788381043594215)
+    @example(rho=0.041476391678496365, B=6, L=10, D=0.34695624328978064)
+    @example(rho=0.012804949720548773, B=5, L=8, D=0.6820182278621327)
+    def test_no_point_is_evaluated_twice(self, rho, B, L, D):
+        cfg = GmConfig(rho=rho, B=B, D=D, L=L)
+        for channel, what in SOLVES:
+            aged, seen = channel(cfg), []
+            gm._solve(lambda s: seen.append(s) or aged(s), D, what)
+            assert len(seen) == len(set(seen)), what
+
     def test_crossing_is_not_unique(self):
         # two floats six ulps apart both cross D; the Brent-based solve
         # returned the upper one, the regula falsi returns the lower
         cfg = GmConfig(rho=0.6343273418349201, B=1, D=0.8727693852104255)
-        mmse = mmse_of(gm._single_channel(cfg))
+        mmse = mmse_of(single_channel(cfg))
         got = solve_test_channel_single(cfg).sigma_z2
         brent = reference_solve(reference_aged(cfg)["single"], cfg.D, "single-burst test channel")
         assert (got, brent) == (8.36392280270143, 8.36392280270144)
@@ -859,7 +894,7 @@ class TestMultiBurstChannel:
                 L=int(rng.integers(1, 7)),
             )
             grid = np.exp(np.linspace(math.log(1e-8), math.log(1e8), 40))
-            mmse = mmse_of(_multi_channel(cfg))
+            mmse = mmse_of(multi_channel(cfg))
             vals = [mmse(s) for s in grid]
             assert all(b > a for a, b in zip(vals, vals[1:]))
 
@@ -876,7 +911,7 @@ class TestMultiBurstChannel:
         # in rate_upper_multi's docstring
         cfg = GmConfig(rho=rho, B=B, D=D, L=L)
         probe = np.exp(np.linspace(math.log(1e-12), math.log(1e12), 9))
-        mmse = mmse_of(_multi_channel(cfg))
+        mmse = mmse_of(multi_channel(cfg))
         vals = [mmse(float(s)) for s in probe]
         assert all(b - a >= -1e-12 for a, b in zip(vals, vals[1:]))
 
@@ -1106,18 +1141,18 @@ def counted(call, *args):
     """(call's result, the converse evaluations and the test-channel solves
     by channel that it made)."""
     counts = Counter()
-    solve, converse = gm._solve_increasing, gm.lower_bound_single
+    solve, converse = gm._solve_increasing, gm._lower  # `lower_bound_single` and `bound_rows` call `_lower`
 
     def counted_solve(aged, D, what):
         counts[what] += 1
         return solve(aged, D, what)
 
-    def counted_converse(cfg):
+    def counted_converse(*args):
         counts["converse"] += 1
-        return converse(cfg)
+        return converse(*args)
 
     with mock.patch.object(gm, "_solve_increasing", counted_solve), \
-            mock.patch.object(gm, "lower_bound_single", counted_converse):
+            mock.patch.object(gm, "_lower", counted_converse):
         return call(*args), dict(counts)
 
 
